@@ -34,6 +34,7 @@ from .pl import (
     as_extended,
     is_inf,
     leq,
+    ratio_sup_abscissae,
     sup2,
 )
 
@@ -120,10 +121,10 @@ def make_delta(theta: Theta, c: float) -> DeltaFunction:
     return DeltaFunction(theta, c)
 
 
-def delta_leq(d: DeltaFunction, e: DeltaFunction, factor: float = 1.0) -> bool:
-    """Pointwise d <= factor * e.  Distinct pins are never comparable
-    (each is finite where the other is +inf)."""
-    return d.theta == e.theta and d.c <= factor * e.c
+def delta_leq(d: DeltaFunction, e: DeltaFunction, factor: Scalar = 1) -> bool:
+    """Pointwise d <= factor * e, decided exactly (floats are binary rationals).
+    Distinct pins are never comparable (each is finite where the other is +inf)."""
+    return d.theta == e.theta and Fraction(d.c) <= as_fraction(factor) * Fraction(e.c)
 
 
 def scale_delta(d: DeltaFunction, lam: float) -> DeltaFunction:
@@ -152,37 +153,6 @@ def witness_is_valid(f: PLConvex1D, pair: WitnessPair, ctilde: Scalar) -> bool:
         and not leq(f, pair.g, c3)
         and not leq(f, pair.h, c3)
     )
-
-
-def _ratio_sup_abscissa(f: PLConvex1D, a: Fraction) -> Optional[Fraction]:
-    """Largest x with f(x) <= a*x (None if every x > 0 qualifies).
-
-    The feasible set is an interval [0, x*] because f(x)/x is nondecreasing.
-    """
-    x_sup = _F0
-    for (xa, va), (xb, vb) in zip(f.knots, f.knots[1:]):
-        s = (vb - va) / (xb - xa)
-        c = s - a
-        d = va - s * xa
-        if c <= 0:
-            if c * xb + d <= 0:
-                x_sup = max(x_sup, xb)
-        else:
-            r = -d / c
-            if r >= xa:
-                x_sup = max(x_sup, min(r, xb))
-    if not is_inf(f.tail_slope):
-        xk, vk = f.knots[-1]
-        m = f.tail_slope
-        c = m - a
-        d = vk - m * xk
-        if c < 0 or (c == 0 and d <= 0):
-            return None
-        if c > 0:
-            r = -d / c
-            if r >= xk:
-                x_sup = max(x_sup, r)
-    return x_sup
 
 
 def cover_witness_search(f: PLConvex1D, ctilde: Scalar) -> Optional[WitnessPair]:
@@ -237,7 +207,7 @@ def cover_witness_search(f: PLConvex1D, ctilde: Scalar) -> Optional[WitnessPair]
         if s0 == 0:
             a_t = m / (2 * c3)
             a_set.add(a_t)
-            x_t = _ratio_sup_abscissa(f, a_t)
+            (x_t,) = ratio_sup_abscissae(f, [a_t])
             if x_t is not None and x_t > 0:
                 x_set.add(x_t)
         else:

@@ -240,7 +240,11 @@ def hat_inf2_grid(f: GridFunction2D, g: GridFunction2D) -> GridFunction2D:
     idx = np.argwhere(mask)
     c = f.spec.coords
     pts = np.column_stack((c[idx[:, 0]], c[idx[:, 1]]))
-    out = GridFunction2D(f.spec, _envelope_from_cloud(f.spec, pts, m[mask]), f.tag)
+    env = _envelope_from_cloud(f.spec, pts, m[mask])
+    # The exact envelope lies between the smallest cloud value and each finite
+    # node's own value; clipping to both keeps a geometric meet's exact 0.
+    env = np.minimum(np.maximum(env, m[mask].min(initial=np.inf)), m)
+    out = GridFunction2D(f.spec, env, f.tag)
     ensure_valid(out)
     return out
 

@@ -21,7 +21,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .exceptions import ClassTagError, ConvexityError, DomainError
 
@@ -351,3 +351,40 @@ def compose_dilate(f: PLConvex1D, alpha: Scalar) -> PLConvex1D:
         raise ValueError("dilation factor must be positive")
     tail = INF if is_inf(f.tail_slope) else f.tail_slope / alpha
     return PLConvex1D(tuple((alpha * x, v) for x, v in f.knots), tail, f.tag)
+
+
+def ratio_sup_abscissae(
+    f: PLConvex1D, rates: Sequence[Scalar]
+) -> List[Optional[Fraction]]:
+    """For each rate a, the largest x with f(x) <= a*x (None if every x qualifies).
+
+    ``f`` is geometric, so f(x)/x is nondecreasing and each feasible set is
+    an interval [0, x*(a)]; x*(a) shrinks as a does.  With ``rates`` in
+    descending order, one right-to-left walk over the knots answers them
+    all.  Exact.
+    """
+    if f.tag is not ClassTag.GEOMETRIC:
+        raise ClassTagError("ratio_sup_abscissae applies to geometric functions")
+    rates = [as_fraction(a) for a in rates]
+    if any(a < b for a, b in zip(rates, rates[1:])):
+        raise ValueError("rates must be in descending order")
+    knots, m = f.knots, f.tail_slope
+    i = len(knots) - 1
+    out: List[Optional[Fraction]] = []
+    for a in rates:
+        if not is_inf(m) and a >= m:
+            out.append(None)  # f(x)/x increases to the tail slope m <= a
+            continue
+        while i > 0 and knots[i][1] > a * knots[i][0]:
+            i -= 1
+        xa, va = knots[i]
+        if i + 1 < len(knots):
+            s = _slope(knots[i], knots[i + 1])
+        elif is_inf(m):
+            out.append(xa)  # bounded domain ending at a feasible knot
+            continue
+        else:
+            s = m
+        # f(x) - a*x = (s - a)*(x - xa) + (va - a*xa) has its root at or past xa
+        out.append(xa + (a * xa - va) / (s - a))
+    return out

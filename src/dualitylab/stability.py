@@ -207,7 +207,7 @@ def _leq_any(f, g, factor=1) -> Tuple[bool, object]:
         w = leq_witness(f, g, factor)
         return (w is None), (None if w is None else float(w))
     if isinstance(f, DeltaFunction) and isinstance(g, DeltaFunction):
-        if delta_leq(f, g, float(factor)):
+        if delta_leq(f, g, factor):
             return True, None
         return False, g.theta
     if isinstance(f, GridFunction2D) and isinstance(g, GridFunction2D):
@@ -767,7 +767,7 @@ def fit_sandwich(t: CorpusTransform, report: StabilityReport) -> StabilityReport
 
     refs = []
     for f in els:
-        base = gauge_transform(f, check=False) if gauge_like else f
+        base = gauge_transform(f) if gauge_like else f
         refs.append(compose_dilate(base, alpha))
 
     lo: Optional[Fraction] = None
@@ -861,7 +861,7 @@ def fuzz_transform(
     images = []
     for f, kap in zip(corpus.elements, kappas):
         if base == "gauge":
-            img = gauge_transform(f, check=False)
+            img = gauge_transform(f)
         elif op is not None:
             img = op(f)
         else:

@@ -11,24 +11,30 @@ nondecreasing on [0, inf)):
   preserving and involutive.
 
 All three are exact: rational in, rational out, canonical representations.
-``gauge_value`` evaluates the gauge transform pointwise straight from its
-variational formula and serves as an independent cross-check.
+``gauge_transform`` checks every result against the variational formula of
+the gauge transform, exactly and completely, on every call; the formula's
+feasibility sweep is `pl.ratio_sup_abscissae`, and ``gauge_value`` is its
+pointwise form.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 from .exceptions import ClassTagError, ConsistencyError
-from .pl import INF, ClassTag, Extended, PLConvex1D, as_fraction, is_inf
+from .pl import (
+    INF,
+    ClassTag,
+    Extended,
+    PLConvex1D,
+    as_fraction,
+    is_inf,
+    ratio_sup_abscissae,
+)
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
-
-GAUGE_CHECK_POINTS = 64
-GAUGE_CHECK_RTOL = 1e-6
 
 
 def _require_geometric(f: PLConvex1D, op: str) -> None:
@@ -140,8 +146,9 @@ def gauge_value(f: PLConvex1D, y) -> Extended:
     """Gauge transform evaluated pointwise from its variational formula.
 
     The value at y is y / sup{x in dom f : y * f(x) <= x} (so 0 when the sup
-    is infinite and +inf when only x = 0 is feasible).  Independent of the
-    legendre/geometric_dual composition; used as a consistency oracle.
+    is infinite and +inf when only x = 0 is feasible).  This is the pointwise
+    form of the sweep `ratio_sup_abscissae` that `gauge_transform` checks
+    its result with, at the single rate 1/y.
     """
     _require_geometric(f, "gauge_value")
     y = as_fraction(y)
@@ -149,72 +156,49 @@ def gauge_value(f: PLConvex1D, y) -> Extended:
         raise ValueError("gauge_value requires y >= 0")
     if y == 0:
         return _F0
-
-    # Feasible set {x : y*f(x) - x <= 0} is a closed interval containing 0;
-    # scan the affine pieces of y*f(x) - x for the largest feasible x.
-    x_sup = _F0
-    for (xa, va), (xb, vb) in zip(f.knots, f.knots[1:]):
-        s = (vb - va) / (xb - xa)
-        c = y * s - 1
-        d = y * (va - s * xa)
-        if c <= 0:
-            if c * xb + d <= 0:
-                x_sup = max(x_sup, xb)
-        else:
-            r = -d / c
-            if r >= xa:
-                x_sup = max(x_sup, min(r, xb))
-    if not is_inf(f.tail_slope):
-        xk, vk = f.knots[-1]
-        m = f.tail_slope
-        c = y * m - 1
-        d = y * (vk - m * xk)
-        if c < 0 or (c == 0 and d <= 0):
-            return _F0  # feasible for arbitrarily large x
-        if c > 0:
-            r = -d / c
-            if r >= xk:
-                x_sup = max(x_sup, r)
-    if x_sup == 0:
-        return INF
-    return y / x_sup
+    (x,) = ratio_sup_abscissae(f, [_F1 / y])
+    if x is None:
+        return _F0
+    return INF if x == 0 else y / x
 
 
-def _check_abscissae(g: PLConvex1D) -> List[Fraction]:
-    pos = [float(x) for x in g.xs if x > 0]
-    if not is_inf(g.domain_end):
-        hi = 2.0 * float(g.domain_end)
-    else:
-        hi = 2.0 * max(pos, default=1.0)
-    if hi <= 0.0:  # domain is the single point {0}
-        hi = 2.0
-    lo = min(pos, default=hi) / 2.0
-    lo = min(lo, hi / 4096.0)
-    ratio = (hi / lo) ** (1.0 / (GAUGE_CHECK_POINTS - 1))
-    return [Fraction(lo * ratio**i) for i in range(GAUGE_CHECK_POINTS)]
-
-
-def gauge_transform(f: PLConvex1D, *, check: bool = True) -> PLConvex1D:
+def gauge_transform(f: PLConvex1D) -> PLConvex1D:
     """Gauge transform: legendre(geometric_dual(f)).  Exact, order preserving.
 
-    With ``check`` on (the default), the result is sampled at
-    ``GAUGE_CHECK_POINTS`` logarithmically spaced abscissae and compared with
-    the variational formula (`gauge_value`) at relative tolerance
-    ``GAUGE_CHECK_RTOL``; disagreement raises ConsistencyError.
+    The result g is checked, exactly and completely, against the variational
+    formula J(y) = y / sup{x : y*f(x) <= x}; a mismatch raises
+    ConsistencyError.  J is convex, so agreeing with an affine piece of g at
+    both ends and at its midpoint means agreeing on the whole piece: one
+    `ratio_sup_abscissae` sweep evaluates J at every knot of g, every piece
+    midpoint, and one point past the last knot.  The rest is fixed by f's own
+    data: with zero set {0}, J is finite exactly on [0, 1/f'(0+)]; with zero
+    set [0, z0], z0 > 0, J(y)/y tends to 1/z0, which pins the tail ray of g.
     """
     g = legendre(geometric_dual(f))
-    if check:
-        for y in _check_abscissae(g):
-            a, b = g(y), gauge_value(f, y)
-            if a == b:
-                continue
-            if is_inf(a) != is_inf(b) or not math.isclose(
-                float(a), float(b), rel_tol=GAUGE_CHECK_RTOL
-            ):
-                raise ConsistencyError(
-                    f"gauge transform mismatch at y={float(y):.6g}: "
-                    f"composition {a}, variational formula {b}"
-                )
+    z0 = f.zero_end()
+    if z0 == 0:
+        s0 = f.first_slope
+        shape_ok = g.domain_end == (_F0 if is_inf(s0) else _F1 / s0)
+    else:
+        shape_ok = g.tail_slope == (_F0 if is_inf(z0) else _F1 / z0)
+    if not shape_ok:
+        raise ConsistencyError(f"gauge transform {g} does not fit the zero set [0, {z0}] of f")
+
+    pts: List[Tuple[Fraction, Fraction]] = []
+    for (ya, va), (yb, vb) in zip(g.knots, g.knots[1:]):
+        pts.append(((ya + yb) / 2, (va + vb) / 2))
+        pts.append((yb, vb))
+    if not is_inf(g.tail_slope):
+        yk, vk = g.knots[-1]
+        pts.append((yk + 1, vk + g.tail_slope))
+    xs = ratio_sup_abscissae(f, [_F1 / y for y, _ in pts])
+    for (y, v), x in zip(pts, xs):
+        # J(y) = y / x, read as 0 for x = None and +inf for x = 0
+        if not (v == 0 if x is None else v * x == y):
+            raise ConsistencyError(
+                f"gauge transform mismatch at y={y}: composition {v}, "
+                f"variational formula {y} / {'inf' if x is None else x}"
+            )
     return g
 
 

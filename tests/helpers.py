@@ -15,7 +15,9 @@ from typing import List, Optional, Sequence, Tuple
 
 from hypothesis import strategies as st
 
-from dualitylab import INF, ClassTag, PLConvex1D
+from dualitylab import INF, ClassTag, PLConvex1D, is_inf
+
+_F0 = Fraction(0)
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +206,39 @@ def numeric_gauge(f: PLConvex1D, y: Fraction, n: int = 4000) -> Fraction:
     if best is None or best == 0:
         return INF
     return Fraction(y, 1) / best
+
+
+def single_rate_scan(f: PLConvex1D, a: Fraction) -> Optional[Fraction]:
+    """Largest x with f(x) <= a*x (None if every x > 0 qualifies).
+
+    The feasible set is an interval [0, x*] because f(x)/x is nondecreasing.
+    A piece-by-piece scan for a single rate, kept as the reference for the
+    one-walk sweep `pl.ratio_sup_abscissae`.
+    """
+    x_sup = _F0
+    for (xa, va), (xb, vb) in zip(f.knots, f.knots[1:]):
+        s = (vb - va) / (xb - xa)
+        c = s - a
+        d = va - s * xa
+        if c <= 0:
+            if c * xb + d <= 0:
+                x_sup = max(x_sup, xb)
+        else:
+            r = -d / c
+            if r >= xa:
+                x_sup = max(x_sup, min(r, xb))
+    if not is_inf(f.tail_slope):
+        xk, vk = f.knots[-1]
+        m = f.tail_slope
+        c = m - a
+        d = vk - m * xk
+        if c < 0 or (c == 0 and d <= 0):
+            return None
+        if c > 0:
+            r = -d / c
+            if r >= xk:
+                x_sup = max(x_sup, r)
+    return x_sup
 
 
 def assert_close(a, b, rtol=1e-9, atol=1e-12, msg=""):

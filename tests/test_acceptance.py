@@ -130,7 +130,7 @@ def test_criterion_4_order_laws():
             violations += 1
         if not leq(geometric_dual(g), geometric_dual(f)):
             violations += 1
-        if not leq(gauge_transform(f, check=False), gauge_transform(g, check=False)):
+        if not leq(gauge_transform(f), gauge_transform(g)):
             violations += 1
     _report(
         4,

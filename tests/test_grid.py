@@ -116,6 +116,17 @@ class TestLattice:
         m = np.minimum(f.values, g.values)
         assert (h.values <= m + 1e-9).all()
 
+    def test_inf_hat_keeps_exact_zero_at_origin(self):
+        # anisotropic pair whose float envelope at the origin is not exactly 0
+        A = np.array([[0.81, 0.331], [0.331, 0.861]])
+        M = np.array([[1.476, 0.529], [0.529, 1.285]])
+        f = GridFunction2D.from_function(lambda x, y: (A @ [x, y]) @ [x, y] / 2, R=4.0, N=65)
+        g = GridFunction2D.from_function(lambda x, y: ((M @ [x, y]) @ [x, y]) ** 0.5, R=4.0, N=65)
+        h = hat_inf2_grid(f, g)
+        assert validate(h) == []
+        o = h.spec.origin
+        assert h.values[o, o] == 0.0
+
     def test_mismatches_rejected(self):
         f = GridFunction2D.from_function(cone, R=2.0, N=17)
         g = GridFunction2D.from_function(cone, R=2.0, N=33)

@@ -311,6 +311,14 @@ class TestFuzz:
 
 
 class TestDeltaStructure:
+    def test_pinned_comparison_is_exact(self):
+        from dualitylab.stability import _leq_any
+
+        # 6.155778894472362 <= (100/199) * 12.25 holds in exact arithmetic,
+        # but not after rounding the factor to a float
+        d, e = make_delta(1.0, 6.155778894472362), make_delta(1.0, 12.25)
+        assert _leq_any(d, e, Fraction(100, 199)) == (True, None)
+
     def test_affine_point_map_recovered(self):
         t = fuzz_delta_transform(9, K2, point_map=lambda th: 2 * th + 1, beta=3.0)
         rep = check_delta_structure(t, K2)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualitylab import (
     INF,
@@ -28,6 +29,7 @@ from dualitylab import (
     scale,
     sup2,
 )
+from dualitylab.pl import ratio_sup_abscissae
 
 from helpers import (
     assert_close,
@@ -37,7 +39,10 @@ from helpers import (
     numeric_legendre,
     random_geometric,
     sample_points,
+    single_rate_scan,
 )
+
+fractions_st = st.fractions(min_value=0, max_value=64, max_denominator=64)
 
 ZERO = PLConvex1D(((0, 0),), 0)
 POINT = PLConvex1D(((0, 0),), INF)
@@ -126,7 +131,7 @@ class TestGauge:
         rng = random.Random(23)
         for _ in range(40):
             f = random_geometric(rng)
-            j = gauge_transform(f, check=False)
+            j = gauge_transform(f)
             for y in sample_points(j, n=13):
                 assert_close(j(y), numeric_gauge(f, y), msg=f"J at {y}")
 
@@ -139,20 +144,50 @@ class TestGauge:
     def test_consistency_check_trips_on_bad_formula(self, monkeypatch):
         import dualitylab.transforms as tr
 
-        monkeypatch.setattr(tr, "gauge_value", lambda f, y: Fraction(17))
+        monkeypatch.setattr(
+            tr, "ratio_sup_abscissae", lambda f, rates: [Fraction(17)] * len(rates)
+        )
         with pytest.raises(ConsistencyError):
             tr.gauge_transform(make_triangle(2, 3))
+
+    def test_consistency_check_trips_on_tiny_knot_error(self, monkeypatch):
+        import dualitylab.transforms as tr
+
+        exact = tr.legendre
+
+        def off_by_1e9(f):
+            g = exact(f)
+            (x, v), rest = g.knots[-1], g.knots[:-1]
+            return PLConvex1D(rest + ((x, v * (1 + Fraction(1, 10**9))),), g.tail_slope)
+
+        monkeypatch.setattr(tr, "legendre", off_by_1e9)
+        with pytest.raises(ConsistencyError):
+            tr.gauge_transform(make_triangle(2, 3))
+
+    @settings(max_examples=150, deadline=None)
+    @given(geometric_functions(), st.lists(fractions_st, max_size=12))
+    def test_sweep_matches_single_rate_scan(self, f, rates):
+        # the knot ratios and the tail slope are where the walk changes piece
+        rates += [v / x for x, v in f.knots if x > 0]
+        if not math.isinf(f.tail_slope):
+            rates.append(f.tail_slope)
+        rates.sort(reverse=True)
+        assert ratio_sup_abscissae(f, rates) == [single_rate_scan(f, a) for a in rates]
+
+    def test_sweep_rejects_ascending_rates(self):
+        with pytest.raises(ValueError):
+            ratio_sup_abscissae(make_triangle(2, 3), [1, 2])
 
     @settings(max_examples=100, deadline=None)
     @given(geometric_functions())
     def test_involution(self, f):
-        assert gauge_transform(gauge_transform(f, check=False), check=False) == f
+        assert gauge_transform(gauge_transform(f)) == f
 
     @settings(max_examples=60, deadline=None)
     @given(geometric_functions(), geometric_functions())
     def test_order_preserving(self, f, g):
         s = sup2(f, g)
-        assert leq(gauge_transform(f, check=False), gauge_transform(s, check=False))
+        assert leq(gauge_transform(f), gauge_transform(s))
 
 
 class TestGridTransforms:
