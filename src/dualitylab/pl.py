@@ -335,6 +335,44 @@ def leq(f: PLConvex1D, g: PLConvex1D, factor: Scalar = 1) -> bool:
     return leq_witness(f, g, factor) is None
 
 
+def ratio_sup(f: PLConvex1D, g: PLConvex1D) -> Tuple[Extended, Optional[Fraction]]:
+    """Exact sup of f/g on [0, inf), and an abscissa where it is reached.
+
+    Conventions match `leq`: points where g = +inf are ignored; f = +inf
+    against a finite g, or f > 0 against g = 0, gives +inf; 0/0 counts as 0.
+    So ``leq(f, g, c)`` holds exactly when the sup is at most c.  On each
+    common affine piece f/g is a Moebius function of x, hence monotone, so
+    the sup sits at a merged breakpoint or is the tail limit; the abscissa
+    is None when only the tail limit reaches it.
+    """
+    df, dg = f.domain_end, g.domain_end
+    if df < dg:
+        # f jumps to +inf strictly inside the region where g is finite
+        return INF, (df + 1 if is_inf(dg) else df + (dg - df) / 2)
+    cand = {x for x in f.xs if x <= dg} | {x for x in g.xs if x <= dg}
+    if not is_inf(dg):
+        cand.add(dg)
+    best: Extended = -1  # below every ratio, so the first candidate sets arg
+    for x in sorted(cand):
+        fv, gv = f(x), g(x)
+        if gv == 0:
+            if fv > 0:
+                return INF, x
+            r = _F0
+        else:
+            r = fv / gv
+        if r > best:
+            best, arg = r, x
+    if is_inf(dg):
+        # past the last breakpoint x both are affine and f/g tends to mf/mg;
+        # when g(x) = 0 = f(x) the ratio is that constant all along the tail
+        mf, mg = f.tail_slope, g.tail_slope
+        lim = mf / mg if mg else (INF if mf else _F0)
+        if lim > best:
+            return lim, (x + 1 if gv == 0 else None)
+    return best, arg
+
+
 def scale(f: PLConvex1D, lam: Scalar) -> PLConvex1D:
     """Pointwise multiple ``lam * f`` for lam > 0.  Exact."""
     lam = as_fraction(lam)

@@ -23,8 +23,10 @@ from __future__ import annotations
 import enum
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
+from itertools import permutations
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -39,10 +41,9 @@ from .exceptions import (
 from .extremal import (
     DeltaFunction,
     almost_linear_bounds,
-    delta_leq,
     quasi_linear_sandwich,
 )
-from .grid import GridFunction2D, is_ray_supported
+from .grid import GridFunction2D, hat_inf2_grid, is_ray_supported, sup2_grid
 from .pl import (
     INF,
     PLConvex1D,
@@ -52,6 +53,7 @@ from .pl import (
     is_inf,
     leq,
     leq_witness,
+    ratio_sup,
     scale,
     sup2,
 )
@@ -145,6 +147,16 @@ class CorpusTransform:
     def image(self, i: int):
         return self.images[i]
 
+    @cached_property
+    def R_src(self) -> Tuple[Tuple[object, ...], ...]:
+        """Exact sup f_i/f_j for each ordered pair of distinct corpus elements."""
+        return _ratio_matrix(self.corpus.elements)
+
+    @cached_property
+    def R_img(self) -> Tuple[Tuple[object, ...], ...]:
+        """Exact sup Tf_i/Tf_j for each ordered pair of distinct images."""
+        return _ratio_matrix(self.images)
+
 
 @dataclass(frozen=True)
 class StabilityReport:
@@ -201,135 +213,138 @@ class RayMappingReport:
 # pointwise comparison dispatch
 
 
+def _grid_ratio(f: GridFunction2D, g: GridFunction2D) -> Tuple[object, object]:
+    """Exact max of f/g over the nodes, with the `leq` conventions.
+
+    Float division is correctly rounded, hence monotone, so the exact
+    maximiser is among the nodes whose float ratio equals the float maximum;
+    those are settled with Fractions.
+    """
+    if f.spec != g.spec:
+        raise CorpusError("grid elements must share one lattice")
+    a, b = f.values, g.values
+    live = np.isfinite(b)
+    cs = f.spec.coords
+    blown = live & (np.isinf(a) | ((b == 0) & (a > 0)))
+    if blown.any():
+        ix, iy = np.argwhere(blown)[0]
+        return INF, (float(cs[ix]), float(cs[iy]))
+    pos = live & (a > 0)
+    if not pos.any():
+        return Fraction(0), None
+    with np.errstate(over="ignore", under="ignore"):
+        r = np.divide(a, b, out=np.zeros_like(a), where=pos)
+    ties = map(tuple, np.argwhere(pos & (r == r[pos].max())))
+    ix, iy = max(ties, key=lambda n: Fraction(a[n]) / Fraction(b[n]))
+    return Fraction(a[ix, iy]) / Fraction(b[ix, iy]), (float(cs[ix]), float(cs[iy]))
+
+
+def _ratio_any(f, g) -> Tuple[object, object]:
+    """Exact sup of f/g (see `pl.ratio_sup`) and a point where it is reached."""
+    if isinstance(f, PLConvex1D) and isinstance(g, PLConvex1D):
+        return ratio_sup(f, g)
+    if isinstance(f, DeltaFunction) and isinstance(g, DeltaFunction):
+        # distinct pins: f = +inf at the pin where g is finite
+        if f.theta != g.theta or (g.c == 0 and f.c > 0):
+            return INF, g.theta
+        return (Fraction(f.c) / Fraction(g.c) if g.c else Fraction(0)), g.theta
+    if isinstance(f, GridFunction2D) and isinstance(g, GridFunction2D):
+        return _grid_ratio(f, g)
+    raise CorpusError(f"cannot compare {type(f).__name__} with {type(g).__name__}")
+
+
 def _leq_any(f, g, factor=1) -> Tuple[bool, object]:
     """Whether f <= factor*g pointwise; on failure also a witnessing point."""
     if isinstance(f, PLConvex1D) and isinstance(g, PLConvex1D):
         w = leq_witness(f, g, factor)
         return (w is None), (None if w is None else float(w))
-    if isinstance(f, DeltaFunction) and isinstance(g, DeltaFunction):
-        if delta_leq(f, g, factor):
-            return True, None
-        return False, g.theta
-    if isinstance(f, GridFunction2D) and isinstance(g, GridFunction2D):
-        if f.spec != g.spec:
-            raise CorpusError("grid elements must share one lattice")
-        with np.errstate(invalid="ignore"):
-            bad = f.values > float(factor) * g.values
-        if not bad.any():
-            return True, None
-        ix, iy = np.argwhere(bad)[0]
-        cs = f.spec.coords
-        return False, (float(cs[ix]), float(cs[iy]))
-    raise CorpusError(
-        f"cannot compare {type(f).__name__} with {type(g).__name__}"
+    r, at = _ratio_any(f, g)
+    return (True, None) if r <= factor else (False, at)
+
+
+def _ratio_matrix(fs: Sequence) -> Tuple[Tuple[object, ...], ...]:
+    return tuple(
+        tuple(None if i == j else _ratio_any(f, g)[0] for j, g in enumerate(fs))
+        for i, f in enumerate(fs)
     )
-
-
-def _pairs(t: CorpusTransform):
-    n = len(t)
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                yield i, j
 
 
 # ---------------------------------------------------------------------------
 # condition checkers
+
+# condition -> (hypothesis on the images, conclusion reversed, detail of
+# part a, detail of part b).  Part a is "hyp <= 1 implies con <= C", part b
+# "hyp <= 1/C implies con <= 1", each read off the pair's exact ratio.
+_PAIR_CONDITIONS = {
+    "preserving": (False, False, "f <= g but not Tf <= C*Tg",
+                   "f <= (1/C)*g but not Tf <= Tg"),
+    "reversing": (False, True, "f <= g but not Tf >= (1/C)*Tg",
+                  "f <= (1/C)*g but not Tf >= Tg"),
+    "inverse": (True, False, "Tf <= Tg but not f <= C*g",
+                "Tf <= (1/C)*Tg but not f <= g"),
+}
+
+
+def _check_pairs(
+    t: CorpusTransform, k: AlmostOrderConstant, condition: str
+) -> Tuple[Violation, ...]:
+    on_images, flip, detail_a, detail_b = _PAIR_CONDITIONS[condition]
+    if on_images:
+        hyp, con, sides = t.R_img, t.R_src, t.corpus.elements
+    else:
+        hyp, con, sides = t.R_src, t.R_img, t.images
+    labels = t.corpus.labels
+    out: List[Violation] = []
+    for i, j in permutations(range(len(t)), 2):
+        h = hyp[i][j]
+        if h > 1:
+            continue
+        a, b = (j, i) if flip else (i, j)
+        r = con[a][b]
+        if r > k.ctilde:
+            _, w = _leq_any(sides[a], sides[b], k.ctilde)
+            out.append(Violation(f"{condition}-a", labels[i], labels[j], w, detail_a))
+        if h <= k.reciprocal and r > 1:
+            _, w = _leq_any(sides[a], sides[b])
+            out.append(Violation(f"{condition}-b", labels[i], labels[j], w, detail_b))
+    return tuple(out)
 
 
 def check_almost_preserving(
     t: CorpusTransform, k: AlmostOrderConstant
 ) -> Tuple[Violation, ...]:
     """Certify both preserving conditions on every ordered corpus pair."""
-    els, imgs, labels = t.corpus.elements, t.images, t.corpus.labels
-    out: List[Violation] = []
-    for i, j in _pairs(t):
-        plain, _ = _leq_any(els[i], els[j])
-        if plain:
-            ok, w = _leq_any(imgs[i], imgs[j], k.ctilde)
-            if not ok:
-                out.append(
-                    Violation("preserving-a", labels[i], labels[j], w,
-                              "f <= g but not Tf <= C*Tg")
-                )
-        strict, _ = _leq_any(els[i], els[j], k.reciprocal)
-        if strict:
-            ok, w = _leq_any(imgs[i], imgs[j])
-            if not ok:
-                out.append(
-                    Violation("preserving-b", labels[i], labels[j], w,
-                              "f <= (1/C)*g but not Tf <= Tg")
-                )
-    return tuple(out)
+    return _check_pairs(t, k, "preserving")
 
 
 def check_almost_reversing(
     t: CorpusTransform, k: AlmostOrderConstant
 ) -> Tuple[Violation, ...]:
     """Certify both reversing conditions on every ordered corpus pair."""
-    els, imgs, labels = t.corpus.elements, t.images, t.corpus.labels
-    out: List[Violation] = []
-    for i, j in _pairs(t):
-        plain, _ = _leq_any(els[i], els[j])
-        if plain:
-            # Tf >= (1/C)*Tg, i.e. Tg <= C*Tf
-            ok, w = _leq_any(imgs[j], imgs[i], k.ctilde)
-            if not ok:
-                out.append(
-                    Violation("reversing-a", labels[i], labels[j], w,
-                              "f <= g but not Tf >= (1/C)*Tg")
-                )
-        strict, _ = _leq_any(els[i], els[j], k.reciprocal)
-        if strict:
-            ok, w = _leq_any(imgs[j], imgs[i])
-            if not ok:
-                out.append(
-                    Violation("reversing-b", labels[i], labels[j], w,
-                              "f <= (1/C)*g but not Tf >= Tg")
-                )
-    return tuple(out)
+    return _check_pairs(t, k, "reversing")
 
 
 def check_inverse_conditions(
     t: CorpusTransform, k: AlmostOrderConstant
 ) -> Tuple[Violation, ...]:
     """Certify the converse implications of the preserving conditions."""
-    els, imgs, labels = t.corpus.elements, t.images, t.corpus.labels
-    out: List[Violation] = []
-    for i, j in _pairs(t):
-        plain, _ = _leq_any(imgs[i], imgs[j])
-        if plain:
-            ok, w = _leq_any(els[i], els[j], k.ctilde)
-            if not ok:
-                out.append(
-                    Violation("inverse-a", labels[i], labels[j], w,
-                              "Tf <= Tg but not f <= C*g")
-                )
-        strict, _ = _leq_any(imgs[i], imgs[j], k.reciprocal)
-        if strict:
-            ok, w = _leq_any(els[i], els[j])
-            if not ok:
-                out.append(
-                    Violation("inverse-b", labels[i], labels[j], w,
-                              "Tf <= (1/C)*Tg but not f <= g")
-                )
-    return tuple(out)
+    return _check_pairs(t, k, "inverse")
 
 
-def _sup_any(f, g):
-    if isinstance(f, PLConvex1D):
-        return sup2(f, g)
-    from .grid import sup2_grid
-
-    return sup2_grid(f, g)
+def _lattice_ops(f):
+    """The join and the meet for f's kind: (sup2, hat_inf2) or their grid forms."""
+    return (sup2, hat_inf2) if isinstance(f, PLConvex1D) else (sup2_grid, hat_inf2_grid)
 
 
-def _inf_any(f, g):
-    if isinstance(f, PLConvex1D):
-        return hat_inf2(f, g)
-    from .grid import hat_inf2_grid
-
-    return hat_inf2_grid(f, g)
+# (condition, lhs, rhs, p, detail): certify lhs <= C**p * rhs, with sides
+# (T(sup), sup(Tf, Tg), T(inf), inf(Tf, Tg)).  Together the rows say
+# (1/C^2) T(sup) <= sup(Tf, Tg) <= C T(sup), (1/C) T(inf) <= inf(Tf, Tg) <= C^2 T(inf).
+_LATTICE_CONDITIONS = (
+    ("lattice-sup-lower", 0, 1, 2, "T(sup) > C^2 * sup(Tf, Tg)"),
+    ("lattice-sup-upper", 1, 0, 1, "sup(Tf, Tg) > C * T(sup)"),
+    ("lattice-inf-lower", 2, 3, 1, "T(inf) > C * inf(Tf, Tg)"),
+    ("lattice-inf-upper", 3, 2, 2, "inf(Tf, Tg) > C^2 * T(inf)"),
+)
 
 
 def check_lattice_stability(
@@ -344,32 +359,19 @@ def check_lattice_stability(
     out: List[Violation] = []
     for i, j, i_sup, i_inf in t.corpus.lattice_pairs:
         f, g = els[i], els[j]
-        if _sup_any(f, g) != els[i_sup] or _inf_any(f, g) != els[i_inf]:
+        join, meet = _lattice_ops(f)
+        if join(f, g) != els[i_sup] or meet(f, g) != els[i_inf]:
             raise CorpusError(
                 f"designated lattice pair ({labels[i]}, {labels[j]}) is not "
                 "closed in the corpus"
             )
-        sup_img = _sup_any(imgs[i], imgs[j])
-        inf_img = _inf_any(imgs[i], imgs[j])
-        t_sup, t_inf = imgs[i_sup], imgs[i_inf]
-        # (1/C^2) T(sup) <= sup(Tf, Tg) <= C T(sup)
-        ok, w = _leq_any(t_sup, sup_img, k.power(2))
-        if not ok:
-            out.append(Violation("lattice-sup-lower", labels[i], labels[j], w,
-                                 "T(sup) > C^2 * sup(Tf, Tg)"))
-        ok, w = _leq_any(sup_img, t_sup, k.ctilde)
-        if not ok:
-            out.append(Violation("lattice-sup-upper", labels[i], labels[j], w,
-                                 "sup(Tf, Tg) > C * T(sup)"))
-        # (1/C) T(inf) <= inf(Tf, Tg) <= C^2 T(inf)
-        ok, w = _leq_any(t_inf, inf_img, k.ctilde)
-        if not ok:
-            out.append(Violation("lattice-inf-lower", labels[i], labels[j], w,
-                                 "T(inf) > C * inf(Tf, Tg)"))
-        ok, w = _leq_any(inf_img, t_inf, k.power(2))
-        if not ok:
-            out.append(Violation("lattice-inf-upper", labels[i], labels[j], w,
-                                 "inf(Tf, Tg) > C^2 * T(inf)"))
+        join, meet = _lattice_ops(imgs[i])
+        sides = (imgs[i_sup], join(imgs[i], imgs[j]),
+                 imgs[i_inf], meet(imgs[i], imgs[j]))
+        for condition, lhs, rhs, p, detail in _LATTICE_CONDITIONS:
+            ok, w = _leq_any(sides[lhs], sides[rhs], k.power(p))
+            if not ok:
+                out.append(Violation(condition, labels[i], labels[j], w, detail))
     return tuple(out)
 
 
@@ -669,59 +671,22 @@ def hyers_ulam_approx(
 # sandwich fitting
 
 
-def _right_slope_at(f: PLConvex1D, x0: Fraction) -> Fraction:
-    for i in range(1, len(f.knots)):
-        if f.knots[i][0] > x0:
-            return f.slopes[i - 1]
-    return f.tail_slope
-
-
 def _ratio_extrema(
     num: PLConvex1D, den: PLConvex1D
 ) -> Optional[Tuple[Fraction, Fraction]]:
-    """Exact (min, max) of num/den where both are finite positive.
+    """Exact (min, max) of num/den where both are finite positive, or None.
 
-    Requires matching zero sets and effective domains (else no two-sided
-    sandwich exists and None is returned).  On each common affine piece the
-    ratio is a Moebius function of x, hence monotone, so the extrema are
-    attained among piece endpoints and the one-sided limits at the shared
-    zero end and at infinity.
+    The max is sup num/den and the min 1/sup den/num (`pl.ratio_sup`).  A sup
+    is +inf, and no two-sided sandwich exists, unless the zero sets and
+    domains match; both are 0 only for an indicator against itself: (1, 1).
     """
-    z0n, z0d = num.zero_end(), den.zero_end()
-    if z0n != z0d or num.domain_end != den.domain_end:
+    hi, _ = ratio_sup(num, den)
+    inv, _ = ratio_sup(den, num)
+    if is_inf(hi) or is_inf(inv):
         return None
-    if num.is_zero or num.is_point_indicator or num.is_indicator:
-        # scaling does not move an indicator, so support match is equality
-        return None if num != den else (Fraction(1), Fraction(1))
-    if den.is_indicator:
-        return None
-    z0, dend = z0n, num.domain_end
-    cands: List[Fraction] = []
-    for g in (num, den):
-        for x, _ in g.knots:
-            if z0 < x and (is_inf(dend) or x <= dend):
-                cands.append(x)
-    vals: List[Fraction] = []
-    for x in set(cands):
-        nv, dv = num(x), den(x)
-        if is_inf(nv) or is_inf(dv):
-            return None
-        if dv == 0:
-            return None
-        vals.append(Fraction(nv) / dv)
-    if not is_inf(z0):
-        sn, sd = _right_slope_at(num, z0), _right_slope_at(den, z0)
-        if is_inf(sn) or is_inf(sd) or sd == 0:
-            return None
-        vals.append(Fraction(sn) / sd)
-    if is_inf(dend):
-        mn, md = num.tail_slope, den.tail_slope
-        if is_inf(mn) or is_inf(md) or md == 0:
-            return None
-        vals.append(Fraction(mn) / md)
-    if not vals:
+    if hi == 0:
         return Fraction(1), Fraction(1)
-    return min(vals), max(vals)
+    return 1 / inv, hi
 
 
 def _geometric_mean_fraction(ratios: Sequence[Fraction]) -> Fraction:
@@ -820,7 +785,7 @@ def fit_sandwich(t: CorpusTransform, report: StabilityReport) -> StabilityReport
 
 _FUZZ_BASES: Dict[str, Tuple[Optional[Callable], str]] = {
     "identity": (None, "preserving"),
-    "gauge": (None, "preserving"),
+    "gauge": (gauge_transform, "preserving"),
     "legendre": (legendre, "reversing"),
     "a": (geometric_dual, "reversing"),
 }
@@ -860,12 +825,7 @@ def fuzz_transform(
     kappas = _jitter_factors(seed, k, len(corpus))
     images = []
     for f, kap in zip(corpus.elements, kappas):
-        if base == "gauge":
-            img = gauge_transform(f)
-        elif op is not None:
-            img = op(f)
-        else:
-            img = f
+        img = f if op is None else op(f)
         if alpha != 1:
             img = compose_dilate(img, alpha)
         images.append(scale(img, kap))

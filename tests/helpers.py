@@ -15,7 +15,16 @@ from typing import List, Optional, Sequence, Tuple
 
 from hypothesis import strategies as st
 
-from dualitylab import INF, ClassTag, PLConvex1D, is_inf
+from dualitylab import (
+    INF,
+    ClassTag,
+    DeltaFunction,
+    PLConvex1D,
+    Violation,
+    delta_leq,
+    is_inf,
+    leq_witness,
+)
 
 _F0 = Fraction(0)
 
@@ -239,6 +248,154 @@ def single_rate_scan(f: PLConvex1D, a: Fraction) -> Optional[Fraction]:
             if r >= xk:
                 x_sup = max(x_sup, r)
     return x_sup
+
+
+# ---------------------------------------------------------------------------
+# reference pairwise checkers and ratio extrema: the per-pair `leq` loops and
+# the Moebius scan that the ratio matrices and `pl.ratio_sup` replaced
+
+
+def _ref_leq(f, g, factor=1):
+    if isinstance(f, PLConvex1D) and isinstance(g, PLConvex1D):
+        w = leq_witness(f, g, factor)
+        return (w is None), (None if w is None else float(w))
+    assert isinstance(f, DeltaFunction) and isinstance(g, DeltaFunction)
+    if delta_leq(f, g, factor):
+        return True, None
+    return False, g.theta
+
+
+def _ref_pairs(t):
+    n = len(t)
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                yield i, j
+
+
+def reference_check_almost_preserving(t, k) -> Tuple[Violation, ...]:
+    els, imgs, labels = t.corpus.elements, t.images, t.corpus.labels
+    out: List[Violation] = []
+    for i, j in _ref_pairs(t):
+        plain, _ = _ref_leq(els[i], els[j])
+        if plain:
+            ok, w = _ref_leq(imgs[i], imgs[j], k.ctilde)
+            if not ok:
+                out.append(
+                    Violation("preserving-a", labels[i], labels[j], w,
+                              "f <= g but not Tf <= C*Tg")
+                )
+        strict, _ = _ref_leq(els[i], els[j], k.reciprocal)
+        if strict:
+            ok, w = _ref_leq(imgs[i], imgs[j])
+            if not ok:
+                out.append(
+                    Violation("preserving-b", labels[i], labels[j], w,
+                              "f <= (1/C)*g but not Tf <= Tg")
+                )
+    return tuple(out)
+
+
+def reference_check_almost_reversing(t, k) -> Tuple[Violation, ...]:
+    els, imgs, labels = t.corpus.elements, t.images, t.corpus.labels
+    out: List[Violation] = []
+    for i, j in _ref_pairs(t):
+        plain, _ = _ref_leq(els[i], els[j])
+        if plain:
+            # Tf >= (1/C)*Tg, i.e. Tg <= C*Tf
+            ok, w = _ref_leq(imgs[j], imgs[i], k.ctilde)
+            if not ok:
+                out.append(
+                    Violation("reversing-a", labels[i], labels[j], w,
+                              "f <= g but not Tf >= (1/C)*Tg")
+                )
+        strict, _ = _ref_leq(els[i], els[j], k.reciprocal)
+        if strict:
+            ok, w = _ref_leq(imgs[j], imgs[i])
+            if not ok:
+                out.append(
+                    Violation("reversing-b", labels[i], labels[j], w,
+                              "f <= (1/C)*g but not Tf >= Tg")
+                )
+    return tuple(out)
+
+
+def reference_check_inverse_conditions(t, k) -> Tuple[Violation, ...]:
+    els, imgs, labels = t.corpus.elements, t.images, t.corpus.labels
+    out: List[Violation] = []
+    for i, j in _ref_pairs(t):
+        plain, _ = _ref_leq(imgs[i], imgs[j])
+        if plain:
+            ok, w = _ref_leq(els[i], els[j], k.ctilde)
+            if not ok:
+                out.append(
+                    Violation("inverse-a", labels[i], labels[j], w,
+                              "Tf <= Tg but not f <= C*g")
+                )
+        strict, _ = _ref_leq(imgs[i], imgs[j], k.reciprocal)
+        if strict:
+            ok, w = _ref_leq(els[i], els[j])
+            if not ok:
+                out.append(
+                    Violation("inverse-b", labels[i], labels[j], w,
+                              "Tf <= (1/C)*Tg but not f <= g")
+                )
+    return tuple(out)
+
+
+def _right_slope_at(f: PLConvex1D, x0: Fraction) -> Fraction:
+    for i in range(1, len(f.knots)):
+        if f.knots[i][0] > x0:
+            return f.slopes[i - 1]
+    return f.tail_slope
+
+
+def reference_ratio_extrema(
+    num: PLConvex1D, den: PLConvex1D
+) -> Optional[Tuple[Fraction, Fraction]]:
+    """Exact (min, max) of num/den where both are finite positive.
+
+    Requires matching zero sets and effective domains (else no two-sided
+    sandwich exists and None is returned).  On each common affine piece the
+    ratio is a Moebius function of x, hence monotone, so the extrema are
+    attained among piece endpoints and the one-sided limits at the shared
+    zero end and at infinity.
+    """
+    z0n, z0d = num.zero_end(), den.zero_end()
+    if z0n != z0d or num.domain_end != den.domain_end:
+        return None
+    if num.is_zero or num.is_point_indicator or num.is_indicator:
+        # scaling does not move an indicator, so support match is equality
+        return None if num != den else (Fraction(1), Fraction(1))
+    if den.is_indicator:
+        return None
+    z0, dend = z0n, num.domain_end
+    cands: List[Fraction] = []
+    for g in (num, den):
+        for x, _ in g.knots:
+            if z0 < x and (is_inf(dend) or x <= dend):
+                cands.append(x)
+    vals: List[Fraction] = []
+    for x in set(cands):
+        nv, dv = num(x), den(x)
+        if is_inf(nv) or is_inf(dv):
+            return None
+        if dv == 0:
+            return None
+        vals.append(Fraction(nv) / dv)
+    if not is_inf(z0):
+        sn, sd = _right_slope_at(num, z0), _right_slope_at(den, z0)
+        if is_inf(sn) or is_inf(sd) or sd == 0:
+            return None
+        vals.append(Fraction(sn) / sd)
+    if is_inf(dend):
+        mn, md = num.tail_slope, den.tail_slope
+        if is_inf(mn) or is_inf(md) or md == 0:
+            return None
+        vals.append(Fraction(mn) / md)
+    if not vals:
+        return Fraction(1), Fraction(1)
+    return min(vals), max(vals)
 
 
 def assert_close(a, b, rtol=1e-9, atol=1e-12, msg=""):

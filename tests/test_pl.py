@@ -21,8 +21,14 @@ from dualitylab import (
     scale,
     sup2,
 )
+from dualitylab.pl import ratio_sup
 
-from helpers import geometric_functions, random_geometric, sample_points
+from helpers import (
+    geometric_functions,
+    random_geometric,
+    random_nonnegative,
+    sample_points,
+)
 
 
 class TestScalars:
@@ -226,6 +232,51 @@ class TestOrder:
         f = PLConvex1D(((0, 0),), 1)
         with pytest.raises(ValueError):
             leq(f, f, 0)
+
+    def test_ratio_sup_decides_leq(self):
+        rng = random.Random(17)
+        seen = {"zero": 0, "finite": 0, "inf": 0}
+        for i in range(600):
+            if i % 2:
+                f, g = random_geometric(rng), random_geometric(rng)
+            else:
+                f, g = random_nonnegative(rng), random_nonnegative(rng)
+            if i % 5 == 0:  # comparable pairs, so finite sups are common
+                g = scale(f, Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+            r, x = ratio_sup(f, g)
+            if math.isinf(r):
+                seen["inf"] += 1
+                assert not leq(f, g, 10**12)
+                if x is not None:
+                    fx, gx = f(x), g(x)
+                    assert not math.isinf(gx)
+                    assert math.isinf(fx) or gx == 0 < fx
+            elif r == 0:
+                seen["zero"] += 1
+                assert leq(f, g, Fraction(1, 10**12))
+            else:
+                seen["finite"] += 1
+                assert leq(f, g, r)
+                assert not leq(f, g, r * (1 - Fraction(1, 10**6)))
+                if x is not None and g(x) > 0:
+                    assert f(x) / g(x) == r
+            if x is None:  # only a tail limit reaches the sup
+                assert math.isinf(g.domain_end)
+        assert min(seen.values()) >= 10, seen
+
+    def test_ratio_sup_conventions(self):
+        ray, flat = PLConvex1D(((0, 0),), 2), PLConvex1D(((0, 0), (1, 0)), 3)
+        ind = PLConvex1D(((0, 0), (1, 0)), INF)
+        cap = sup2(ind, ray)  # 2x on [0, 1], +inf beyond
+        point = PLConvex1D(((0, 0),), INF)
+        # the ratio 3(x - 1) / 2x rises towards its tail limit 3/2
+        assert ratio_sup(flat, ray) == (Fraction(3, 2), None)
+        assert ratio_sup(ray, flat) == (INF, 1)  # f > 0 against g = 0
+        assert ratio_sup(ind, ray) == (INF, 2)  # f = +inf where g is finite
+        assert ratio_sup(ray, ind) == (INF, 1)  # f > 0 against g = 0 at x = 1
+        assert ratio_sup(ray, point) == (0, 0)  # g = +inf is ignored, 0/0 is 0
+        assert ratio_sup(ind, cap) == (0, 0)
+        assert ratio_sup(ray, ray) == (1, 1)  # constant ratio, reached past 0
 
 
 class TestScaling:

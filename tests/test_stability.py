@@ -14,6 +14,7 @@ from dualitylab import (
     CorpusError,
     CorpusTransform,
     GridFunction2D,
+    GridSpec,
     HypothesisViolationError,
     PLConvex1D,
     TransformClass,
@@ -42,6 +43,14 @@ from dualitylab import (
     scale,
     sup2,
     verify_ray_mapping,
+)
+
+from helpers import (
+    random_geometric,
+    reference_check_almost_preserving,
+    reference_check_almost_reversing,
+    reference_check_inverse_conditions,
+    reference_ratio_extrema,
 )
 
 K15 = AlmostOrderConstant(Fraction(3, 2))
@@ -130,6 +139,73 @@ class TestOrderCheckers:
         no_ext = Corpus((make_indicator(1),), ("i",), "bare", ())
         with pytest.raises(CorpusError):
             check_extremes(identity_transform(no_ext))
+
+
+class TestCheckerDifferential:
+    """The table-driven checkers against the per-pair `leq` loops they replaced."""
+
+    PAIRS = (
+        (check_almost_preserving, reference_check_almost_preserving),
+        (check_almost_reversing, reference_check_almost_reversing),
+        (check_inverse_conditions, reference_check_inverse_conditions),
+    )
+    KS = tuple(AlmostOrderConstant(c) for c in (Fraction(11, 10), Fraction(3, 2), 2))
+
+    def _agree(self, t):
+        for k in self.KS:
+            for check, reference in self.PAIRS:
+                assert check(t, k) == reference(t, k), (check.__name__, k)
+
+    @staticmethod
+    def _pl_transform(rng):
+        # scaled copies of a few bases, so that many pairs are comparable
+        bases = [random_geometric(rng, max_knots=6) for _ in range(rng.randint(1, 3))]
+        els = []
+        for _ in range(rng.randint(2, 9)):
+            f = rng.choice(bases) if rng.random() < 0.85 else random_geometric(rng)
+            lam = Fraction(rng.choice((1, 2, 3, 4, 6)), rng.randint(1, 4))
+            els.append(scale(f, lam))
+        mode = rng.choice(("scaled", "legendre", "dilated", "random"))
+        imgs = []
+        for f in els:
+            if mode == "legendre":
+                f = legendre(f)
+            elif mode == "dilated":
+                f = compose_dilate(f, Fraction(rng.randint(1, 6), rng.randint(1, 6)))
+            elif mode == "random":
+                f = random_geometric(rng, max_knots=6)
+            imgs.append(scale(f, Fraction(rng.randint(50, 200), 100)))
+        corpus = Corpus(tuple(els), tuple(f"e{i}" for i in range(len(els))), mode, ())
+        return CorpusTransform(corpus, tuple(imgs))
+
+    def test_random_pl_corpora(self):
+        rng = random.Random(23)
+        found = 0
+        for _ in range(150):
+            t = self._pl_transform(rng)
+            self._agree(t)
+            found += bool(check_almost_preserving(t, K15))
+        assert 20 <= found <= 130  # both verdicts occur
+
+    def test_moved_and_rescaled_pins(self):
+        rng = random.Random(29)
+        corpus = delta_corpus()
+        for _ in range(60):
+            imgs = tuple(
+                make_delta(
+                    f.theta + (rng.choice((1.0, -1.0)) if rng.random() < 0.1 else 0.0),
+                    (f.c or rng.choice((0.0, 0.0, 0.5))) * rng.uniform(0.4, 2.5),
+                )
+                for f in corpus.elements
+            )
+            self._agree(CorpusTransform(corpus, imgs))
+
+    def test_ratio_matrices_are_computed_once(self):
+        t = fuzz_transform(3, K15, base="identity")
+        r_src, r_img = t.R_src, t.R_img
+        check_almost_reversing(t, K2)
+        analyze(t, K15)
+        assert t.R_src is r_src and t.R_img is r_img
 
 
 class TestClassify:
@@ -272,6 +348,26 @@ class TestFitSandwich:
         assert any(v.condition == "sandwich" for v in rep.violations)
 
 
+    def test_ratio_extrema_match_the_moebius_scan(self):
+        from dualitylab.stability import _ratio_extrema
+
+        rng = random.Random(31)
+        sandwiched = 0
+        for i in range(1500):
+            f = random_geometric(rng)
+            if i % 2:
+                g = scale(f, Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+            else:
+                bump = scale(random_geometric(rng), Fraction(1, rng.randint(1, 20)))
+                g = sup2(f, bump)
+            if i % 3 == 0:
+                f, g = g, f
+            ext = _ratio_extrema(f, g)
+            assert ext == reference_ratio_extrema(f, g), (f, g)
+            sandwiched += ext is not None
+        assert sandwiched >= 500
+
+
 class TestFuzz:
     def test_deterministic(self):
         a = fuzz_transform(123, K2, base="gauge")
@@ -318,6 +414,13 @@ class TestDeltaStructure:
         # but not after rounding the factor to a float
         d, e = make_delta(1.0, 6.155778894472362), make_delta(1.0, 12.25)
         assert _leq_any(d, e, Fraction(100, 199)) == (True, None)
+        # and the same pair of values on grids: 0 at the origin, v elsewhere
+        f, g = (
+            GridFunction2D(GridSpec(2.0, 3), [[v, v, v], [v, 0.0, v], [v, v, v]])
+            for v in (6.155778894472362, 12.25)
+        )
+        assert _leq_any(f, g, Fraction(100, 199)) == (True, None)
+        assert _leq_any(f, g, Fraction(99, 199)) == (False, (-2.0, -2.0))
 
     def test_affine_point_map_recovered(self):
         t = fuzz_delta_transform(9, K2, point_map=lambda th: 2 * th + 1, beta=3.0)
