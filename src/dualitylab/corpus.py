@@ -5,33 +5,90 @@ parameters on a powers-of-two grid, plus the two order extremes (the zero
 function and the indicator of {0}).  The grid is multiplicative, closed
 under squaring up to its cap (so exponents can be recovered by dyadic
 doubling), and its adjacent ratio 2 keeps every strictly-separated corpus
-pair separated by at least the constants the harness certifies (which it
-caps at 2).
+pair separated by at least a factor 2, the largest constant the tests and
+the benchmark certify at (nothing enforces a cap).
 
-Lattice designations list pairs whose join and meet are themselves corpus
-members, as the lattice-stability checker requires: same-family pairs
-(nested indicators, comparable rays) and any pair involving an extreme.
+Lattice designations list pairs of 1-d functions whose join and meet are
+themselves corpus members, as the lattice-stability checker requires:
+same-family pairs (nested indicators, comparable rays) and any pair
+involving an extreme.  A `Corpus` computes the facts that depend on it
+alone once: its exact ratio matrix and the closure of its designations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Optional, Sequence, Tuple
 
+import numpy as np
+
+from .exceptions import CorpusError
 from .extremal import DeltaFunction, make_delta, make_indicator, make_linear
-from .pl import INF, PLConvex1D
+from .grid import GridFunction2D
+from .pl import INF, PLConvex1D, hat_inf2, ratio_sup, sup2
 
 EXPONENT_GRID = (-16, -8, -4, -2, -1, 0, 1, 2, 4, 8, 16)
-MAX_CERTIFIED_CTILDE = 2
+
+
+# ---------------------------------------------------------------------------
+# exact pointwise ratios
+
+
+def _grid_ratio(f: GridFunction2D, g: GridFunction2D) -> Tuple[object, object]:
+    """Exact max of f/g over the nodes, with the `leq` conventions.
+
+    Float division is correctly rounded, hence monotone, so the exact
+    maximiser is among the nodes whose float ratio equals the float maximum;
+    those are settled with Fractions.
+    """
+    if f.spec != g.spec:
+        raise CorpusError("grid elements must share one lattice")
+    a, b = f.values, g.values
+    live = np.isfinite(b)
+    cs = f.spec.coords
+    blown = live & (np.isinf(a) | ((b == 0) & (a > 0)))
+    if blown.any():
+        ix, iy = np.argwhere(blown)[0]
+        return INF, (float(cs[ix]), float(cs[iy]))
+    pos = live & (a > 0)
+    if not pos.any():
+        return Fraction(0), None
+    with np.errstate(over="ignore", under="ignore"):
+        r = np.divide(a, b, out=np.zeros_like(a), where=pos)
+    ties = map(tuple, np.argwhere(pos & (r == r[pos].max())))
+    ix, iy = max(ties, key=lambda n: Fraction(a[n]) / Fraction(b[n]))
+    return Fraction(a[ix, iy]) / Fraction(b[ix, iy]), (float(cs[ix]), float(cs[iy]))
+
+
+def _ratio_any(f, g) -> Tuple[object, object]:
+    """Exact sup of f/g (see `pl.ratio_sup`) and a point where it is reached."""
+    if isinstance(f, PLConvex1D) and isinstance(g, PLConvex1D):
+        return ratio_sup(f, g)
+    if isinstance(f, DeltaFunction) and isinstance(g, DeltaFunction):
+        # distinct pins: f = +inf at the pin where g is finite
+        if f.theta != g.theta or (g.c == 0 and f.c > 0):
+            return INF, g.theta
+        return (Fraction(f.c) / Fraction(g.c) if g.c else Fraction(0)), g.theta
+    if isinstance(f, GridFunction2D) and isinstance(g, GridFunction2D):
+        return _grid_ratio(f, g)
+    raise CorpusError(f"cannot compare {type(f).__name__} with {type(g).__name__}")
+
+
+def _ratio_matrix(fs: Sequence) -> Tuple[Tuple[object, ...], ...]:
+    return tuple(
+        tuple(None if i == j else _ratio_any(f, g)[0] for j, g in enumerate(fs))
+        for i, f in enumerate(fs)
+    )
 
 
 @dataclass(frozen=True)
 class Corpus:
     """Indexed family of functions with labels and designated lattice pairs.
 
-    ``lattice_pairs`` holds (i, j, sup_index, inf_index): the corpus is
-    closed under sup2/hat_inf2 for exactly these pairs.
+    ``lattice_pairs`` holds (i, j, sup_index, inf_index) of 1-d functions:
+    the corpus is closed under sup2/hat_inf2 for exactly these pairs.
     """
 
     elements: Tuple[object, ...]
@@ -46,8 +103,26 @@ class Corpus:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def index_of(self, f) -> int:
-        return self.elements.index(f)
+    @cached_property
+    def R(self) -> Tuple[Tuple[object, ...], ...]:
+        """Exact sup f_i/f_j for each ordered pair of distinct elements."""
+        return _ratio_matrix(self.elements)
+
+    @cached_property
+    def closed_lattice_pairs(self) -> Tuple[Tuple[int, int, int, int], ...]:
+        """``lattice_pairs``, once each pair's join and meet are its members
+        (else a CorpusError naming the pair: a configuration error)."""
+        els, labels = self.elements, self.labels
+        for i, j, s, m in self.lattice_pairs:
+            if not (
+                all(isinstance(els[n], PLConvex1D) for n in (i, j, s, m))
+                and sup2(els[i], els[j]) == els[s] and hat_inf2(els[i], els[j]) == els[m]
+            ):
+                raise CorpusError(
+                    f"designated lattice pair ({labels[i]}, {labels[j]}) is not "
+                    "closed in the corpus, or not 1-d"
+                )
+        return self.lattice_pairs
 
 
 def geometric_corpus(exponents: Sequence[int] = EXPONENT_GRID) -> Corpus:

@@ -27,11 +27,11 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import permutations
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .corpus import Corpus, geometric_corpus
+from .corpus import Corpus, _ratio_any, _ratio_matrix, delta_corpus, geometric_corpus
 from .exceptions import (
     ClassificationError,
     ConsistencyError,
@@ -41,11 +41,11 @@ from .exceptions import (
 from .extremal import (
     DeltaFunction,
     almost_linear_bounds,
+    make_delta,
     quasi_linear_sandwich,
 )
-from .grid import GridFunction2D, hat_inf2_grid, is_ray_supported, sup2_grid
+from .grid import GridFunction2D, is_ray_supported
 from .pl import (
-    INF,
     PLConvex1D,
     as_fraction,
     compose_dilate,
@@ -148,11 +148,6 @@ class CorpusTransform:
         return self.images[i]
 
     @cached_property
-    def R_src(self) -> Tuple[Tuple[object, ...], ...]:
-        """Exact sup f_i/f_j for each ordered pair of distinct corpus elements."""
-        return _ratio_matrix(self.corpus.elements)
-
-    @cached_property
     def R_img(self) -> Tuple[Tuple[object, ...], ...]:
         """Exact sup Tf_i/Tf_j for each ordered pair of distinct images."""
         return _ratio_matrix(self.images)
@@ -210,47 +205,7 @@ class RayMappingReport:
 
 
 # ---------------------------------------------------------------------------
-# pointwise comparison dispatch
-
-
-def _grid_ratio(f: GridFunction2D, g: GridFunction2D) -> Tuple[object, object]:
-    """Exact max of f/g over the nodes, with the `leq` conventions.
-
-    Float division is correctly rounded, hence monotone, so the exact
-    maximiser is among the nodes whose float ratio equals the float maximum;
-    those are settled with Fractions.
-    """
-    if f.spec != g.spec:
-        raise CorpusError("grid elements must share one lattice")
-    a, b = f.values, g.values
-    live = np.isfinite(b)
-    cs = f.spec.coords
-    blown = live & (np.isinf(a) | ((b == 0) & (a > 0)))
-    if blown.any():
-        ix, iy = np.argwhere(blown)[0]
-        return INF, (float(cs[ix]), float(cs[iy]))
-    pos = live & (a > 0)
-    if not pos.any():
-        return Fraction(0), None
-    with np.errstate(over="ignore", under="ignore"):
-        r = np.divide(a, b, out=np.zeros_like(a), where=pos)
-    ties = map(tuple, np.argwhere(pos & (r == r[pos].max())))
-    ix, iy = max(ties, key=lambda n: Fraction(a[n]) / Fraction(b[n]))
-    return Fraction(a[ix, iy]) / Fraction(b[ix, iy]), (float(cs[ix]), float(cs[iy]))
-
-
-def _ratio_any(f, g) -> Tuple[object, object]:
-    """Exact sup of f/g (see `pl.ratio_sup`) and a point where it is reached."""
-    if isinstance(f, PLConvex1D) and isinstance(g, PLConvex1D):
-        return ratio_sup(f, g)
-    if isinstance(f, DeltaFunction) and isinstance(g, DeltaFunction):
-        # distinct pins: f = +inf at the pin where g is finite
-        if f.theta != g.theta or (g.c == 0 and f.c > 0):
-            return INF, g.theta
-        return (Fraction(f.c) / Fraction(g.c) if g.c else Fraction(0)), g.theta
-    if isinstance(f, GridFunction2D) and isinstance(g, GridFunction2D):
-        return _grid_ratio(f, g)
-    raise CorpusError(f"cannot compare {type(f).__name__} with {type(g).__name__}")
+# condition checkers
 
 
 def _leq_any(f, g, factor=1) -> Tuple[bool, object]:
@@ -261,16 +216,6 @@ def _leq_any(f, g, factor=1) -> Tuple[bool, object]:
     r, at = _ratio_any(f, g)
     return (True, None) if r <= factor else (False, at)
 
-
-def _ratio_matrix(fs: Sequence) -> Tuple[Tuple[object, ...], ...]:
-    return tuple(
-        tuple(None if i == j else _ratio_any(f, g)[0] for j, g in enumerate(fs))
-        for i, f in enumerate(fs)
-    )
-
-
-# ---------------------------------------------------------------------------
-# condition checkers
 
 # condition -> (hypothesis on the images, conclusion reversed, detail of
 # part a, detail of part b).  Part a is "hyp <= 1 implies con <= C", part b
@@ -285,16 +230,16 @@ _PAIR_CONDITIONS = {
 }
 
 
-def _check_pairs(
+def _violations(
     t: CorpusTransform, k: AlmostOrderConstant, condition: str
-) -> Tuple[Violation, ...]:
+) -> Iterator[Violation]:
+    """The pairs violating ``condition``, each witness searched when reached."""
     on_images, flip, detail_a, detail_b = _PAIR_CONDITIONS[condition]
     if on_images:
-        hyp, con, sides = t.R_img, t.R_src, t.corpus.elements
+        hyp, con, sides = t.R_img, t.corpus.R, t.corpus.elements
     else:
-        hyp, con, sides = t.R_src, t.R_img, t.images
+        hyp, con, sides = t.corpus.R, t.R_img, t.images
     labels = t.corpus.labels
-    out: List[Violation] = []
     for i, j in permutations(range(len(t)), 2):
         h = hyp[i][j]
         if h > 1:
@@ -303,37 +248,42 @@ def _check_pairs(
         r = con[a][b]
         if r > k.ctilde:
             _, w = _leq_any(sides[a], sides[b], k.ctilde)
-            out.append(Violation(f"{condition}-a", labels[i], labels[j], w, detail_a))
+            yield Violation(f"{condition}-a", labels[i], labels[j], w, detail_a)
         if h <= k.reciprocal and r > 1:
             _, w = _leq_any(sides[a], sides[b])
-            out.append(Violation(f"{condition}-b", labels[i], labels[j], w, detail_b))
-    return tuple(out)
+            yield Violation(f"{condition}-b", labels[i], labels[j], w, detail_b)
+
+
+def _sense(t: CorpusTransform, k: AlmostOrderConstant) -> Optional[str]:
+    """The first order sense whose conditions hold on every pair, or None.
+
+    A failing sense stops at its first violation, so it pays for one witness.
+    """
+    for sense in ("preserving", "reversing"):
+        if next(_violations(t, k, sense), None) is None:
+            return sense
+    return None
 
 
 def check_almost_preserving(
     t: CorpusTransform, k: AlmostOrderConstant
 ) -> Tuple[Violation, ...]:
     """Certify both preserving conditions on every ordered corpus pair."""
-    return _check_pairs(t, k, "preserving")
+    return tuple(_violations(t, k, "preserving"))
 
 
 def check_almost_reversing(
     t: CorpusTransform, k: AlmostOrderConstant
 ) -> Tuple[Violation, ...]:
     """Certify both reversing conditions on every ordered corpus pair."""
-    return _check_pairs(t, k, "reversing")
+    return tuple(_violations(t, k, "reversing"))
 
 
 def check_inverse_conditions(
     t: CorpusTransform, k: AlmostOrderConstant
 ) -> Tuple[Violation, ...]:
     """Certify the converse implications of the preserving conditions."""
-    return _check_pairs(t, k, "inverse")
-
-
-def _lattice_ops(f):
-    """The join and the meet for f's kind: (sup2, hat_inf2) or their grid forms."""
-    return (sup2, hat_inf2) if isinstance(f, PLConvex1D) else (sup2_grid, hat_inf2_grid)
+    return tuple(_violations(t, k, "inverse"))
 
 
 # (condition, lhs, rhs, p, detail): certify lhs <= C**p * rhs, with sides
@@ -353,24 +303,29 @@ def check_lattice_stability(
     """Certify the join/meet chains on the corpus's designated pairs.
 
     Requires the corpus to be closed under sup2/hat_inf2 for each designated
-    pair; a wrong designation is a configuration error, not a violation.
+    pair of 1-d functions; a wrong designation is a configuration error, not
+    a violation.  Two rows read the image ratio matrix: max(Tf, Tg) <= C*h
+    iff Tf and Tg both are, and a convex h lies below C*inf(Tf, Tg), the
+    convex minorant of C*min(Tf, Tg), iff it lies below C*min(Tf, Tg).
     """
-    els, imgs, labels = t.corpus.elements, t.images, t.corpus.labels
+    imgs, labels, R, C = t.images, t.corpus.labels, t.R_img, k.ctilde
     out: List[Violation] = []
-    for i, j, i_sup, i_inf in t.corpus.lattice_pairs:
-        f, g = els[i], els[j]
-        join, meet = _lattice_ops(f)
-        if join(f, g) != els[i_sup] or meet(f, g) != els[i_inf]:
-            raise CorpusError(
-                f"designated lattice pair ({labels[i]}, {labels[j]}) is not "
-                "closed in the corpus"
-            )
-        join, meet = _lattice_ops(imgs[i])
-        sides = (imgs[i_sup], join(imgs[i], imgs[j]),
-                 imgs[i_inf], meet(imgs[i], imgs[j]))
-        for condition, lhs, rhs, p, detail in _LATTICE_CONDITIONS:
-            ok, w = _leq_any(sides[lhs], sides[rhs], k.power(p))
+    for i, j, s, m in t.corpus.closed_lattice_pairs:
+        f, g = imgs[i], imgs[j]
+        # the other two rows hold outright when the designated member is one
+        # of the pair, as each of Tf, Tg lies below their join and above their meet
+        join = None if s in (i, j) else sup2(f, g)
+        meet = None if m in (i, j) else hat_inf2(f, g)
+        holds = (
+            join is None or ratio_sup(imgs[s], join)[0] <= k.power(2),
+            all(a == s or R[a][s] <= C for a in (i, j)),
+            all(a == m or R[m][a] <= C for a in (i, j)),
+            meet is None or ratio_sup(meet, imgs[m])[0] <= k.power(2),
+        )
+        for (condition, lhs, rhs, p, detail), ok in zip(_LATTICE_CONDITIONS, holds):
             if not ok:
+                sides = (imgs[s], join or sup2(f, g), imgs[m], meet or hat_inf2(f, g))
+                _, w = _leq_any(sides[lhs], sides[rhs], k.power(p))
                 out.append(Violation(condition, labels[i], labels[j], w, detail))
     return tuple(out)
 
@@ -426,13 +381,24 @@ def classify(
 ) -> StabilityReport:
     """Decide identity-like vs gauge-like from the indicator/ray images.
 
-    ``sense`` is "preserving" or "reversing"; when omitted both condition
-    checkers run and pick it.  A reversing transform is classified after
-    composing with the geometric dual on the left (the composition is order
-    preserving, and by homogeneity the per-element scalings survive as their
-    reciprocals): a gauge-like composition names a Legendre-like original,
-    an identity-like composition names a dual-like original.
+    ``sense`` is "preserving" or "reversing"; when omitted the first sense
+    whose conditions hold is taken.  A reversing transform is classified
+    after composing with the geometric dual on the left (the composition is
+    order preserving, and by homogeneity the per-element scalings survive as
+    their reciprocals): a gauge-like composition names a Legendre-like
+    original, an identity-like composition names a dual-like original.
     """
+    if sense is None:
+        sense = _sense(t, k)
+    elif sense not in ("preserving", "reversing"):
+        raise ValueError("sense must be 'preserving' or 'reversing'")
+    return _classify(t, k, sense)
+
+
+def _classify(
+    t: CorpusTransform, k: AlmostOrderConstant, sense: Optional[str]
+) -> StabilityReport:
+    """`classify` at a decided sense; None when neither condition holds."""
     els = t.corpus.elements
     if not all(isinstance(f, PLConvex1D) for f in els):
         raise CorpusError("classification requires a corpus of 1-d functions")
@@ -444,22 +410,16 @@ def classify(
         )
 
     diagnostics: List[str] = []
+
+    def report(classification, violations, phi=(), slopes=()) -> StabilityReport:
+        return StabilityReport(
+            classification, float(k.ctilde), tuple(violations), tuple(phi),
+            tuple(slopes), diagnostics=tuple(diagnostics), provenance=t.provenance)
+
     if sense is None:
-        if not check_almost_preserving(t, k):
-            sense = "preserving"
-        elif not check_almost_reversing(t, k):
-            sense = "reversing"
-        else:
-            return StabilityReport(
-                classification=TransformClass.INCONSISTENT,
-                ctilde=float(k.ctilde),
-                violations=(Violation(
-                    "classification", "", "", None,
-                    "neither order condition holds on the corpus"),),
-                provenance=t.provenance,
-            )
-    if sense not in ("preserving", "reversing"):
-        raise ValueError("sense must be 'preserving' or 'reversing'")
+        return report(TransformClass.INCONSISTENT, [Violation(
+            "classification", "", "", None,
+            "neither order condition holds on the corpus")])
 
     imgs = list(t.images)
     if sense == "reversing":
@@ -492,13 +452,7 @@ def classify(
             violations.append(Violation(
                 "classification", labels[i_a], labels[i_b], None,
                 "indicator images mix both structural kinds"))
-        return StabilityReport(
-            classification=TransformClass.INCONSISTENT,
-            ctilde=float(k.ctilde),
-            violations=tuple(violations),
-            diagnostics=tuple(diagnostics),
-            provenance=t.provenance,
-        )
+        return report(TransformClass.INCONSISTENT, violations)
 
     phi: List[Tuple[float, float]] = []
     for i in ind:
@@ -524,18 +478,10 @@ def classify(
         else:
             slope_samples.append((a, float(imgs[i].domain_end)))
     slope_samples.sort()
-    if violations:
-        return StabilityReport(
-            classification=TransformClass.INCONSISTENT,
-            ctilde=float(k.ctilde),
-            violations=tuple(violations),
-            phi_samples=tuple(phi),
-            slope_samples=tuple(slope_samples),
-            diagnostics=tuple(diagnostics),
-            provenance=t.provenance,
-        )
 
-    if sense == "reversing":
+    if violations:
+        label = TransformClass.INCONSISTENT
+    elif sense == "reversing":
         label = (
             TransformClass.REVERSING_GEOMETRIC_DUAL
             if base is TransformClass.IDENTITY
@@ -543,14 +489,7 @@ def classify(
         )
     else:
         label = base
-    return StabilityReport(
-        classification=label,
-        ctilde=float(k.ctilde),
-        phi_samples=tuple(phi),
-        slope_samples=tuple(slope_samples),
-        diagnostics=tuple(diagnostics),
-        provenance=t.provenance,
-    )
+    return report(label, violations, phi, slope_samples)
 
 
 # ---------------------------------------------------------------------------
@@ -837,13 +776,10 @@ def fuzz_transform(
             f"alpha={float(alpha)!r}, corpus={corpus.description})"
         ),
     )
-    checker = (
-        check_almost_preserving if sense == "preserving" else check_almost_reversing
-    )
-    bad = checker(t, k)
-    if bad:
+    bad = next(_violations(t, k, sense), None)
+    if bad is not None:
         raise ConsistencyError(
-            f"fuzzed transform failed its own certification: {bad[0]}"
+            f"fuzzed transform failed its own certification: {bad}"
         )
     return t
 
@@ -856,9 +792,6 @@ def fuzz_delta_transform(
     corpus: Optional[Corpus] = None,
 ) -> CorpusTransform:
     """Jittered pinned-point transform: D(theta)+c -> D(point_map(theta)) + kappa*beta*c."""
-    from .corpus import delta_corpus
-    from .extremal import make_delta
-
     if corpus is None:
         corpus = delta_corpus()
     if not all(isinstance(f, DeltaFunction) for f in corpus.elements):
@@ -877,10 +810,10 @@ def fuzz_delta_transform(
             f"beta={beta!r}, corpus={corpus.description})"
         ),
     )
-    bad = check_almost_preserving(t, k)
-    if bad:
+    bad = next(_violations(t, k, "preserving"), None)
+    if bad is not None:
         raise ConsistencyError(
-            f"fuzzed transform failed its own certification: {bad[0]}"
+            f"fuzzed transform failed its own certification: {bad}"
         )
     return t
 
@@ -957,10 +890,10 @@ def check_delta_structure(
             psi_ok = False
         else:
             beta = math.exp(math.fsum(math.log(r) for r in ratios) / len(ratios))
-            cl, cu = float(k.reciprocal), float(k.ctilde)
+            cl, cu = k.reciprocal * Fraction(beta), k.ctilde * Fraction(beta)
             for f, img, label in zip(els, imgs, labels):
                 if f.c > 0 and not (
-                    cl * beta * f.c <= img.c <= cu * beta * f.c
+                    cl * Fraction(f.c) <= Fraction(img.c) <= cu * Fraction(f.c)
                 ):
                     psi_ok = False
                     violations.append(Violation(
@@ -1037,33 +970,24 @@ def analyze(
 ) -> StabilityReport:
     """Run the full certification pipeline on a corpus transform.
 
-    Checks both order conditions, then for the certified sense also the
-    inverse conditions, lattice stability on designated pairs, and the
-    extremes; classifies; recovers the exponent from the indicator samples;
-    and for preserving transforms fits the two-sided sandwich.
+    Decides the order sense (reporting both checkers' violations when
+    neither holds), then for a preserving transform also checks the inverse
+    conditions, lattice stability on designated pairs and the extremes;
+    classifies; recovers the exponent; and fits the preserving sandwich.
     """
     has_extremes = any(
         isinstance(f, PLConvex1D) and (f.is_zero or f.is_point_indicator)
         for f in t.corpus.elements
     )
-    pres = check_almost_preserving(t, k)
-    if not pres:
-        sense = "preserving"
+    sense = _sense(t, k)
+    violations: Tuple[Violation, ...] = ()
+    if sense == "preserving":
         violations = check_inverse_conditions(t, k) + check_lattice_stability(t, k)
         if has_extremes:
             violations = violations + check_extremes(t)
-    else:
-        rev = check_almost_reversing(t, k)
-        if not rev:
-            sense = "reversing"
-            violations = ()
-        else:
-            report = classify(t, k, sense=None)
-            return replace(
-                report,
-                violations=report.violations + pres + rev,
-            )
-    report = classify(t, k, sense=sense)
+    elif sense is None:
+        violations = check_almost_preserving(t, k) + check_almost_reversing(t, k)
+    report = _classify(t, k, sense)
     report = replace(report, violations=report.violations + violations)
     if report.classification is not TransformClass.INCONSISTENT:
         gamma, deviation = estimate_exponent(

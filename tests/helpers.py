@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -18,12 +19,20 @@ from hypothesis import strategies as st
 from dualitylab import (
     INF,
     ClassTag,
+    CorpusError,
     DeltaFunction,
     PLConvex1D,
+    TransformClass,
     Violation,
+    check_extremes,
+    classify,
     delta_leq,
+    estimate_exponent,
+    fit_sandwich,
+    hat_inf2,
     is_inf,
     leq_witness,
+    sup2,
 )
 
 _F0 = Fraction(0)
@@ -136,12 +145,40 @@ def numeric_legendre(f: PLConvex1D, y: Fraction, n: int = 4000) -> Fraction:
     return best
 
 
-def numeric_dual(f: PLConvex1D, x: Fraction, n: int = 2000) -> Fraction:
+def numeric_dual(f: PLConvex1D, x: Fraction) -> Tuple[object, Optional[Fraction]]:
+    """sup over {y : f(y) > 0} of (x*y - 1)/f(y), exactly, and a maximiser.
+
+    On each affine piece of f the objective is a Moebius function of y,
+    hence monotone, so the sup is taken at a knot with f > 0 (a bounded
+    domain ends at one) or is the limit x/m along an unbounded tail of
+    slope m; the maximiser is None for that limit.  The zero set [0, z0]
+    contributes the constraint x*z0 <= 1 (value 0 inside the polar, attained
+    at y = 0; +inf outside).  When x*z0 = 1 the limit y -> z0+ is no extra
+    candidate: on the piece right of z0, f(y) = s*(y - z0), so the objective
+    is the constant x/s there, reached at the piece's right knot or equal to
+    the tail limit.
+    """
+    z0 = f.zero_end()
+    if math.isinf(z0):  # f is the zero function: dual is indicator of {0}
+        return (_F0, _F0) if x == 0 else (INF, None)
+    if z0 > 0 and x * z0 > 1:
+        return INF, None
+    best, arg = _F0, _F0
+    for y, v in f.knots:
+        if v > 0 and (x * y - 1) / v > best:
+            best, arg = (x * y - 1) / v, y
+    if math.isinf(f.domain_end) and f.tail_slope > 0 and x / f.tail_slope > best:
+        best, arg = x / f.tail_slope, None
+    return best, arg
+
+
+def dense_numeric_dual(f: PLConvex1D, x: Fraction, n: int = 2000) -> Fraction:
     """sup over {y : f(y) > 0} of (x*y - 1)/f(y) by dense exact scan.
 
     The candidates are knots, dense fill, and the tail limit; exact Fraction
     arithmetic keeps the scan deterministic.  The zero set contributes the
-    constraint x*y <= 1 (value 0 inside the polar, +inf outside).
+    constraint x*y <= 1 (value 0 inside the polar, +inf outside).  The former
+    `numeric_dual` oracle, kept to check the exact one against.
     """
     z0 = f.zero_end()
     if math.isinf(z0):  # f is the zero function: dual is indicator of {0}
@@ -341,6 +378,72 @@ def reference_check_inverse_conditions(t, k) -> Tuple[Violation, ...]:
                               "Tf <= (1/C)*Tg but not f <= g")
                 )
     return tuple(out)
+
+
+_REF_LATTICE_CONDITIONS = (
+    ("lattice-sup-lower", 0, 1, 2, "T(sup) > C^2 * sup(Tf, Tg)"),
+    ("lattice-sup-upper", 1, 0, 1, "sup(Tf, Tg) > C * T(sup)"),
+    ("lattice-inf-lower", 2, 3, 1, "T(inf) > C * inf(Tf, Tg)"),
+    ("lattice-inf-upper", 3, 2, 2, "inf(Tf, Tg) > C^2 * T(inf)"),
+)
+
+
+def reference_check_lattice_stability(t, k) -> Tuple[Violation, ...]:
+    """Per designated pair: check the corpus closure, build the images' join
+    and meet, and decide each of the four rows with `leq_witness` (1-d only)."""
+    els, imgs, labels = t.corpus.elements, t.images, t.corpus.labels
+    out: List[Violation] = []
+    for i, j, i_sup, i_inf in t.corpus.lattice_pairs:
+        f, g = els[i], els[j]
+        if sup2(f, g) != els[i_sup] or hat_inf2(f, g) != els[i_inf]:
+            raise CorpusError(
+                f"designated lattice pair ({labels[i]}, {labels[j]}) is not "
+                "closed in the corpus"
+            )
+        sides = (imgs[i_sup], sup2(imgs[i], imgs[j]),
+                 imgs[i_inf], hat_inf2(imgs[i], imgs[j]))
+        for condition, lhs, rhs, p, detail in _REF_LATTICE_CONDITIONS:
+            ok, w = _ref_leq(sides[lhs], sides[rhs], k.power(p))
+            if not ok:
+                out.append(Violation(condition, labels[i], labels[j], w, detail))
+    return tuple(out)
+
+
+def reference_analyze(t, k, exponent_tolerance: float = 1e-6):
+    """The pipeline on the reference checkers, running each order checker in
+    full before it picks the sense."""
+    has_extremes = any(
+        isinstance(f, PLConvex1D) and (f.is_zero or f.is_point_indicator)
+        for f in t.corpus.elements
+    )
+    pres = reference_check_almost_preserving(t, k)
+    if not pres:
+        sense = "preserving"
+        violations = (reference_check_inverse_conditions(t, k)
+                      + reference_check_lattice_stability(t, k))
+        if has_extremes:
+            violations = violations + check_extremes(t)
+    else:
+        rev = reference_check_almost_reversing(t, k)
+        if not rev:
+            sense = "reversing"
+            violations = ()
+        else:
+            report = classify(t, k, sense=None)
+            return replace(
+                report,
+                violations=report.violations + pres + rev,
+            )
+    report = classify(t, k, sense=sense)
+    report = replace(report, violations=report.violations + violations)
+    if report.classification is not TransformClass.INCONSISTENT:
+        gamma, deviation = estimate_exponent(
+            report.phi_samples, tolerance=exponent_tolerance
+        )
+        report = replace(report, gamma=gamma, exponent_deviation=deviation)
+    if report.classification in (TransformClass.IDENTITY, TransformClass.GAUGE):
+        report = fit_sandwich(t, report)
+    return report
 
 
 def _right_slope_at(f: PLConvex1D, x0: Fraction) -> Fraction:

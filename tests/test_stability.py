@@ -5,6 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import dualitylab.corpus
+import dualitylab.stability
 from dualitylab import (
     INF,
     AlmostOrderConstant,
@@ -28,6 +30,7 @@ from dualitylab import (
     classify,
     compose_dilate,
     delta_corpus,
+    dump_json,
     estimate_exponent,
     fit_sandwich,
     fuzz_delta_transform,
@@ -40,16 +43,20 @@ from dualitylab import (
     make_delta,
     make_indicator,
     make_linear,
+    report_to_obj,
     scale,
     sup2,
     verify_ray_mapping,
 )
+from dualitylab.grid import hat_inf2_grid, sup2_grid
 
 from helpers import (
     random_geometric,
+    reference_analyze,
     reference_check_almost_preserving,
     reference_check_almost_reversing,
     reference_check_inverse_conditions,
+    reference_check_lattice_stability,
     reference_ratio_extrema,
 )
 
@@ -202,10 +209,145 @@ class TestCheckerDifferential:
 
     def test_ratio_matrices_are_computed_once(self):
         t = fuzz_transform(3, K15, base="identity")
-        r_src, r_img = t.R_src, t.R_img
+        r_src, r_img = t.corpus.R, t.R_img
         check_almost_reversing(t, K2)
         analyze(t, K15)
-        assert t.R_src is r_src and t.R_img is r_img
+        assert t.corpus.R is r_src and t.R_img is r_img
+
+
+def _counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that counts its calls in a list."""
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestLatticeDifferential:
+    """The matrix reads of lattice stability against the per-pair `leq` loop."""
+
+    KS = TestCheckerDifferential.KS
+
+    @staticmethod
+    def _lattice_transform(rng):
+        # a few random functions, their joins and meets, and designations of
+        # comparable and incomparable pairs
+        els = [random_geometric(rng, max_knots=5) for _ in range(rng.randint(2, 6))]
+        n = len(els)
+        pairs = []
+        for _ in range(rng.randint(1, 4)):
+            i, j = rng.randrange(n), rng.randrange(n)
+            members = []
+            for h in (sup2(els[i], els[j]), hat_inf2(els[i], els[j])):
+                if h not in els:
+                    els.append(h)
+                members.append(els.index(h))
+            pairs.append((i, j, *members))
+        mode = rng.choice(("scaled", "legendre", "dilated", "random"))
+        imgs = []
+        for f in els:
+            if mode == "legendre":
+                f = legendre(f)
+            elif mode == "dilated":
+                f = compose_dilate(f, Fraction(rng.randint(1, 6), rng.randint(1, 6)))
+            elif mode == "random":
+                f = random_geometric(rng, max_knots=5)
+            lam = rng.choice((1, 1, 1, 4, Fraction(1, 4),
+                              Fraction(rng.randint(50, 200), 100)))
+            imgs.append(scale(f, lam))
+        corpus = Corpus(tuple(els), tuple(f"e{i}" for i in range(len(els))),
+                        mode, tuple(pairs))
+        return CorpusTransform(corpus, tuple(imgs))
+
+    def test_random_pl_corpora(self):
+        rng = random.Random(43)
+        seen = set()
+        incomparable = 0
+        for _ in range(150):
+            t = self._lattice_transform(rng)
+            incomparable += any(
+                s not in (i, j) or m not in (i, j)
+                for i, j, s, m in t.corpus.lattice_pairs
+            )
+            for k in self.KS:
+                got = check_lattice_stability(t, k)
+                assert got == reference_check_lattice_stability(t, k), k
+                seen.update(v.condition for v in got)
+        assert incomparable >= 50
+        assert seen == {c for c, *_ in dualitylab.stability._LATTICE_CONDITIONS}
+
+    def test_scaled_join_and_meet_images(self):
+        f, g = make_indicator(2), make_linear(Fraction(1, 2))
+        els = (f, g, sup2(f, g), hat_inf2(f, g))
+        corpus = Corpus(els, ("f", "g", "s", "m"), "quad", ((0, 1, 2, 3),))
+        found = 0
+        for n in range(4):
+            for p in range(-3, 4):
+                imgs = list(els)
+                imgs[n] = scale(els[n], K15.power(p))
+                t = CorpusTransform(corpus, tuple(imgs))
+                for k in self.KS:
+                    got = check_lattice_stability(t, k)
+                    assert got == reference_check_lattice_stability(t, k), (n, p)
+                    found += bool(got)
+        assert found >= 20
+
+    def test_second_transform_builds_no_join_or_meet(self, monkeypatch):
+        corpus = geometric_corpus()
+        first = fuzz_transform(1, K15, base="identity", corpus=corpus)
+        second = fuzz_transform(2, K15, base="gauge", corpus=corpus)
+        calls = [
+            _counting(monkeypatch, module, name)
+            for module in (dualitylab.stability, dualitylab.corpus)
+            for name in ("sup2", "hat_inf2")
+            if hasattr(module, name)
+        ]
+        assert check_lattice_stability(first, K15) == ()
+        assert sum(map(len, calls)) > 0  # the corpus closure, checked once
+        for c in calls:
+            c.clear()
+        assert check_lattice_stability(second, K15) == ()
+        assert sum(map(len, calls)) == 0
+        assert first.corpus.R is second.corpus.R
+
+    def test_grid_designation_is_rejected(self):
+        f = GridFunction2D.from_function(lambda x, y: x * x + y * y, R=2.0, N=9)
+        g = GridFunction2D.from_function(lambda x, y: abs(x) + 2 * abs(y), R=2.0, N=9)
+        corpus = Corpus((f, g, sup2_grid(f, g), hat_inf2_grid(f, g)),
+                        ("f", "g", "s", "m"), "grid quad", ((0, 1, 2, 3),))
+        with pytest.raises(CorpusError, match="1-d"):
+            check_lattice_stability(identity_transform(corpus), K15)
+
+
+class TestSenseDecision:
+    def test_reversing_analyze_searches_one_witness(self, monkeypatch):
+        corpus = geometric_corpus(range(-33, 34, 3))
+        t = fuzz_transform(7, K15, base="legendre", corpus=corpus)
+        calls = _counting(monkeypatch, dualitylab.stability, "leq_witness")
+        rep = analyze(t, K15)
+        assert rep.classification is TransformClass.REVERSING_LEGENDRE
+        assert len(calls) <= 1
+
+    def test_analyze_matches_the_reference_pipeline(self):
+        rng = random.Random(47)
+        corpus = geometric_corpus((-4, -2, -1, 0, 1, 2, 4))
+        for n in range(40):
+            k = TestCheckerDifferential.KS[n % 3]
+            base = ("identity", "gauge", "legendre", "a")[n % 4]
+            t = fuzz_transform(n, k, base=base, corpus=corpus)
+            imgs = list(t.images)
+            for i in rng.sample(range(len(imgs)), rng.randint(0, 3)):
+                imgs[i] = scale(imgs[i], k.power(rng.choice((-2, -1, 1, 2))))
+            if rng.random() < 0.2:
+                rng.shuffle(imgs)
+            t = CorpusTransform(corpus, tuple(imgs), t.provenance)
+            got = dump_json(report_to_obj(analyze(t, k)))
+            assert got == dump_json(report_to_obj(reference_analyze(t, k))), n
 
 
 class TestClassify:
@@ -452,6 +594,19 @@ class TestDeltaStructure:
         )
         assert not rep.is_delta_structure
         assert any(v.condition == "delta-image" for v in rep.violations)
+
+    def test_value_band_is_exact(self):
+        # beta, the float geometric mean of 0.5 and 1.1250000000000002, is
+        # 0.7500000000000001: each image value lies just outside (1/C, C)*beta
+        # though the float products round onto the band
+        corpus = Corpus((make_delta(0.0, 1.0), make_delta(1.0, 1.0)), ("a", "b"),
+                        "two pins")
+        imgs = (make_delta(0.0, 0.5), make_delta(1.0, 1.1250000000000002))
+        rep = check_delta_structure(CorpusTransform(corpus, imgs), K15)
+        assert rep.beta == 0.7500000000000001
+        assert not rep.psi_ok
+        assert [v.f_label for v in rep.violations if v.condition == "delta-value"] == [
+            "a", "b"]
 
     def test_value_band_violation(self):
         corpus = delta_corpus(points=(0.0, 1.0), values=(1.0, 2.0))

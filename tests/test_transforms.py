@@ -33,6 +33,7 @@ from dualitylab.pl import ratio_sup_abscissae
 
 from helpers import (
     assert_close,
+    dense_numeric_dual,
     geometric_functions,
     numeric_dual,
     numeric_gauge,
@@ -99,7 +100,22 @@ class TestGeometricDual:
             f = random_geometric(rng)
             g = geometric_dual(f)
             for x in sample_points(g, n=17):
-                assert_close(g(x), numeric_dual(f, x), msg=f"A at {x}")
+                assert_close(g(x), numeric_dual(f, x)[0], msg=f"A at {x}")
+
+    def test_exact_oracle_bounds_and_attains_the_dense_scan(self):
+        rng = random.Random(37)
+        for _ in range(30):
+            f = random_geometric(rng)
+            for x in sample_points(geometric_dual(f), n=2):
+                value, y = numeric_dual(f, x)
+                dense = dense_numeric_dual(f, x)
+                assert value >= dense, (f, x)
+                if math.isinf(value):
+                    assert math.isinf(dense)
+                elif y is None:  # the tail limit
+                    assert math.isinf(f.domain_end) and value == x / f.tail_slope
+                else:
+                    assert value == (0 if f(y) == 0 else (x * y - 1) / f(y))
 
     @settings(max_examples=150, deadline=None)
     @given(geometric_functions())
