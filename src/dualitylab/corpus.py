@@ -111,13 +111,21 @@ class Corpus:
     @cached_property
     def closed_lattice_pairs(self) -> Tuple[Tuple[int, int, int, int], ...]:
         """``lattice_pairs``, once each pair's join and meet are its members
-        (else a CorpusError naming the pair: a configuration error)."""
+        (else a CorpusError naming the pair: a configuration error).
+
+        A comparable designation, {s, m} = {i, j}, is read off ``R``: its join
+        is f_s and its meet f_m exactly when f_m <= f_s.  Only the others
+        build sup2/hat_inf2."""
         els, labels = self.elements, self.labels
         for i, j, s, m in self.lattice_pairs:
-            if not (
-                all(isinstance(els[n], PLConvex1D) for n in (i, j, s, m))
-                and sup2(els[i], els[j]) == els[s] and hat_inf2(els[i], els[j]) == els[m]
-            ):
+            f, g = els[i], els[j]
+            if not all(isinstance(els[n], PLConvex1D) for n in (i, j, s, m)):
+                closed = False
+            elif {s, m} == {i, j} and f.tag is g.tag:
+                closed = s == m or self.R[m][s] <= 1
+            else:
+                closed = sup2(f, g) == els[s] and hat_inf2(f, g) == els[m]
+            if not closed:
                 raise CorpusError(
                     f"designated lattice pair ({labels[i]}, {labels[j]}) is not "
                     "closed in the corpus, or not 1-d"

@@ -169,6 +169,50 @@ def sup2_grid(f: GridFunction2D, g: GridFunction2D) -> GridFunction2D:
     return out
 
 
+_TILE_ROWS = 8  # lattice nodes per tile of `_lattice_max`
+
+
+def _lattice_max(
+    spec: GridSpec,
+    y1: np.ndarray,
+    y2: np.ndarray,
+    offset=None,
+    divisor: Optional[np.ndarray] = None,
+    mask: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """N x N array: at each lattice node x, the max over m of
+    fl(fl(<x, y_m> + offset[m]) / divisor[m]) with
+    <x, y_m> = fl(fl(x1*y1[m]) + fl(x2*y2[m])) (a missing offset or divisor
+    is skipped); +inf where ``mask`` is False.
+
+    The nodes go a few at a time, so memory is O(N * M) for M >= 1 points;
+    every entry is formed elementwise, so the bits do not depend on the
+    tiling.  A masked row is only evaluated between its first and last
+    unmasked node.
+    """
+    c, n = spec.coords, spec.N
+    out = np.full((n, n), np.inf)
+    p2 = np.multiply.outer(c, y2)
+    buf = np.empty((_TILE_ROWS, len(y1)))
+    rows = np.ones((n, n), dtype=bool) if mask is None else mask
+    for i, row in enumerate(rows):
+        cols = np.flatnonzero(row)
+        if cols.size == 0:
+            continue
+        p1 = c[i] * y1
+        for a in range(cols[0], cols[-1] + 1, _TILE_ROWS):
+            b = min(a + _TILE_ROWS, cols[-1] + 1)
+            tile = buf[: b - a]
+            np.add(p2[a:b], p1, out=tile)
+            if offset is not None:
+                tile += offset
+            if divisor is not None:
+                tile /= divisor
+            out[i, a:b] = tile.max(axis=1)
+    out[~rows] = np.inf
+    return out
+
+
 def _envelope_from_cloud(
     spec: GridSpec, pts: np.ndarray, vals: np.ndarray
 ) -> np.ndarray:
@@ -211,25 +255,18 @@ def _envelope_from_cloud(
 
     cloud = np.column_stack((pts, vals))
     try:
-        hull3 = ConvexHull(cloud)
-        planes = []
-        for eq in hull3.equations:  # a.x + b = 0, outward normal a
-            if eq[2] < -tol:  # lower facet
-                planes.append((-eq[0] / eq[2], -eq[1] / eq[2], -eq[3] / eq[2]))
-        planes_arr = np.array(planes)
-        env = (nodes @ planes_arr[:, :2].T + planes_arr[:, 2]).max(axis=1)
+        eq = ConvexHull(cloud).equations  # a.x + b = 0, outward normal a
+        low = eq[eq[:, 2] < -tol]  # lower facets
+        planes = -low[:, (0, 1, 3)] / low[:, 2:3]  # z = p0*x + p1*y + p2
     except QhullError:
         # coplanar cloud: the envelope is the single affine interpolant
         A = np.column_stack((pts, np.ones(len(vals))))
         coef, *_ = np.linalg.lstsq(A, vals, rcond=None)
-        env = nodes @ coef[:2] + coef[2]
+        planes = coef[None, :]
 
-    shadow = ConvexHull(pts)
-    inside = np.all(
-        nodes @ shadow.equations[:, :2].T + shadow.equations[:, 2] <= tol, axis=1
-    )
-    out.ravel()[np.flatnonzero(inside)] = env[inside]
-    return out
+    shadow = ConvexHull(pts).equations
+    inside = _lattice_max(spec, shadow[:, 0], shadow[:, 1], shadow[:, 2]) <= tol
+    return _lattice_max(spec, planes[:, 0], planes[:, 1], planes[:, 2], mask=inside)
 
 
 def hat_inf2_grid(f: GridFunction2D, g: GridFunction2D) -> GridFunction2D:

@@ -213,61 +213,50 @@ def _grid_geometric(f, op: str):
     ensure_valid(f)
 
 
-def legendre_grid(f, block: int = 256):
-    """Brute-force conjugate on the lattice: g(q) = max over finite nodes p of
-    <q, p> - f(p).  O(N^2 * N^2), blocked to bound memory."""
+def legendre_grid(f):
+    """Conjugate on the lattice: g(q) = max over finite nodes p of <q, p> - f(p).
+
+    Two 1-d passes, O(N^3) time and memory: t(p1, q2) = max_p2 fl(q2*p2 - f(p1, p2)), then
+    g(q1, q2) = max_p1 fl(q1*p1 + t(p1, q2)); +inf nodes enter as -inf terms.
+    Rounding is monotone, so this is bit-identical to the brute force
+    max_p fl(fl(q1*p1) + fl(fl(q2*p2) - f(p)))."""
     import numpy as np
 
     from .grid import GridFunction2D
 
     _grid_geometric(f, "legendre_grid")
-    pts, vals = f.finite_nodes()
-    c = f.spec.coords
-    gx, gy = np.meshgrid(c, c, indexing="ij")
-    nodes = np.column_stack((gx.ravel(), gy.ravel()))
-    out = np.empty(len(nodes))
-    for i in range(0, len(nodes), block):
-        q = nodes[i : i + block]
-        out[i : i + block] = (q @ pts.T - vals).max(axis=1)
-    return GridFunction2D(f.spec, out.reshape(f.spec.N, f.spec.N), ClassTag.GEOMETRIC)
+    qp = np.multiply.outer(f.spec.coords, f.spec.coords)  # qp[q, p] = q*p
+    t = (qp[None, :, :] - f.values[:, None, :]).max(axis=2)  # t[p1, q2]
+    g = (qp[:, :, None] + t[None, :, :]).max(axis=1)
+    return GridFunction2D(f.spec, g, ClassTag.GEOMETRIC)
 
 
-def a_grid(f, block: int = 256):
-    """Brute-force polar-type dual on the lattice.
+def a_grid(f):
+    """Polar-type dual on the lattice, by brute force over node pairs.
 
     +inf outside the discrete polar of the zero set (pairwise <x, y> <= 1
-    test), and on the polar the floored sup of (<x, y> - 1)/f(y) over nodes
-    with finite positive value."""
+    test), and on the polar the floored max of fl(fl(<x, y> - 1) / f(y))
+    over nodes y with finite positive value, where <x, y> is
+    fl(fl(x1*y1) + fl(x2*y2)).  O(N^2 * M) for M such nodes, in tiles of a
+    few lattice nodes (see `grid._lattice_max`): memory is O(N * M), and
+    the bits do not depend on the tiling."""
     import numpy as np
 
-    from .grid import GridFunction2D
+    from .grid import GridFunction2D, _lattice_max
 
     _grid_geometric(f, "a_grid")
-    c = f.spec.coords
-    gx, gy = np.meshgrid(c, c, indexing="ij")
-    nodes = np.column_stack((gx.ravel(), gy.ravel()))
+    c, v = f.spec.coords, f.values
     tol = 1e-9 * (f.spec.R**2 + 1.0)
+    z1, z2 = (c[k] for k in np.nonzero(v == 0.0))
+    polar = _lattice_max(f.spec, z1, z2) <= 1.0 + tol
 
-    zero_pts = nodes[(f.values == 0.0).ravel()]
-    polar = np.ones(len(nodes), dtype=bool)
-    for i in range(0, len(nodes), block):
-        x = nodes[i : i + block]
-        polar[i : i + block] = (x @ zero_pts.T <= 1.0 + tol).all(axis=1)
-
-    pos_mask = np.isfinite(f.values) & (f.values > 0.0)
-    idx = np.argwhere(pos_mask)
-    out = np.full(len(nodes), np.inf)
-    if idx.size:
-        pts = np.column_stack((c[idx[:, 0]], c[idx[:, 1]]))
-        vals = f.values[pos_mask]
-        which = np.flatnonzero(polar)
-        for i in range(0, len(which), block):
-            sel = which[i : i + block]
-            ratios = (nodes[sel] @ pts.T - 1.0) / vals
-            out[sel] = np.maximum(ratios.max(axis=1), 0.0)
+    pos = np.isfinite(v) & (v > 0.0)
+    if not pos.any():
+        out = np.where(polar, 0.0, np.inf)
     else:
-        out[polar] = 0.0
-    return GridFunction2D(f.spec, out.reshape(f.spec.N, f.spec.N), ClassTag.GEOMETRIC)
+        y1, y2 = (c[k] for k in np.nonzero(pos))
+        out = np.maximum(_lattice_max(f.spec, y1, y2, -1.0, v[pos], polar), 0.0)
+    return GridFunction2D(f.spec, out, ClassTag.GEOMETRIC)
 
 
 def gauge_grid(f):

@@ -14,6 +14,7 @@ from dataclasses import replace
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
 from hypothesis import strategies as st
 
 from dualitylab import (
@@ -21,6 +22,8 @@ from dualitylab import (
     ClassTag,
     CorpusError,
     DeltaFunction,
+    GridFunction2D,
+    GridSpec,
     PLConvex1D,
     TransformClass,
     Violation,
@@ -409,6 +412,22 @@ def reference_check_lattice_stability(t, k) -> Tuple[Violation, ...]:
     return tuple(out)
 
 
+def reference_closed_lattice_pairs(corpus):
+    """The former `Corpus.closed_lattice_pairs`: builds sup2 and hat_inf2 for
+    every designation."""
+    els, labels = corpus.elements, corpus.labels
+    for i, j, s, m in corpus.lattice_pairs:
+        if not (
+            all(isinstance(els[n], PLConvex1D) for n in (i, j, s, m))
+            and sup2(els[i], els[j]) == els[s] and hat_inf2(els[i], els[j]) == els[m]
+        ):
+            raise CorpusError(
+                f"designated lattice pair ({labels[i]}, {labels[j]}) is not "
+                "closed in the corpus, or not 1-d"
+            )
+    return corpus.lattice_pairs
+
+
 def reference_analyze(t, k, exponent_tolerance: float = 1e-6):
     """The pipeline on the reference checkers, running each order checker in
     full before it picks the sense."""
@@ -509,6 +528,152 @@ def assert_close(a, b, rtol=1e-9, atol=1e-12, msg=""):
     assert abs(af - bf) <= atol + rtol * max(abs(af), abs(bf)), (
         f"{msg}: {a} vs {b}"
     )
+
+
+# ---------------------------------------------------------------------------
+# 2-d grid references
+
+
+def random_pd_matrix(rng: random.Random) -> np.ndarray:
+    """A symmetric positive-definite 2x2 matrix, eigenvalues in [1/4, 4]."""
+    theta = rng.uniform(0.0, math.pi)
+    c, s = math.cos(theta), math.sin(theta)
+    rot = np.array([[c, -s], [s, c]])
+    return rot @ np.diag([rng.uniform(0.25, 4.0), rng.uniform(0.25, 4.0)]) @ rot.T
+
+
+def random_geometric_grid(rng: random.Random) -> GridFunction2D:
+    """A valid geometric grid with N in {3, 5, ..., 33}: a quadratic, a cone,
+    a ball indicator or the zero function; quadratics and cones may be +inf
+    off an elliptic domain and 0 on a smaller ellipse (a nonzero zero set)."""
+    kind = rng.choice(("quadratic", "cone", "ball", "zero"))
+    spec = GridSpec(rng.choice((0.5, 1.0, 2.0, 3.0, 4.0, 16.0)), rng.randrange(3, 34, 2))
+    c = spec.coords
+    P = np.stack(np.meshgrid(c, c, indexing="ij"), axis=-1)
+    norm = np.sqrt(np.einsum("...i,ij,...j->...", P, random_pd_matrix(rng), P)) / spec.R
+    if kind == "zero":
+        return GridFunction2D(spec, np.zeros((spec.N, spec.N)))
+    if kind == "ball":
+        return GridFunction2D(spec, np.where(norm <= rng.uniform(0.1, 1.5), 0.0, np.inf))
+    r = norm if kind == "cone" else norm**2
+    if rng.random() < 0.4:
+        r = np.maximum(r - rng.uniform(0.05, 0.5), 0.0)
+    v = rng.uniform(0.1, 10.0) * r
+    if rng.random() < 0.4:
+        v = np.where(norm <= rng.uniform(0.3, 1.2), v, np.inf)
+    return GridFunction2D(spec, v)
+
+
+def _grid_nodes(f: GridFunction2D):
+    c = f.spec.coords
+    x1, x2 = np.meshgrid(c, c, indexing="ij")
+    return x1.ravel()[:, None], x2.ravel()[:, None]
+
+
+def reference_legendre_grid(f: GridFunction2D) -> np.ndarray:
+    """max_p fl(fl(q1*p1) + fl(fl(q2*p2) - f(p))) over finite nodes p, by
+    brute force over all node pairs."""
+    q1, q2 = _grid_nodes(f)
+    pts, vals = f.finite_nodes()
+    g = (q1 * pts[:, 0] + (q2 * pts[:, 1] - vals)).max(axis=1)
+    return g.reshape(f.values.shape)
+
+
+def reference_a_grid(f: GridFunction2D) -> np.ndarray:
+    """+inf off the discrete polar {x : fl(fl(x1*z1) + fl(x2*z2)) <= 1 + tol
+    for every zero node z}, and on it the floored max over nodes y with
+    finite positive value of fl(fl(fl(x1*y1) + fl(x2*y2)) - 1) / f(y)."""
+    x1, x2 = _grid_nodes(f)
+    c, v = f.spec.coords, f.values
+    tol = 1e-9 * (f.spec.R**2 + 1.0)
+    z1, z2 = (c[k] for k in np.nonzero(v == 0.0))
+    polar = (x1 * z1 + x2 * z2 <= 1.0 + tol).all(axis=1)
+    pos = np.isfinite(v) & (v > 0.0)
+    if pos.any():
+        y1, y2 = (c[k] for k in np.nonzero(pos))
+        best = np.maximum(((x1 * y1 + x2 * y2 - 1.0) / v[pos]).max(axis=1), 0.0)
+    else:
+        best = np.zeros(len(polar))
+    return np.where(polar, best, np.inf).reshape(v.shape)
+
+
+def matmul_legendre_grid(f, block: int = 256):
+    """The former `legendre_grid`, verbatim but for the input check: a BLAS
+    matmul per block of nodes."""
+    pts, vals = f.finite_nodes()
+    c = f.spec.coords
+    gx, gy = np.meshgrid(c, c, indexing="ij")
+    nodes = np.column_stack((gx.ravel(), gy.ravel()))
+    out = np.empty(len(nodes))
+    for i in range(0, len(nodes), block):
+        q = nodes[i : i + block]
+        out[i : i + block] = (q @ pts.T - vals).max(axis=1)
+    return GridFunction2D(f.spec, out.reshape(f.spec.N, f.spec.N), ClassTag.GEOMETRIC)
+
+
+def matmul_a_grid(f, block: int = 256):
+    """The former `a_grid`, verbatim but for the input check: BLAS matmuls
+    per block of nodes."""
+    c = f.spec.coords
+    gx, gy = np.meshgrid(c, c, indexing="ij")
+    nodes = np.column_stack((gx.ravel(), gy.ravel()))
+    tol = 1e-9 * (f.spec.R**2 + 1.0)
+
+    zero_pts = nodes[(f.values == 0.0).ravel()]
+    polar = np.ones(len(nodes), dtype=bool)
+    for i in range(0, len(nodes), block):
+        x = nodes[i : i + block]
+        polar[i : i + block] = (x @ zero_pts.T <= 1.0 + tol).all(axis=1)
+
+    pos_mask = np.isfinite(f.values) & (f.values > 0.0)
+    idx = np.argwhere(pos_mask)
+    out = np.full(len(nodes), np.inf)
+    if idx.size:
+        pts = np.column_stack((c[idx[:, 0]], c[idx[:, 1]]))
+        vals = f.values[pos_mask]
+        which = np.flatnonzero(polar)
+        for i in range(0, len(which), block):
+            sel = which[i : i + block]
+            ratios = (nodes[sel] @ pts.T - 1.0) / vals
+            out[sel] = np.maximum(ratios.max(axis=1), 0.0)
+    else:
+        out[polar] = 0.0
+    return GridFunction2D(f.spec, out.reshape(f.spec.N, f.spec.N), ClassTag.GEOMETRIC)
+
+
+def dense_hat_inf2_grid(f: GridFunction2D, g: GridFunction2D, matmul: bool = False) -> np.ndarray:
+    """`hat_inf2_grid` values for a cloud spanning the plane, with every
+    lower facet evaluated at every node: fl(fl(fl(x1*a) + fl(x2*b)) + c)
+    one facet at a time, or (``matmul``) the former BLAS evaluation
+    x @ (a, b) + c.  The shadow test and the clipping are as in
+    `hat_inf2_grid`."""
+    from scipy.spatial import ConvexHull
+
+    m = np.minimum(f.values, g.values)
+    mask = np.isfinite(m)
+    c = f.spec.coords
+    pts = np.column_stack([c[k] for k in np.nonzero(mask)])
+    tol = 1e-9 * (f.spec.R + 1.0)
+    eq = ConvexHull(np.column_stack((pts, m[mask]))).equations
+    low = eq[eq[:, 2] < -tol]
+    planes = -low[:, (0, 1, 3)] / low[:, 2:3]
+    x1, x2 = (a.ravel() for a in np.meshgrid(c, c, indexing="ij"))
+    if matmul:
+        nodes = np.column_stack((x1, x2))
+        env = np.full(len(x1), -np.inf)
+        for k in range(0, len(planes), 256):
+            p = planes[k : k + 256]
+            env = np.maximum(env, (nodes @ p[:, :2].T + p[:, 2]).max(axis=1))
+    else:
+        env = np.full(len(x1), -np.inf)
+        for a, b, off in planes:
+            env = np.maximum(env, x1 * a + x2 * b + off)
+    shadow = ConvexHull(pts).equations
+    inside = np.full(len(x1), True)
+    for a, b, off in shadow:
+        inside &= x1 * a + x2 * b + off <= tol
+    env = np.where(inside, env, np.inf).reshape(m.shape)
+    return np.minimum(np.maximum(env, m[mask].min()), m)
 
 
 # ---------------------------------------------------------------------------

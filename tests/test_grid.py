@@ -1,4 +1,6 @@
 import math
+import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +26,8 @@ from dualitylab import (
     validate,
     write_grid_csv,
 )
+
+from helpers import dense_hat_inf2_grid, random_pd_matrix
 
 
 def cone(x, y):
@@ -126,6 +130,32 @@ class TestLattice:
         assert validate(h) == []
         o = h.spec.origin
         assert h.values[o, o] == 0.0
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_inf_hat_in_bounded_memory(self, seed):
+        # N = 65: one dense nodes x facets matrix peaks at 32-116 MB
+        import scipy.spatial  # noqa: F401  (its import is not the op's memory)
+
+        rng = random.Random(seed)
+        spec = GridSpec(4.0, 65)
+        P = np.stack(np.meshgrid(spec.coords, spec.coords, indexing="ij"), axis=-1)
+        A, M = random_pd_matrix(rng), random_pd_matrix(rng)
+        f = GridFunction2D(spec, 0.5 * np.einsum("...i,ij,...j->...", P, A, P))
+        g = GridFunction2D(spec, np.sqrt(np.einsum("...i,ij,...j->...", P, M, P)))
+        tracemalloc.start()
+        try:
+            h = hat_inf2_grid(f, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20
+        assert np.array_equal(h.values, dense_hat_inf2_grid(f, g))
+        # the former BLAS evaluation, within 4 ulps of the scale
+        old = dense_hat_inf2_grid(f, g, matmul=True)
+        assert np.array_equal(np.isinf(h.values), np.isinf(old))
+        fin = np.isfinite(old)
+        scale = np.abs(old[fin]).max() + 1.0
+        assert np.abs(h.values[fin] - old[fin]).max() <= 4 * np.finfo(float).eps * scale
 
     def test_mismatches_rejected(self):
         f = GridFunction2D.from_function(cone, R=2.0, N=17)

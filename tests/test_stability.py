@@ -1,6 +1,8 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -57,6 +59,7 @@ from helpers import (
     reference_check_almost_reversing,
     reference_check_inverse_conditions,
     reference_check_lattice_stability,
+    reference_closed_lattice_pairs,
     reference_ratio_extrema,
 )
 
@@ -308,12 +311,17 @@ class TestLatticeDifferential:
             if hasattr(module, name)
         ]
         assert check_lattice_stability(first, K15) == ()
-        assert sum(map(len, calls)) > 0  # the corpus closure, checked once
-        for c in calls:
-            c.clear()
+        # every designation is comparable: the closure is read off corpus.R
+        assert sum(map(len, calls)) == 0
         assert check_lattice_stability(second, K15) == ()
         assert sum(map(len, calls)) == 0
         assert first.corpus.R is second.corpus.R
+        # an incomparable designation's closure builds its join and meet once
+        f, g = make_indicator(2), make_linear(Fraction(1, 2))
+        quad = Corpus((f, g, sup2(f, g), hat_inf2(f, g)), ("f", "g", "s", "m"),
+                      "quad", ((0, 1, 2, 3),))
+        assert quad.closed_lattice_pairs == ((0, 1, 2, 3),)
+        assert sum(map(len, calls)) == 2
 
     def test_grid_designation_is_rejected(self):
         f = GridFunction2D.from_function(lambda x, y: x * x + y * y, R=2.0, N=9)
@@ -322,6 +330,42 @@ class TestLatticeDifferential:
                         ("f", "g", "s", "m"), "grid quad", ((0, 1, 2, 3),))
         with pytest.raises(CorpusError, match="1-d"):
             check_lattice_stability(identity_transform(corpus), K15)
+
+    def test_closure_matches_the_reference(self):
+        # accepted designations, s and m swapped, a wrong member; comparable
+        # ({s, m} = {i, j}, read off corpus.R) and incomparable ones
+        def outcome(closure):
+            try:
+                return closure()
+            except CorpusError as exc:
+                return str(exc)
+
+        rng = random.Random(47)
+        seen = Counter()
+        for _ in range(100):
+            els = [random_geometric(rng, max_knots=5) for _ in range(rng.randint(1, 3))]
+            els += [scale(f, Fraction(rng.randint(1, 6), rng.randint(1, 6))) for f in els]
+            designations = []
+            for _ in range(3):
+                i, j = rng.randrange(len(els)), rng.randrange(len(els))
+                members = []
+                for h in (sup2(els[i], els[j]), hat_inf2(els[i], els[j])):
+                    if h not in els:
+                        els.append(h)
+                    members.append(els.index(h))
+                s, m = members
+                designations += [(i, j, s, m), (i, j, m, s),
+                                 (i, j, s, rng.randrange(len(els))),
+                                 (i, j, rng.randrange(len(els)), m)]
+            labels = tuple(f"e{n}" for n in range(len(els)))
+            for pairs in [(d,) for d in designations] + [tuple(designations)]:
+                corpus = Corpus(tuple(els), labels, "closure", pairs)
+                got = outcome(lambda: corpus.closed_lattice_pairs)
+                assert got == outcome(lambda: reference_closed_lattice_pairs(corpus)), pairs
+                if len(pairs) == 1:
+                    (i, j, s, m), = pairs
+                    seen[{s, m} == {i, j}, got == pairs] += 1
+        assert min(seen[k] for k in product((True, False), repeat=2)) >= 80, seen
 
 
 class TestSenseDecision:

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -29,16 +30,22 @@ from dualitylab import (
     scale,
     sup2,
 )
+import dualitylab.grid
 from dualitylab.pl import ratio_sup_abscissae
 
 from helpers import (
     assert_close,
     dense_numeric_dual,
     geometric_functions,
+    matmul_a_grid,
+    matmul_legendre_grid,
     numeric_dual,
     numeric_gauge,
     numeric_legendre,
     random_geometric,
+    random_geometric_grid,
+    reference_a_grid,
+    reference_legendre_grid,
     sample_points,
     single_rate_scan,
 )
@@ -265,3 +272,47 @@ class TestGridTransforms:
         with pytest.raises((GridValidationError, ValueError)):
             f = GridFunction2D(GridSpec(2.0, 5), v)
             legendre_grid(f)
+
+
+class TestGridDifferential:
+    """The separable `legendre_grid` and the tiled `a_grid` against brute
+    forces with the same float association, and against the former BLAS
+    versions."""
+
+    GRIDS = 240
+
+    def test_bit_identical_to_the_brute_forces(self, monkeypatch):
+        rng = random.Random(61)
+        seen = Counter()
+        for _ in range(self.GRIDS):
+            f = random_geometric_grid(rng)
+            # the bits must not depend on the tiling
+            monkeypatch.setattr(dualitylab.grid, "_TILE_ROWS", rng.choice((1, 3, 8, 64)))
+            assert np.array_equal(legendre_grid(f).values, reference_legendre_grid(f))
+            assert np.array_equal(a_grid(f).values, reference_a_grid(f))
+            v = f.values
+            seen["+inf nodes"] += bool(np.isinf(v).any())
+            seen["zero set beyond the origin"] += int((v == 0).sum()) > 1
+            seen["no positive node"] += not (np.isfinite(v) & (v > 0)).any()
+            seen["zero function"] += not v.any()
+        assert len(seen) == 4 and min(seen.values()) >= 20, seen
+
+    def test_agrees_with_the_matmul_versions(self):
+        # within 4 ulps of the result's scale; a_grid divides the rounding of
+        # each numerator <x, y> - 1 (at most |x1*y1| + |x2*y2| + 1 <=
+        # R*|y|_1 + 1) by f(y), so its scale also counts the largest quotient
+        rng = random.Random(67)
+        eps = np.finfo(float).eps
+        for _ in range(self.GRIDS):
+            f = random_geometric_grid(rng)
+            v = f.values
+            pos = np.isfinite(v) & (v > 0)
+            y1, y2 = (np.abs(f.spec.coords[k]) for k in np.nonzero(pos))
+            quotient = ((f.spec.R * (y1 + y2) + 1.0) / v[pos]).max(initial=0.0)
+            for new, old, extra in ((legendre_grid(f), matmul_legendre_grid(f), 0.0),
+                                    (a_grid(f), matmul_a_grid(f), quotient)):
+                a, b = new.values, old.values
+                assert np.array_equal(np.isinf(a), np.isinf(b))
+                fin = np.isfinite(a)
+                scale = np.abs(a[fin]).max(initial=0.0) + 1.0 + extra
+                assert np.abs(a[fin] - b[fin]).max(initial=0.0) <= 4 * eps * scale
