@@ -279,25 +279,27 @@ def _lower_hull(pts: Sequence[Tuple[Fraction, Fraction]]) -> list:
     return hull
 
 
+def _hull_function(
+    pts: Sequence[Tuple[Fraction, Fraction]], tail: Extended, tag: ClassTag
+) -> PLConvex1D:
+    """Largest convex lsc function below ``pts`` with recession slope ``tail``.
+
+    The lower hull of the points, trimmed of edges at least as steep as a
+    finite ``tail`` (an exact inf-convolution with the ray); a ``tail`` of
+    +inf ends the domain at the last vertex."""
+    hull = _lower_hull(pts)
+    if not is_inf(tail):
+        while len(hull) >= 2 and _slope(hull[-2], hull[-1]) >= tail:
+            hull.pop()
+    return PLConvex1D(tuple(hull), tail, tag)
+
+
 def hat_inf2(f: PLConvex1D, g: PLConvex1D) -> PLConvex1D:
     """Largest convex lsc minorant of min(f, g) (the lattice meet).  Exact.
 
-    Computed as the lower convex hull of the union of knot sets, with the
-    recession ray of slope min(tail_f, tail_g) folded in by an exact
-    inf-convolution (trimming hull edges steeper than the ray).
-    """
+    The hull function of both knot sets, recession slope min(tail_f, tail_g)."""
     tag = _require_same_tag(f, g)
-    hull = _lower_hull(list(f.knots) + list(g.knots))
-
-    tails = [m for m in (f.tail_slope, g.tail_slope) if not is_inf(m)]
-    if tails:
-        m = min(tails)
-        while len(hull) >= 2 and _slope(hull[-2], hull[-1]) >= m:
-            hull.pop()
-        tail: Extended = m
-    else:
-        tail = INF
-    return PLConvex1D(tuple(hull), tail, tag)
+    return _hull_function(f.knots + g.knots, min(f.tail_slope, g.tail_slope), tag)
 
 
 def leq_witness(f: PLConvex1D, g: PLConvex1D, factor: Scalar = 1) -> Optional[Fraction]:

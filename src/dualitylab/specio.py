@@ -32,16 +32,20 @@ from .pl import INF, ClassTag, PLConvex1D, as_extended, is_inf
 FunctionLike = Union[PLConvex1D, DeltaFunction]
 
 
-def _scalar(obj: dict, key: str):
-    if key not in obj:
-        raise SpecFormatError(f"function spec is missing field {key!r}")
-    raw = obj[key]
+def _number(raw, what: str):
+    """A JSON number or numeric string (never a bool) as a Fraction or +inf."""
     if isinstance(raw, bool) or not isinstance(raw, (int, float, str)):
-        raise SpecFormatError(f"field {key!r} must be a number or numeric string")
+        raise SpecFormatError(f"{what} must be a number or numeric string")
     try:
         return as_extended(raw)
     except (ValueError, ZeroDivisionError) as exc:
-        raise SpecFormatError(f"field {key!r}: {exc}") from exc
+        raise SpecFormatError(f"{what}: {exc}") from exc
+
+
+def _scalar(obj: dict, key: str):
+    if key not in obj:
+        raise SpecFormatError(f"function spec is missing field {key!r}")
+    return _number(obj[key], f"field {key!r}")
 
 
 def scalar_token(v) -> Union[int, float, str]:
@@ -85,10 +89,10 @@ def parse_function(obj: dict) -> FunctionLike:
         for item in knots_raw:
             if not isinstance(item, list) or len(item) != 2:
                 raise SpecFormatError("each knot must be an [x, v] pair")
-            x, v = (as_extended(c) if isinstance(c, str) else c for c in item)
+            x, v = (_number(c, "knot coordinate") for c in item)
             if is_inf(x) or is_inf(v):
                 raise SpecFormatError("knots must be finite")
-            knots.append((Fraction(x), Fraction(v)))
+            knots.append((x, v))
         tail = _scalar(obj, "tail_slope")
         tag_name = obj.get("tag", "geometric")
         try:
@@ -100,19 +104,14 @@ def parse_function(obj: dict) -> FunctionLike:
         except Exception as exc:
             raise SpecFormatError(f"invalid pl function: {exc}") from exc
     if kind == "delta":
-        theta_raw = obj.get("theta")
-        if isinstance(theta_raw, list):
-            theta = tuple(float(t) for t in theta_raw)
-        elif isinstance(theta_raw, (int, float)) and not isinstance(theta_raw, bool):
-            theta = float(theta_raw)
+        raw = obj.get("theta")
+        if isinstance(raw, list):
+            theta = tuple(_number(t, "theta coordinate") for t in raw)
         else:
-            raise SpecFormatError("delta needs a numeric theta (or coordinate list)")
-        c = _scalar(obj, "c")
-        if is_inf(c):
-            raise SpecFormatError("delta needs finite c")
+            theta = _scalar(obj, "theta")
         try:
-            return make_delta(theta, float(c))
-        except ValueError as exc:
+            return make_delta(theta, _scalar(obj, "c"))
+        except (ValueError, OverflowError) as exc:
             raise SpecFormatError(str(exc)) from exc
     raise SpecFormatError(f"unknown function kind {kind!r}")
 

@@ -3,24 +3,26 @@
 Three order transforms act on geometric functions (convex, lsc, f(0) = 0,
 nondecreasing on [0, inf)):
 
-* ``legendre`` - the convex conjugate sup_x (x*y - f(x)); order reversing.
-* ``geometric_dual`` - the polar-type dual sup {(x*y - 1)/f(y) : 0 < f(y) < inf}
-  with sup over the empty set equal to 0, +inf outside the polar interval of
-  the zero set; order reversing.
-* ``gauge_transform`` - the composition legendre(geometric_dual(f)); order
-  preserving and involutive.
+* ``legendre`` (L) - the convex conjugate sup_x (x*y - f(x)); order reversing.
+* ``gauge_transform`` (J) - the order-preserving involution induced by the
+  point map (x, v) -> (x/v, 1/v): the lower convex hull of the images of
+  f's knots (and of its tail's point at infinity), with the recession slope
+  that f's zero set fixes.
+* ``geometric_dual`` (A) - the polar-type dual sup {(x*y - 1)/f(y) : 0 <
+  f(y) < inf}, with sup over the empty set equal to 0 and +inf outside the
+  polar interval of the zero set; order reversing, built as A = L o J.
 
 All three are exact: rational in, rational out, canonical representations.
 ``gauge_transform`` checks every result against the variational formula of
 the gauge transform, exactly and completely, on every call; the formula's
 feasibility sweep is `pl.ratio_sup_abscissae`, and ``gauge_value`` is its
-pointwise form.
+pointwise form.  The check shares no code with the hull construction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from .exceptions import ClassTagError, ConsistencyError
 from .pl import (
@@ -28,6 +30,7 @@ from .pl import (
     ClassTag,
     Extended,
     PLConvex1D,
+    _hull_function,
     as_fraction,
     is_inf,
     ratio_sup_abscissae,
@@ -66,80 +69,32 @@ def legendre(f: PLConvex1D) -> PLConvex1D:
     return PLConvex1D(tuple(ys), tail, ClassTag.GEOMETRIC)
 
 
-def _upper_envelope(
-    lines: Sequence[Tuple[Fraction, Fraction]], end: Extended
-) -> Tuple[Tuple[Tuple[Fraction, Fraction], ...], Extended]:
-    """Pointwise max of affine lines (slope, intercept) on [0, end].
+def _gauge_hull(f: PLConvex1D) -> PLConvex1D:
+    """J f, unchecked: the hull function of the polar points of f's graph.
 
-    Returns (knots, tail_slope) of the envelope; the domain is cut at a
-    finite ``end`` (tail +inf), otherwise the steepest active line rules.
-    """
-    best = {}
-    for s, b in lines:
-        if s not in best or b > best[s]:
-            best[s] = b
-    ordered = sorted(best.items())
-
-    hull: List[Tuple[Fraction, Fraction]] = []
-    for s, b in ordered:
-        while hull:
-            s1, b1 = hull[-1]
-            x_new = (b1 - b) / (s - s1)  # where the new line overtakes hull[-1]
-            if len(hull) >= 2:
-                s0, b0 = hull[-2]
-                if x_new <= (b0 - b1) / (s1 - s0):
-                    hull.pop()
-                    continue
-            break
-        hull.append((s, b))
-
-    breaks = [
-        (hull[i][1] - hull[i + 1][1]) / (hull[i + 1][0] - hull[i][0])
-        for i in range(len(hull) - 1)
-    ]
-    i0 = 0
-    while i0 < len(breaks) and breaks[i0] <= 0:
-        i0 += 1
-
-    knots: List[Tuple[Fraction, Fraction]] = [(_F0, hull[i0][1])]
-    active = i0
-    for j in range(i0, len(breaks)):
-        if not is_inf(end) and breaks[j] >= end:
-            break
-        s, b = hull[j]
-        knots.append((breaks[j], s * breaks[j] + b))
-        active = j + 1
-    if is_inf(end):
-        return tuple(knots), hull[-1][0]
-    s, b = hull[active]
-    knots.append((end, s * end + b))
-    return tuple(knots), INF
+    J is induced by the point map (x, v) -> (x/v, 1/v): J f is the lower hull
+    of the origin, the image of each knot with v > 0 and, for a finite tail
+    slope m > 0, the tail's image (1/m, 0); its recession slope is 1/z0 for
+    the zero set [0, z0] (+inf when z0 = 0, 0 for the zero function)."""
+    pts = [(_F0, _F0)] + [(x / v, _F1 / v) for x, v in f.knots if v > 0]
+    m = f.tail_slope
+    if not is_inf(m) and m > 0:
+        pts.append((_F1 / m, _F0))
+    z0 = f.zero_end()
+    tail: Extended = INF if z0 == 0 else _F0 if is_inf(z0) else _F1 / z0
+    return _hull_function(pts, tail, ClassTag.GEOMETRIC)
 
 
 def geometric_dual(f: PLConvex1D) -> PLConvex1D:
     """Polar-type dual (sup of (x*y - 1)/f(y) over 0 < f(y) < inf).  Exact.
 
-    The result vanishes nowhere it shouldn't: it is +inf outside [0, 1/z0]
-    where [0, z0] is the zero set of f, and on that interval equals the upper
-    envelope of one affine function per knot with positive value (attained
-    endpoints), one for the tail limit x / tail_slope, and the zero function
-    (the sup-over-empty-set floor).  An exact involution.
+    A = L o J: the conjugate of the hull that builds the gauge transform.
+    The result is +inf outside [0, 1/z0], where [0, z0] is the zero set of
+    f, and 0 where no y with 0 < f(y) < inf gives a positive quotient.  An
+    exact involution.
     """
     _require_geometric(f, "geometric_dual")
-    if f.is_zero:
-        return PLConvex1D(((_F0, _F0),), INF, ClassTag.GEOMETRIC)
-    z0 = f.zero_end()
-    end: Extended = INF if z0 == 0 else _F1 / z0
-
-    lines: List[Tuple[Fraction, Fraction]] = [(_F0, _F0)]
-    for x, v in f.knots:
-        if v > 0:
-            lines.append((x / v, -_F1 / v))
-    if not is_inf(f.tail_slope):
-        lines.append((_F1 / f.tail_slope, _F0))
-
-    knots, tail = _upper_envelope(lines, end)
-    return PLConvex1D(knots, tail, ClassTag.GEOMETRIC)
+    return legendre(_gauge_hull(f))
 
 
 def gauge_value(f: PLConvex1D, y) -> Extended:
@@ -163,9 +118,9 @@ def gauge_value(f: PLConvex1D, y) -> Extended:
 
 
 def gauge_transform(f: PLConvex1D) -> PLConvex1D:
-    """Gauge transform: legendre(geometric_dual(f)).  Exact, order preserving.
+    """Gauge transform J f, the hull of f's polar points.  Exact, order preserving.
 
-    The result g is checked, exactly and completely, against the variational
+    The hull g is checked, exactly and completely, against the variational
     formula J(y) = y / sup{x : y*f(x) <= x}; a mismatch raises
     ConsistencyError.  J is convex, so agreeing with an affine piece of g at
     both ends and at its midpoint means agreeing on the whole piece: one
@@ -174,7 +129,8 @@ def gauge_transform(f: PLConvex1D) -> PLConvex1D:
     data: with zero set {0}, J is finite exactly on [0, 1/f'(0+)]; with zero
     set [0, z0], z0 > 0, J(y)/y tends to 1/z0, which pins the tail ray of g.
     """
-    g = legendre(geometric_dual(f))
+    _require_geometric(f, "gauge_transform")
+    g = _gauge_hull(f)
     z0 = f.zero_end()
     if z0 == 0:
         s0 = f.first_slope
@@ -196,7 +152,7 @@ def gauge_transform(f: PLConvex1D) -> PLConvex1D:
         # J(y) = y / x, read as 0 for x = None and +inf for x = 0
         if not (v == 0 if x is None else v * x == y):
             raise ConsistencyError(
-                f"gauge transform mismatch at y={y}: composition {v}, "
+                f"gauge transform mismatch at y={y}: hull {v}, "
                 f"variational formula {y} / {'inf' if x is None else x}"
             )
     return g

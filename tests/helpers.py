@@ -34,11 +34,15 @@ from dualitylab import (
     fit_sandwich,
     hat_inf2,
     is_inf,
+    legendre,
     leq_witness,
     sup2,
 )
+from dualitylab.pl import Extended, _lower_hull, _require_same_tag, _slope
+from dualitylab.transforms import _require_geometric
 
 _F0 = Fraction(0)
+_F1 = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +292,113 @@ def single_rate_scan(f: PLConvex1D, a: Fraction) -> Optional[Fraction]:
             if r >= xk:
                 x_sup = max(x_sup, r)
     return x_sup
+
+
+# ---------------------------------------------------------------------------
+# reference transforms: the former upper-envelope construction of the
+# geometric dual, the gauge transform as its conjugate, and the former meet,
+# kept verbatim for the differential test of the hull construction
+
+
+def _upper_envelope(
+    lines: Sequence[Tuple[Fraction, Fraction]], end: Extended
+) -> Tuple[Tuple[Tuple[Fraction, Fraction], ...], Extended]:
+    """Pointwise max of affine lines (slope, intercept) on [0, end].
+
+    Returns (knots, tail_slope) of the envelope; the domain is cut at a
+    finite ``end`` (tail +inf), otherwise the steepest active line rules.
+    """
+    best = {}
+    for s, b in lines:
+        if s not in best or b > best[s]:
+            best[s] = b
+    ordered = sorted(best.items())
+
+    hull: List[Tuple[Fraction, Fraction]] = []
+    for s, b in ordered:
+        while hull:
+            s1, b1 = hull[-1]
+            x_new = (b1 - b) / (s - s1)  # where the new line overtakes hull[-1]
+            if len(hull) >= 2:
+                s0, b0 = hull[-2]
+                if x_new <= (b0 - b1) / (s1 - s0):
+                    hull.pop()
+                    continue
+            break
+        hull.append((s, b))
+
+    breaks = [
+        (hull[i][1] - hull[i + 1][1]) / (hull[i + 1][0] - hull[i][0])
+        for i in range(len(hull) - 1)
+    ]
+    i0 = 0
+    while i0 < len(breaks) and breaks[i0] <= 0:
+        i0 += 1
+
+    knots: List[Tuple[Fraction, Fraction]] = [(_F0, hull[i0][1])]
+    active = i0
+    for j in range(i0, len(breaks)):
+        if not is_inf(end) and breaks[j] >= end:
+            break
+        s, b = hull[j]
+        knots.append((breaks[j], s * breaks[j] + b))
+        active = j + 1
+    if is_inf(end):
+        return tuple(knots), hull[-1][0]
+    s, b = hull[active]
+    knots.append((end, s * end + b))
+    return tuple(knots), INF
+
+
+def reference_geometric_dual(f: PLConvex1D) -> PLConvex1D:
+    """Polar-type dual (sup of (x*y - 1)/f(y) over 0 < f(y) < inf).  Exact.
+
+    The result vanishes nowhere it shouldn't: it is +inf outside [0, 1/z0]
+    where [0, z0] is the zero set of f, and on that interval equals the upper
+    envelope of one affine function per knot with positive value (attained
+    endpoints), one for the tail limit x / tail_slope, and the zero function
+    (the sup-over-empty-set floor).  An exact involution.
+    """
+    _require_geometric(f, "geometric_dual")
+    if f.is_zero:
+        return PLConvex1D(((_F0, _F0),), INF, ClassTag.GEOMETRIC)
+    z0 = f.zero_end()
+    end: Extended = INF if z0 == 0 else _F1 / z0
+
+    lines: List[Tuple[Fraction, Fraction]] = [(_F0, _F0)]
+    for x, v in f.knots:
+        if v > 0:
+            lines.append((x / v, -_F1 / v))
+    if not is_inf(f.tail_slope):
+        lines.append((_F1 / f.tail_slope, _F0))
+
+    knots, tail = _upper_envelope(lines, end)
+    return PLConvex1D(knots, tail, ClassTag.GEOMETRIC)
+
+
+def reference_gauge_transform(f: PLConvex1D) -> PLConvex1D:
+    return legendre(reference_geometric_dual(f))
+
+
+def reference_hat_inf2(f: PLConvex1D, g: PLConvex1D) -> PLConvex1D:
+    """Largest convex lsc minorant of min(f, g) (the lattice meet).  Exact.
+
+    Computed as the lower convex hull of the union of knot sets, with the
+    recession ray of slope min(tail_f, tail_g) folded in by an exact
+    inf-convolution (trimming hull edges steeper than the ray).
+    """
+    tag = _require_same_tag(f, g)
+    hull = _lower_hull(list(f.knots) + list(g.knots))
+
+    tails = [m for m in (f.tail_slope, g.tail_slope) if not is_inf(m)]
+    if tails:
+        m = min(tails)
+        while len(hull) >= 2 and _slope(hull[-2], hull[-1]) >= m:
+            hull.pop()
+        tail: Extended = m
+    else:
+        tail = INF
+    return PLConvex1D(tuple(hull), tail, tag)
 
 
 # ---------------------------------------------------------------------------

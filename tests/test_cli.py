@@ -81,6 +81,24 @@ class TestTransform:
         )
         assert code == 2 and "error:" in err
 
+    @pytest.mark.parametrize(
+        "argv, spec",
+        [
+            (("transform", "--op", "j"), '{"kind": "pl", "knots": [[0, null]], "tail_slope": 1}'),
+            (("transform", "--op", "j"),
+             '{"kind": "pl", "knots": [[0, 0], [{"x": 1}, 1]], "tail_slope": 2}'),
+            (("check", "ptilde", "--ctilde", "1.5"),
+             '{"kind": "pl", "knots": [[0, 0], [true, 1]], "tail_slope": 2}'),
+            (("transform", "--op", "legendre"), '{"kind": "delta", "theta": [1, null], "c": 1}'),
+        ],
+    )
+    def test_malformed_coordinate_is_usage_error(self, capsys, tmp_path, argv, spec):
+        path = tmp_path / "f.json"
+        path.write_text(spec)
+        code, out, err = run(capsys, *argv, "--in", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
 
 class TestCheck:
     def test_order_certifies_identity(self, capsys, tmp_path):

@@ -108,6 +108,17 @@ class TestParseErrors:
             {"kind": "delta", "theta": "x", "c": 1},
             {"kind": "delta", "theta": 1.0, "c": "inf"},
             {"kind": "delta", "theta": 1.0, "c": -1},
+            # knot and pin coordinates follow the scalar rule: no null,
+            # object, list or bool
+            {"kind": "pl", "knots": [[0, None]], "tail_slope": 1},
+            {"kind": "pl", "knots": [[0, 0], [{}, 1]], "tail_slope": 2},
+            {"kind": "pl", "knots": [[0, 0], [[1], 1]], "tail_slope": 2},
+            {"kind": "pl", "knots": [[0, 0], [True, 1]], "tail_slope": 2},
+            {"kind": "pl", "knots": [[0, 0], [1, "x"]], "tail_slope": 2},
+            {"kind": "delta", "theta": [1.0, None], "c": 1},
+            {"kind": "delta", "theta": [1.0, True], "c": 1},
+            {"kind": "delta", "theta": [1.0, "inf"], "c": 1},
+            {"kind": "delta", "c": 1},
         ],
     )
     def test_rejected(self, obj):
@@ -121,3 +132,10 @@ class TestParseErrors:
     def test_exact_rational_tokens_parse(self):
         f = parse_function({"kind": "indicator", "z": "3/7"})
         assert f.domain_end == Fraction(3, 7)
+
+    def test_coordinates_take_numeric_strings(self):
+        f = parse_function({"kind": "pl", "knots": [[0, 0], ["1/3", "1/2"]], "tail_slope": 3})
+        assert f.knots[1] == (Fraction(1, 3), Fraction(1, 2))
+        assert parse_function({"kind": "delta", "theta": ["0.5", -1], "c": "1/4"}) == make_delta(
+            (0.5, -1.0), 0.25
+        )

@@ -37,6 +37,7 @@ from dualitylab import (
     fit_sandwich,
     fuzz_delta_transform,
     fuzz_transform,
+    gauge_transform,
     geometric_corpus,
     geometric_dual,
     hat_inf2,
@@ -45,6 +46,7 @@ from dualitylab import (
     make_delta,
     make_indicator,
     make_linear,
+    make_triangle,
     report_to_obj,
     scale,
     sup2,
@@ -138,6 +140,29 @@ class TestOrderCheckers:
         t = CorpusTransform(corpus, (f, g, scale(s, 100), h))
         bad = check_lattice_stability(t, K15)
         assert any(v.condition == "lattice-sup-lower" for v in bad)
+
+        # an incomparable designation in the default corpus: the images'
+        # sup2/hat_inf2 are built inside the checker, and a sup image too
+        # large by C**3 breaks only the lattice condition, not the order
+        base = geometric_corpus()
+        tri = make_triangle(2, Fraction(1, 2))
+        meet = PLConvex1D(((0, 0), (2, 0)), Fraction(1, 2))  # max(0, (x - 2)/2)
+        labels = base.labels + ("triangle", "meet")
+        quad = tuple(labels.index(name) for name in
+                     ("indicator[0,2^1]", "linear 2^-1*x", "triangle", "meet"))
+        corpus = Corpus(base.elements + (tri, meet), labels, "with an incomparable pair",
+                        base.lattice_pairs + (quad,))
+        assert hat_inf2(corpus.elements[quad[0]], corpus.elements[quad[1]]) == meet
+        for T in (lambda e: e, gauge_transform):
+            images = [T(e) for e in corpus.elements]
+            t = CorpusTransform(corpus, tuple(images))
+            assert check_almost_preserving(t, K15) == ()
+            assert check_lattice_stability(t, K15) == ()
+            images[quad[2]] = scale(images[quad[2]], K15.ctilde ** 3)
+            t = CorpusTransform(corpus, tuple(images))
+            assert check_almost_preserving(t, K15) == ()
+            bad = check_lattice_stability(t, K15)
+            assert [v.condition for v in bad] == ["lattice-sup-lower"]
 
     def test_extremes(self):
         corpus = geometric_corpus()

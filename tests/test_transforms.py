@@ -17,10 +17,12 @@ from dualitylab import (
     GridValidationError,
     PLConvex1D,
     a_grid,
+    compose_dilate,
     gauge_grid,
     gauge_transform,
     gauge_value,
     geometric_dual,
+    hat_inf2,
     legendre,
     legendre_grid,
     leq,
@@ -44,7 +46,11 @@ from helpers import (
     numeric_legendre,
     random_geometric,
     random_geometric_grid,
+    random_nonnegative,
     reference_a_grid,
+    reference_gauge_transform,
+    reference_geometric_dual,
+    reference_hat_inf2,
     reference_legendre_grid,
     sample_points,
     single_rate_scan,
@@ -176,16 +182,17 @@ class TestGauge:
     def test_consistency_check_trips_on_tiny_knot_error(self, monkeypatch):
         import dualitylab.transforms as tr
 
-        exact = tr.legendre
+        exact = tr._hull_function
 
-        def off_by_1e9(f):
-            g = exact(f)
+        def off_by_1e9(pts, tail, tag):
+            g = exact(pts, tail, tag)
             (x, v), rest = g.knots[-1], g.knots[:-1]
             return PLConvex1D(rest + ((x, v * (1 + Fraction(1, 10**9))),), g.tail_slope)
 
-        monkeypatch.setattr(tr, "legendre", off_by_1e9)
-        with pytest.raises(ConsistencyError):
-            tr.gauge_transform(make_triangle(2, 3))
+        monkeypatch.setattr(tr, "_hull_function", off_by_1e9)
+        for f in (make_triangle(2, 3), PLConvex1D(((0, 0), (1, 1), (3, 4)), 3)):
+            with pytest.raises(ConsistencyError):
+                tr.gauge_transform(f)
 
     @settings(max_examples=150, deadline=None)
     @given(geometric_functions(), st.lists(fractions_st, max_size=12))
@@ -211,6 +218,64 @@ class TestGauge:
     def test_order_preserving(self, f, g):
         s = sup2(f, g)
         assert leq(gauge_transform(f), gauge_transform(s))
+
+
+def _bench_style(rng, n, bounded):
+    """n knots with slopes from 0..3/4 up by 1/5..9/2 per knot, as the benchmark draws them."""
+    x, v, slope = Fraction(0), Fraction(0), Fraction(rng.randint(0, 3), 4)
+    knots = [(x, v)]
+    for _ in range(n - 1):
+        dx = Fraction(rng.randint(1, 12), rng.choice((1, 2, 3, 4)))
+        x, v = x + dx, v + slope * dx
+        knots.append((x, v))
+        slope += Fraction(rng.randint(1, 9), rng.choice((2, 3, 4, 5)))
+    return PLConvex1D(tuple(knots), INF if bounded else slope)
+
+
+class TestHullDifferential:
+    """J as the hull of polar points, A = L o J and the meet, against the
+    former upper-envelope dual, its conjugate and the former meet."""
+
+    FUNCTIONS = 2400
+
+    @staticmethod
+    def _draw(rng):
+        kind = rng.choice(("random", "extreme", "zero set", "bounded", "bench", "variant"))
+        if kind == "extreme":
+            return kind, rng.choice((ZERO, POINT))
+        if kind == "bench":
+            return kind, _bench_style(rng, rng.randint(8, 40), rng.random() < 0.25)
+        f = random_geometric(rng)
+        if kind == "zero set":  # f shifted right by w: zero set [0, w + z0]
+            w = Fraction(rng.randint(1, 9), rng.randint(1, 4))
+            return kind, PLConvex1D(((0, 0),) + tuple((x + w, v) for x, v in f.knots),
+                                    f.tail_slope)
+        if kind == "bounded":
+            return kind, PLConvex1D(f.knots, INF)
+        if kind == "variant":
+            lam = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+            return kind, rng.choice((scale, compose_dilate))(f, lam)
+        return kind, f
+
+    def test_matches_the_upper_envelope_construction(self):
+        rng = random.Random(71)
+        seen = Counter()
+        prev = ZERO
+        for _ in range(self.FUNCTIONS):
+            kind, f = self._draw(rng)
+            assert geometric_dual(f) == reference_geometric_dual(f), f
+            assert gauge_transform(f) == reference_gauge_transform(f), f
+            assert hat_inf2(f, prev) == reference_hat_inf2(f, prev), (f, prev)
+            seen[kind] += 1
+            seen["zero set [0, z0], z0 > 0"] += 0 < f.zero_end() < INF
+            prev = f
+        assert min(seen.values()) >= 300, seen
+
+    def test_nonnegative_meets_match(self):
+        rng = random.Random(73)
+        for _ in range(2000):
+            f, g = random_nonnegative(rng), random_nonnegative(rng)
+            assert hat_inf2(f, g) == reference_hat_inf2(f, g), (f, g)
 
 
 class TestGridTransforms:
