@@ -30,7 +30,6 @@ from .exceptions import (
     ConvexityError,
     CorpusError,
     DomainError,
-    DualityLabError,
     GridValidationError,
     HypothesisViolationError,
     SpecFormatError,

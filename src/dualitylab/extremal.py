@@ -7,9 +7,11 @@ triangles (linear on a bounded base, +inf beyond), and pinned-point functions
 
 The certificates:
 
-* ``cover_witness_search`` - look for a linear/indicator pair whose pointwise
-  max dominates ``f`` while neither factor alone nearly dominates it; an
-  empty result certifies that ``f`` is irreducible relative to this family.
+* ``cover_witness_search`` - construct a ray/indicator pair whose pointwise
+  max dominates ``f`` while neither factor alone comes within ``ctilde^3`` of
+  it.  Such a pair exists exactly when ``f`` is not an indicator and either
+  its domain is bounded or the almost-linear bounds fail, and it is read off
+  ``f``'s own data, so None is an exact certificate of irreducibility.
 * ``almost_linear_bounds`` - decide the two-sided bound
   ``f'(0)*z <= f(z) <= ctilde^3 * f'(0) * z`` exactly.
 * ``monotone_envelope`` / ``quasi_linear_sandwich`` - sampled-data envelopes
@@ -23,11 +25,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .exceptions import ClassificationError, ClassTagError, HypothesisViolationError
+from .exceptions import (
+    ClassificationError,
+    ClassTagError,
+    ConsistencyError,
+    HypothesisViolationError,
+)
 from .pl import (
     INF,
     ClassTag,
-    Extended,
     PLConvex1D,
     Scalar,
     as_fraction,
@@ -39,8 +45,6 @@ from .pl import (
 )
 
 _F0 = Fraction(0)
-
-WITNESS_GRID_FILLERS = 33
 
 
 # -- constructors ------------------------------------------------------------
@@ -104,6 +108,8 @@ class DeltaFunction:
         t = self.theta
         if isinstance(t, (list, tuple)):
             t = tuple(float(u) for u in t)
+            if not t:
+                raise ValueError("pin location needs at least one coordinate")
             if not all(math.isfinite(u) for u in t):
                 raise ValueError("pin location must be finite")
         else:
@@ -133,7 +139,7 @@ def scale_delta(d: DeltaFunction, lam: float) -> DeltaFunction:
     return DeltaFunction(d.theta, lam * d.c)
 
 
-# -- irreducibility witness search -------------------------------------------
+# -- irreducibility witness ---------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -156,100 +162,50 @@ def witness_is_valid(f: PLConvex1D, pair: WitnessPair, ctilde: Scalar) -> bool:
 
 
 def cover_witness_search(f: PLConvex1D, ctilde: Scalar) -> Optional[WitnessPair]:
-    """Search for a (linear, indicator) pair refuting irreducibility of f.
+    """Construct a (linear, indicator) pair refuting irreducibility of f.
 
-    A valid pair (g = a*x, h = 1_[0,x1]) satisfies, exactly:
-    sup2(g, h) >= f, not (f <= ctilde^3 * g), not (f <= ctilde^3 * h).
-    Candidates for a and x1 come from f's knot structure (chord slopes,
-    value/abscissa ratios, the tail slope, their ctilde^3 scalings) plus
-    log-spaced fillers; pairs are tried in lexicographic order and the first
-    exactly verified pair wins.  An empty result certifies irreducibility
-    relative to this two-parameter family only.
+    A pair (g = a*x, h = 1_[0,x1]) must satisfy, exactly: sup2(g, h) >= f,
+    not (f <= ctilde^3 * g), not (f <= ctilde^3 * h).  Since f(x)/x is
+    nondecreasing these read z0 < x1 <= dom f, f(x1) <= a*x1, and dom f
+    bounded or tail slope m > ctilde^3 * a, with [0, z0] the zero set.  So a
+    pair exists iff f is not an indicator and either dom f is bounded or
+    `almost_linear_bounds` fails; it is built from f's data: the last knot
+    (x1, a*x1) of a bounded domain; for z0 > 0, a = m / (2 ctilde^3) and x1
+    the largest x with f(x) <= a*x; otherwise a = f'(0) and x1 the end of
+    the first piece.  None certifies irreducibility.  The pair is re-checked
+    with `witness_is_valid`; a failure raises ConsistencyError.
     """
     if f.tag is not ClassTag.GEOMETRIC:
         raise ClassTagError("witness search requires a geometric function")
     C = as_fraction(ctilde)
     if C <= 1:
         raise ValueError("ctilde must exceed 1")
-    c3 = C**3
-
     if f.is_indicator:
-        # cover forces x1 <= domain end, non-domination by h forces
-        # x1 > zero end; for an indicator the two coincide.
         return None
-
-    dom = f.domain_end
-    z0 = f.zero_end()
-
-    a_set = set()
-    x_set = set()
-    for (xa, va), (xb, vb) in zip(f.knots, f.knots[1:]):
-        a_set.add((vb - va) / (xb - xa))
-    for x, v in f.knots:
-        if x > 0:
-            x_set.add(x)
-            if v > 0:
-                a_set.add(v / x)
-    if not is_inf(f.tail_slope):
-        a_set.add(f.tail_slope)
-    for a in list(a_set):
-        a_set.add(a * c3)
-        a_set.add(a / c3)
-
-    # Constructed candidates covering the three ways irreducibility fails.
-    if not is_inf(dom):
-        xk, vk = f.knots[-1]
-        a_set.add(vk / xk)
-        x_set.add(xk)
+    if not is_inf(f.domain_end):
+        x1, v1 = f.knots[-1]
+        a = v1 / x1
+    elif almost_linear_bounds(f, C):
+        return None
+    elif f.zero_end() > 0:
+        a = f.tail_slope / (2 * C**3)
+        (x1,) = ratio_sup_abscissae(f, [a])
     else:
-        m = f.tail_slope
-        s0 = f.first_slope
-        if s0 == 0:
-            a_t = m / (2 * c3)
-            a_set.add(a_t)
-            (x_t,) = ratio_sup_abscissae(f, [a_t])
-            if x_t is not None and x_t > 0:
-                x_set.add(x_t)
-        else:
-            a_set.add(s0)
-
-    a_pos = sorted(a for a in a_set if a > 0)
-    x_pos = sorted(x_set)
-    for lo_hi, dest in (((a_pos or [Fraction(1)]), a_set), ((x_pos or [Fraction(1)]), x_set)):
-        lo = float(lo_hi[0]) / 8
-        hi = float(lo_hi[-1]) * 8
-        if lo <= 0 or not math.isfinite(hi) or hi <= lo:
-            lo, hi = 1 / 8, 8.0
-        r = (hi / lo) ** (1.0 / (WITNESS_GRID_FILLERS - 1))
-        for i in range(WITNESS_GRID_FILLERS):
-            dest.add(Fraction(lo * r**i))
-
-    a_list = sorted(a for a in a_set if a >= 0)
-    x_list = sorted(x for x in x_set if x > 0)
-
-    for a in a_list:
-        g = make_linear(a)
-        g_dominates = leq(f, g, c3)  # automatically false when dom f is bounded
-        if g_dominates:
-            continue
-        for x1 in x_list:
-            if x1 <= z0 or x1 > dom:
-                continue
-            if f(x1) > a * x1:  # f(x)/x nondecreasing: covering fails
-                continue
-            pair = WitnessPair(g, make_indicator(x1))
-            if witness_is_valid(f, pair, C):
-                return pair
-    return None
+        a, x1 = f.first_slope, f.knots[1][0]
+    pair = WitnessPair(make_linear(a), make_indicator(x1))
+    if not witness_is_valid(f, pair, C):
+        raise ConsistencyError(f"constructed witness for {f} fails exact re-verification")
+    return pair
 
 
 def almost_linear_bounds(f: PLConvex1D, ctilde: Scalar) -> bool:
     """Exact decision of f'(0)*z <= f(z) <= ctilde^3 * f'(0) * z on dom f.
 
-    The lower bound is convexity; the upper bound amounts to the supremum of
-    f(z)/z (knot ratios, plus the tail slope as the unbounded limit) staying
-    below ctilde^3 * f'(0).  Requires f'(0) > 0, hence returns False whenever
-    the first slope vanishes.
+    The lower bound is convexity.  f(z)/z is nondecreasing, so the upper
+    bound amounts to its supremum - v_k/x_k at the end x_k of a bounded
+    domain, the tail slope otherwise - staying at most ctilde^3 * f'(0).
+    Requires f'(0) > 0, hence returns False whenever the first slope
+    vanishes.
     """
     if f.tag is not ClassTag.GEOMETRIC:
         raise ClassTagError("almost_linear_bounds requires a geometric function")
@@ -261,13 +217,9 @@ def almost_linear_bounds(f: PLConvex1D, ctilde: Scalar) -> bool:
     s0 = f.first_slope
     if s0 <= 0:
         return False
-    bound = C**3 * s0
-    for x, v in f.knots:
-        if x > 0 and v > bound * x:
-            return False
-    if not is_inf(f.tail_slope) and f.tail_slope > bound:
-        return False
-    return True
+    xk, vk = f.knots[-1]
+    sup = vk / xk if is_inf(f.tail_slope) else f.tail_slope
+    return sup <= C**3 * s0
 
 
 # -- sampled-data envelopes ----------------------------------------------------

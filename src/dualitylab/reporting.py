@@ -11,17 +11,12 @@ from __future__ import annotations
 import json
 import math
 import os
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .corpus import Corpus
 from .exceptions import SpecFormatError
 from .specio import function_to_obj, parse_function
-from .stability import (
-    CorpusTransform,
-    StabilityReport,
-    TransformClass,
-    Violation,
-)
+from .stability import CorpusTransform, StabilityReport
 
 __all__ = [
     "corpus_to_obj",

@@ -27,7 +27,7 @@ from .extremal import (
     make_linear,
     make_triangle,
 )
-from .pl import INF, ClassTag, PLConvex1D, as_extended, is_inf
+from .pl import ClassTag, PLConvex1D, as_extended, is_inf
 
 FunctionLike = Union[PLConvex1D, DeltaFunction]
 

@@ -973,7 +973,8 @@ def analyze(
     Decides the order sense (reporting both checkers' violations when
     neither holds), then for a preserving transform also checks the inverse
     conditions, lattice stability on designated pairs and the extremes;
-    classifies; recovers the exponent; and fits the preserving sandwich.
+    classifies; recovers the exponent (left None, with a diagnostic, when
+    the samples are off a multiplicative grid); and fits the sandwich.
     """
     has_extremes = any(
         isinstance(f, PLConvex1D) and (f.is_zero or f.is_point_indicator)
@@ -990,10 +991,15 @@ def analyze(
     report = _classify(t, k, sense)
     report = replace(report, violations=report.violations + violations)
     if report.classification is not TransformClass.INCONSISTENT:
-        gamma, deviation = estimate_exponent(
-            report.phi_samples, tolerance=exponent_tolerance
-        )
-        report = replace(report, gamma=gamma, exponent_deviation=deviation)
+        try:
+            gamma, deviation = estimate_exponent(
+                report.phi_samples, tolerance=exponent_tolerance
+            )
+        except ValueError as exc:
+            report = replace(report, diagnostics=report.diagnostics + (
+                f"exponent not estimated: {exc}",))
+        else:
+            report = replace(report, gamma=gamma, exponent_deviation=deviation)
     if report.classification in (TransformClass.IDENTITY, TransformClass.GAUGE):
         report = fit_sandwich(t, report)
     return report

@@ -20,6 +20,8 @@ from hypothesis import strategies as st
 from dualitylab import (
     INF,
     ClassTag,
+    ClassificationError,
+    ClassTagError,
     CorpusError,
     DeltaFunction,
     GridFunction2D,
@@ -27,18 +29,33 @@ from dualitylab import (
     PLConvex1D,
     TransformClass,
     Violation,
+    WitnessPair,
     check_extremes,
     classify,
+    compose_dilate,
     delta_leq,
     estimate_exponent,
     fit_sandwich,
     hat_inf2,
     is_inf,
     legendre,
+    leq,
     leq_witness,
+    make_indicator,
+    make_linear,
+    scale,
     sup2,
+    witness_is_valid,
 )
-from dualitylab.pl import Extended, _lower_hull, _require_same_tag, _slope
+from dualitylab.pl import (
+    Extended,
+    _lower_hull,
+    _require_same_tag,
+    Scalar,
+    _slope,
+    as_fraction,
+    ratio_sup_abscissae,
+)
 from dualitylab.transforms import _require_geometric
 
 _F0 = Fraction(0)
@@ -629,6 +646,156 @@ def reference_ratio_extrema(
     if not vals:
         return Fraction(1), Fraction(1)
     return min(vals), max(vals)
+
+
+# ---------------------------------------------------------------------------
+# the candidate search that preceded the closed-form cover witness
+
+
+WITNESS_GRID_FILLERS = 33
+
+
+def reference_cover_witness_search(f: PLConvex1D, ctilde: Scalar) -> Optional[WitnessPair]:
+    """Search for a (linear, indicator) pair refuting irreducibility of f.
+
+    A valid pair (g = a*x, h = 1_[0,x1]) satisfies, exactly:
+    sup2(g, h) >= f, not (f <= ctilde^3 * g), not (f <= ctilde^3 * h).
+    Candidates for a and x1 come from f's knot structure (chord slopes,
+    value/abscissa ratios, the tail slope, their ctilde^3 scalings) plus
+    log-spaced fillers; pairs are tried in lexicographic order and the first
+    exactly verified pair wins.  An empty result certifies irreducibility
+    relative to this two-parameter family only.
+    """
+    if f.tag is not ClassTag.GEOMETRIC:
+        raise ClassTagError("witness search requires a geometric function")
+    C = as_fraction(ctilde)
+    if C <= 1:
+        raise ValueError("ctilde must exceed 1")
+    c3 = C**3
+
+    if f.is_indicator:
+        # cover forces x1 <= domain end, non-domination by h forces
+        # x1 > zero end; for an indicator the two coincide.
+        return None
+
+    dom = f.domain_end
+    z0 = f.zero_end()
+
+    a_set = set()
+    x_set = set()
+    for (xa, va), (xb, vb) in zip(f.knots, f.knots[1:]):
+        a_set.add((vb - va) / (xb - xa))
+    for x, v in f.knots:
+        if x > 0:
+            x_set.add(x)
+            if v > 0:
+                a_set.add(v / x)
+    if not is_inf(f.tail_slope):
+        a_set.add(f.tail_slope)
+    for a in list(a_set):
+        a_set.add(a * c3)
+        a_set.add(a / c3)
+
+    # Constructed candidates covering the three ways irreducibility fails.
+    if not is_inf(dom):
+        xk, vk = f.knots[-1]
+        a_set.add(vk / xk)
+        x_set.add(xk)
+    else:
+        m = f.tail_slope
+        s0 = f.first_slope
+        if s0 == 0:
+            a_t = m / (2 * c3)
+            a_set.add(a_t)
+            (x_t,) = ratio_sup_abscissae(f, [a_t])
+            if x_t is not None and x_t > 0:
+                x_set.add(x_t)
+        else:
+            a_set.add(s0)
+
+    a_pos = sorted(a for a in a_set if a > 0)
+    x_pos = sorted(x_set)
+    for lo_hi, dest in (((a_pos or [Fraction(1)]), a_set), ((x_pos or [Fraction(1)]), x_set)):
+        lo = float(lo_hi[0]) / 8
+        hi = float(lo_hi[-1]) * 8
+        if lo <= 0 or not math.isfinite(hi) or hi <= lo:
+            lo, hi = 1 / 8, 8.0
+        r = (hi / lo) ** (1.0 / (WITNESS_GRID_FILLERS - 1))
+        for i in range(WITNESS_GRID_FILLERS):
+            dest.add(Fraction(lo * r**i))
+
+    a_list = sorted(a for a in a_set if a >= 0)
+    x_list = sorted(x for x in x_set if x > 0)
+
+    for a in a_list:
+        g = make_linear(a)
+        g_dominates = leq(f, g, c3)  # automatically false when dom f is bounded
+        if g_dominates:
+            continue
+        for x1 in x_list:
+            if x1 <= z0 or x1 > dom:
+                continue
+            if f(x1) > a * x1:  # f(x)/x nondecreasing: covering fails
+                continue
+            pair = WitnessPair(g, make_indicator(x1))
+            if witness_is_valid(f, pair, C):
+                return pair
+    return None
+
+
+def reference_almost_linear_bounds(f: PLConvex1D, ctilde: Scalar) -> bool:
+    """Exact decision of f'(0)*z <= f(z) <= ctilde^3 * f'(0) * z on dom f.
+
+    The lower bound is convexity; the upper bound amounts to the supremum of
+    f(z)/z (knot ratios, plus the tail slope as the unbounded limit) staying
+    below ctilde^3 * f'(0).  Requires f'(0) > 0, hence returns False whenever
+    the first slope vanishes.
+    """
+    if f.tag is not ClassTag.GEOMETRIC:
+        raise ClassTagError("almost_linear_bounds requires a geometric function")
+    if f.is_indicator:
+        raise ClassificationError("indicators carry no linear bounds")
+    C = as_fraction(ctilde)
+    if C <= 1:
+        raise ValueError("ctilde must exceed 1")
+    s0 = f.first_slope
+    if s0 <= 0:
+        return False
+    bound = C**3 * s0
+    for x, v in f.knots:
+        if x > 0 and v > bound * x:
+            return False
+    if not is_inf(f.tail_slope) and f.tail_slope > bound:
+        return False
+    return True
+
+
+def random_cover_case(rng: random.Random, branch: int, ctilde) -> PLConvex1D:
+    """Random geometric f aimed at one case of the cover witness construction.
+
+    ``branch``: 0 an indicator, 1 a bounded domain, 2 almost linear, 3 a
+    zero set [0, z0] with z0 > 0, 4 f'(0) > 0 with a tail steeper than
+    ctilde^3 * f'(0).  1 to 40 pieces, then a random scaling and dilation.
+    """
+    if branch == 0:
+        return make_indicator(rng.choice((Fraction(rng.randint(1, 64), rng.randint(1, 64)), 0, INF)))
+    c3 = as_fraction(ctilde) ** 3
+    s0 = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+    if branch == 2:
+        top = s0 * (1 + (c3 - 1) * Fraction(rng.randint(1, 1000), 1000))
+    else:
+        top = s0 * c3 * (1 + Fraction(rng.randint(1, 1000), 100))
+    if branch == 3 or (branch == 1 and rng.random() < 0.5):
+        s0 = _F0
+    n = max(2 if branch == 1 and not s0 else 1, int(41 ** rng.random() ** 3))  # 1..40, mostly few
+    inner = {s0 + (top - s0) * Fraction(rng.randint(1, 999), 1000) for _ in range(n - 1)}
+    knots = [(_F0, _F0)]
+    for s in [s0] + sorted(inner):
+        w = Fraction(rng.randint(1, 9), rng.randint(1, 4))
+        knots.append((knots[-1][0] + w, knots[-1][1] + s * w))
+    f = PLConvex1D(tuple(knots), INF if branch == 1 else top)
+    lam, mu = (Fraction(2) ** rng.randint(-8, 8) * rng.randint(1, 7) for _ in range(2))
+    return compose_dilate(scale(f, lam), mu)
 
 
 def assert_close(a, b, rtol=1e-9, atol=1e-12, msg=""):

@@ -90,6 +90,7 @@ class TestTransform:
             (("check", "ptilde", "--ctilde", "1.5"),
              '{"kind": "pl", "knots": [[0, 0], [true, 1]], "tail_slope": 2}'),
             (("transform", "--op", "legendre"), '{"kind": "delta", "theta": [1, null], "c": 1}'),
+            (("transform", "--op", "legendre"), '{"kind": "delta", "theta": [], "c": 1}'),
         ],
     )
     def test_malformed_coordinate_is_usage_error(self, capsys, tmp_path, argv, spec):
@@ -112,6 +113,24 @@ class TestCheck:
         )
         assert code == 0
         assert "identity" in out and "NOT" not in out
+
+    def test_order_certifies_off_grid_corpus(self, capsys, tmp_path):
+        from dualitylab import (
+            INF, Corpus, CorpusTransform, make_indicator, make_linear, transform_to_obj,
+        )
+
+        c = Corpus(
+            (make_indicator(2), make_indicator(3), make_linear(2), make_linear(3),
+             make_indicator(INF), make_indicator(0)),
+            ("i2", "i3", "l2", "l3", "zero", "point"), "off-grid")
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(transform_to_obj(CorpusTransform(c, c.elements))))
+        code, out, _ = run(
+            capsys, "check", "order", "--transform", str(path), "--ctilde", "1.5"
+        )
+        assert code == 0
+        assert "identity (certified)" in out and "gamma" not in out
+        assert "note: exponent not estimated" in out
 
     def test_order_flags_sabotage(self, capsys, tmp_path):
         from dualitylab import CorpusTransform, geometric_corpus, transform_to_obj
@@ -143,6 +162,18 @@ class TestCheck:
         )
         assert code == 1
         assert '"kind"' in out  # both witness pieces are printed as specs
+
+    def test_ptilde_witness_is_exact(self, capsys, tmp_path):
+        spec = tmp_path / "f.json"
+        spec.write_text('{"kind": "pl", "knots": [[0, 0], [1, 0]], "tail_slope": 1}')
+        code, out, _ = run(
+            capsys, "check", "ptilde", "--in", str(spec), "--ctilde", "1.5"
+        )
+        assert code == 1
+        assert out.splitlines()[1:] == [
+            '  g: {"a": "4/27", "kind": "linear"}',
+            '  h: {"kind": "indicator", "z": "27/23"}',
+        ]
 
     def test_ctilde_must_exceed_one(self, capsys, tmp_path):
         spec = tmp_path / "f.json"

@@ -1,13 +1,16 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import dualitylab.extremal
 from dualitylab import (
     INF,
     ClassificationError,
     ClassTagError,
+    ConsistencyError,
     DeltaFunction,
     HypothesisViolationError,
     PLConvex1D,
@@ -15,6 +18,7 @@ from dualitylab import (
     almost_linear_bounds,
     cover_witness_search,
     delta_leq,
+    is_inf,
     leq,
     make_delta,
     make_indicator,
@@ -28,7 +32,23 @@ from dualitylab import (
     witness_is_valid,
 )
 
-from helpers import random_geometric
+from helpers import (
+    random_cover_case,
+    random_geometric,
+    reference_almost_linear_bounds,
+    reference_cover_witness_search,
+)
+
+
+def _witness_case(f, ctilde) -> str:
+    """Which case of the closed-form construction decides f."""
+    if f.is_indicator:
+        return "indicator"
+    if not is_inf(f.domain_end):
+        return "bounded"
+    if almost_linear_bounds(f, ctilde):
+        return "almost-linear"
+    return "zero-start" if f.zero_end() > 0 else "steep-tail"
 
 
 class TestConstructors:
@@ -69,6 +89,11 @@ class TestDelta:
             DeltaFunction(1.0, -1.0)
         with pytest.raises(ValueError):
             DeltaFunction((1.0, math.nan), 0.0)
+
+    def test_empty_pin_rejected(self):
+        for theta in ((), []):
+            with pytest.raises(ValueError):
+                make_delta(theta, 1)
 
     def test_theta_normalized(self):
         assert make_delta((1, 2), 3).theta == (1.0, 2.0)
@@ -134,6 +159,56 @@ class TestWitnessSearch:
     def test_rejects_small_constant(self):
         with pytest.raises(ValueError):
             cover_witness_search(make_triangle(1, 2), 1)
+
+    @pytest.mark.parametrize(
+        "f, ctilde, expected",
+        [
+            (make_triangle(1, 64), Fraction(3, 2), (64, 1)),
+            (PLConvex1D(((0, 0), (1, 0)), 1), Fraction(3, 2), (Fraction(4, 27), Fraction(27, 23))),
+            (PLConvex1D(((0, 0), (1, 1)), 9), 2, (1, 1)),
+            (PLConvex1D(((0, 0), (1, 1)), 8), 2, None),
+            (make_indicator(INF), 2, None),
+        ],
+        ids=["bounded", "zero-start", "steep-tail", "almost-linear", "indicator"],
+    )
+    def test_pinned_pair_per_case(self, f, ctilde, expected):
+        pair = cover_witness_search(f, ctilde)
+        if expected is None:
+            assert pair is None
+        else:
+            a, x1 = expected
+            assert pair == WitnessPair(make_linear(a), make_indicator(x1))
+
+    def test_matches_the_candidate_search(self):
+        # same existence decision as the former candidate search, every case
+        rng = random.Random(9)
+        constants = (Fraction(11, 10), Fraction(3, 2), 2, 1.5)
+        cases = Counter()
+        for n in range(1000):
+            ctilde = constants[n // 5 % 4]
+            f = random_cover_case(rng, n % 5, ctilde)
+            cases[_witness_case(f, ctilde)] += 1
+            pair = cover_witness_search(f, ctilde)
+            assert (pair is None) == (reference_cover_witness_search(f, ctilde) is None), n
+            if not f.is_indicator:
+                assert almost_linear_bounds(f, ctilde) == reference_almost_linear_bounds(
+                    f, ctilde
+                ), n
+        assert len(cases) == 5 and min(cases.values()) >= 100, cases
+
+    def test_shrunk_ray_trips_the_reverification(self, monkeypatch):
+        make_linear_exact = dualitylab.extremal.make_linear
+        monkeypatch.setattr(
+            dualitylab.extremal, "make_linear",
+            lambda a: make_linear_exact(a * (1 - Fraction(1, 10**9))),
+        )
+        for f, ctilde in (
+            (make_triangle(1, 64), Fraction(3, 2)),
+            (PLConvex1D(((0, 0), (1, 0)), 1), Fraction(3, 2)),
+            (PLConvex1D(((0, 0), (1, 1)), 9), 2),
+        ):
+            with pytest.raises(ConsistencyError):
+                cover_witness_search(f, ctilde)
 
 
 class TestAlmostLinearBounds:

@@ -119,6 +119,7 @@ class TestParseErrors:
             {"kind": "delta", "theta": [1.0, True], "c": 1},
             {"kind": "delta", "theta": [1.0, "inf"], "c": 1},
             {"kind": "delta", "c": 1},
+            {"kind": "delta", "theta": [], "c": 1},  # a pin needs a coordinate
         ],
     )
     def test_rejected(self, obj):

@@ -745,3 +745,21 @@ class TestAnalyzeEdges:
     def test_certified_reads_both_fields(self):
         rep = analyze(identity_transform(), K15)
         assert rep.certified and rep.classification is TransformClass.IDENTITY
+
+    def test_off_grid_corpus_certifies_without_exponent(self):
+        # indicator supports 2 and 3 sit on no common multiplicative grid
+        corpus = Corpus(
+            (make_indicator(2), make_indicator(3), make_linear(2), make_linear(3),
+             make_indicator(INF), make_indicator(0)),
+            ("i2", "i3", "l2", "l3", "zero", "point"), "off-grid")
+        cases = (
+            (CorpusTransform(corpus, corpus.elements), TransformClass.IDENTITY),
+            (fuzz_transform(1, K15, base="identity", corpus=corpus), TransformClass.IDENTITY),
+            (fuzz_transform(1, K15, base="gauge", corpus=corpus), TransformClass.GAUGE),
+        )
+        for t, cls in cases:
+            rep = analyze(t, K15)
+            assert rep.certified and rep.classification is cls
+            assert rep.gamma is None and rep.exponent_deviation is None
+            assert rep.alpha == 1.0 and rep.sandwich_lower is not None
+            assert any("multiplicative grid" in note for note in rep.diagnostics)
