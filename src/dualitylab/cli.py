@@ -13,7 +13,8 @@ Subcommands:
 
 Exit codes: 0 success/certified, 1 violations found (artifacts are still
 written), 2 usage or input errors.  The environment variable DUALITYLAB_TOL
-supplies the default for --tolerance and for --eps where not given.
+supplies the default for --tolerance and for --eps where not given; a NaN,
+infinite or negative eps or tolerance is an input error.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .reporting import (
     report_to_obj,
 )
 from .specio import dumps_function, loads_function
-from .stability import AlmostOrderConstant, analyze, fuzz_transform
+from .stability import AlmostOrderConstant, _nonnegative, analyze, fuzz_transform
 from .transforms import (
     a_grid,
     gauge_grid,
@@ -70,12 +71,7 @@ _USAGE_ERRORS = (
 
 def _env_tolerance() -> Optional[float]:
     raw = os.environ.get(TOLERANCE_ENV)
-    if raw is None:
-        return None
-    try:
-        return float(raw)
-    except ValueError:
-        raise SpecFormatError(f"{TOLERANCE_ENV} must be a number, got {raw!r}")
+    return None if raw is None else _nonnegative(raw, TOLERANCE_ENV)
 
 
 def _read_text(path: str) -> str:
@@ -160,9 +156,10 @@ def _load_corpus(spec: str):
 def _cmd_fuzz(args) -> int:
     k = _positive_ctilde(args.ctilde)
     corpus = _load_corpus(args.corpus)
-    tol = args.tolerance if args.tolerance is not None else (_env_tolerance() or 1e-6)
+    tol = (_env_tolerance() if args.tolerance is None
+           else _nonnegative(args.tolerance, "--tolerance"))
     t = fuzz_transform(seed=args.seed, k=k, base=args.base, corpus=corpus)
-    report = analyze(t, k, exponent_tolerance=tol)
+    report = analyze(t, k, exponent_tolerance=1e-6 if tol is None else tol)
     obj = report_to_obj(report)
     sys.stdout.write(render_report_text(obj))
     if args.report:
@@ -188,7 +185,7 @@ def _cmd_hyers_ulam(args) -> int:
         eps = _env_tolerance()
     if eps is None:
         raise SpecFormatError("no eps given (flag, file field, or DUALITYLAB_TOL)")
-    eps = float(eps)
+    eps = _nonnegative(eps, "eps")
     try:
         g, sup_error = hyers_ulam_approx(samples, eps)
     except HypothesisViolationError as exc:
@@ -208,12 +205,16 @@ def _cmd_hyers_ulam(args) -> int:
 
 def _cmd_report(args) -> int:
     obj = _read_json(args.infile)
-    if obj.get("kind") != "stability-report":
+    if not isinstance(obj, dict) or obj.get("kind") != "stability-report":
         raise SpecFormatError("input is not a stability report")
-    sys.stdout.write(render_report_text(obj))
-    if args.emit_plots:
-        for path in emit_plots(obj, args.emit_plots):
-            sys.stdout.write(f"wrote {path}\n")
+    try:
+        text = render_report_text(obj)
+        written = emit_plots(obj, args.emit_plots) if args.emit_plots else []
+    except (AttributeError, KeyError, TypeError, ZeroDivisionError) as exc:
+        raise SpecFormatError(f"malformed stability report: {exc!r}") from exc
+    sys.stdout.write(text)
+    for path in written:
+        sys.stdout.write(f"wrote {path}\n")
     return 0 if obj.get("certified") else 1
 
 

@@ -331,23 +331,19 @@ def check_lattice_stability(
 
 
 def check_extremes(t: CorpusTransform) -> Tuple[Violation, ...]:
-    """The zero function and the indicator of {0} must map to themselves."""
+    """The zero function and the indicator of {0}, where present, map to
+    themselves; a corpus with neither is a configuration error."""
     out: List[Violation] = []
-    seen_zero = seen_point = False
+    seen = False
     for f, img, label in zip(t.corpus.elements, t.images, t.corpus.labels):
-        if not isinstance(f, PLConvex1D):
-            continue
-        if f.is_zero:
-            seen_zero = True
+        if isinstance(f, PLConvex1D) and (f.is_zero or f.is_point_indicator):
+            seen = True
             if img != f:
-                out.append(Violation("extreme-zero", label, "", None,
-                                     "image of the zero function differs from it"))
-        elif f.is_point_indicator:
-            seen_point = True
-            if img != f:
-                out.append(Violation("extreme-point", label, "", None,
-                                     "image of the indicator of {0} differs from it"))
-    if not (seen_zero and seen_point):
+                name, what = (("zero", "the zero function") if f.is_zero
+                              else ("point", "the indicator of {0}"))
+                out.append(Violation(f"extreme-{name}", label, "", None,
+                                     f"image of {what} differs from it"))
+    if not seen:
         raise CorpusError("corpus lacks the order extremes")
     return tuple(out)
 
@@ -365,13 +361,32 @@ def _positive_linear(f: PLConvex1D) -> bool:
 
 
 def _image_kind(img: PLConvex1D, k: AlmostOrderConstant) -> str:
-    if img.is_indicator:
-        if not is_inf(img.domain_end) and img.domain_end > 0:
-            return "indicator"
-        return "other"
-    if almost_linear_bounds(img, k.ctilde):
+    if _proper_indicator(img):
+        return "indicator"
+    if not img.is_indicator and almost_linear_bounds(img, k.ctilde):
         return "almost-linear"
     return "other"
+
+
+def _datum(img: PLConvex1D, kind: str) -> float:
+    """The datum a sample reads off an image of ``kind``: support end or slope."""
+    return float(img.domain_end if kind == "indicator" else img.first_slope)
+
+
+# (sense, the common kind of the indicator images) -> class, and the kind
+# the ray images must take then; `classify` states the rule.
+_CLASSES = {
+    ("preserving", "indicator"): TransformClass.IDENTITY,
+    ("preserving", "almost-linear"): TransformClass.GAUGE,
+    ("reversing", "indicator"): TransformClass.REVERSING_GEOMETRIC_DUAL,
+    ("reversing", "almost-linear"): TransformClass.REVERSING_LEGENDRE,
+}
+_RAY_KIND = {"indicator": "almost-linear", "almost-linear": "indicator"}
+# the reference base B of each exact class; `fit_sandwich` compares Tf with B f
+_REFERENCE_BASES: Dict[TransformClass, Callable] = {
+    TransformClass.IDENTITY: lambda f: f,
+    TransformClass.GAUGE: gauge_transform,
+}
 
 
 def classify(
@@ -381,6 +396,11 @@ def classify(
 ) -> StabilityReport:
     """Decide identity-like vs gauge-like from the indicator/ray images.
 
+    The class names a reference base B (B f = f identity-like, B f = J f
+    gauge-like): the indicator images share the kind of B(indicator), an
+    indicator or an almost-linear function, and the ray images take the
+    other kind.  Each sample reads its image's datum: the support end of
+    an indicator, the first slope of an almost-linear function.
     ``sense`` is "preserving" or "reversing"; when omitted the first sense
     whose conditions hold is taken.  A reversing transform is classified
     after composing with the geometric dual on the left (the composition is
@@ -409,91 +429,65 @@ def _classify(
             "classification needs at least two indicators and two rays"
         )
 
-    diagnostics: List[str] = []
+    notes: Tuple[str, ...] = ()
 
     def report(classification, violations, phi=(), slopes=()) -> StabilityReport:
         return StabilityReport(
             classification, float(k.ctilde), tuple(violations), tuple(phi),
-            tuple(slopes), diagnostics=tuple(diagnostics), provenance=t.provenance)
+            tuple(slopes), diagnostics=notes, provenance=t.provenance)
 
     if sense is None:
         return report(TransformClass.INCONSISTENT, [Violation(
             "classification", "", "", None,
             "neither order condition holds on the corpus")])
 
-    imgs = list(t.images)
+    imgs = t.images
     if sense == "reversing":
-        imgs = [geometric_dual(img) for img in imgs]
-        diagnostics.append(
-            "samples describe the order-preserving composition with the "
-            "geometric dual"
-        )
+        imgs = tuple(geometric_dual(img) for img in imgs)
+        notes = ("samples describe the order-preserving composition with the "
+                 "geometric dual",)
 
-    kinds = {i: _image_kind(imgs[i], k) for i in ind}
     labels = t.corpus.labels
+    kinds = [_image_kind(imgs[i], k) for i in ind]
+    if "other" in kinds:
+        return report(TransformClass.INCONSISTENT, [Violation(
+            "classification", labels[ind[kinds.index("other")]], "", None,
+            "indicator image is neither an indicator nor almost linear")])
+    if len(set(kinds)) > 1:
+        return report(TransformClass.INCONSISTENT, [Violation(
+            "classification", labels[ind[kinds.index("indicator")]],
+            labels[ind[kinds.index("almost-linear")]], None,
+            "indicator images mix both structural kinds")])
+
+    kind, expect = kinds[0], _RAY_KIND[kinds[0]]
+    phi = sorted((float(els[i].domain_end), _datum(imgs[i], kind)) for i in ind)
     violations: List[Violation] = []
-    n_ind = sum(1 for v in kinds.values() if v == "indicator")
-    n_lin = sum(1 for v in kinds.values() if v == "almost-linear")
-    if n_ind == len(ind):
-        base = TransformClass.IDENTITY
-    elif n_lin == len(ind):
-        base = TransformClass.GAUGE
-    else:
-        i_bad = next(i for i in ind if kinds[i] == "other") if (
-            n_ind + n_lin < len(ind)
-        ) else None
-        if i_bad is not None:
-            violations.append(Violation(
-                "classification", labels[i_bad], "", None,
-                "indicator image is neither an indicator nor almost linear"))
-        else:
-            i_a = next(i for i in ind if kinds[i] == "indicator")
-            i_b = next(i for i in ind if kinds[i] == "almost-linear")
-            violations.append(Violation(
-                "classification", labels[i_a], labels[i_b], None,
-                "indicator images mix both structural kinds"))
-        return report(TransformClass.INCONSISTENT, violations)
-
-    phi: List[Tuple[float, float]] = []
-    for i in ind:
-        z = float(els[i].domain_end)
-        if base is TransformClass.IDENTITY:
-            phi.append((z, float(imgs[i].domain_end)))
-        else:
-            phi.append((z, float(imgs[i].first_slope)))
-    phi.sort()
-
-    expect = "almost-linear" if base is TransformClass.IDENTITY else "indicator"
-    slope_samples: List[Tuple[float, float]] = []
+    slopes: List[Tuple[float, float]] = []
     for i in lin:
-        kind = _image_kind(imgs[i], k)
-        if kind != expect:
+        got = _image_kind(imgs[i], k)
+        if got == expect:
+            slopes.append((float(els[i].first_slope), _datum(imgs[i], got)))
+        else:
             violations.append(Violation(
                 "classification", labels[i], "", None,
-                f"ray image should be {expect} for this class, got {kind}"))
-            continue
-        a = float(els[i].first_slope)
-        if base is TransformClass.IDENTITY:
-            slope_samples.append((a, float(imgs[i].first_slope)))
-        else:
-            slope_samples.append((a, float(imgs[i].domain_end)))
-    slope_samples.sort()
-
-    if violations:
-        label = TransformClass.INCONSISTENT
-    elif sense == "reversing":
-        label = (
-            TransformClass.REVERSING_GEOMETRIC_DUAL
-            if base is TransformClass.IDENTITY
-            else TransformClass.REVERSING_LEGENDRE
-        )
-    else:
-        label = base
-    return report(label, violations, phi, slope_samples)
+                f"ray image should be {expect} for this class, got {got}"))
+    label = TransformClass.INCONSISTENT if violations else _CLASSES[sense, kind]
+    return report(label, violations, phi, sorted(slopes))
 
 
 # ---------------------------------------------------------------------------
 # exponent recovery and additive approximation
+
+
+def _nonnegative(value, name: str) -> float:
+    """``value`` as a float, when it is a finite number >= 0 (else ValueError)."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a number, got {value!r}") from None
+    if not 0 <= x < math.inf:
+        raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+    return x
 
 
 def estimate_exponent(
@@ -509,6 +503,7 @@ def estimate_exponent(
     therefore recovered exactly, and multiplicative noise decays like the
     reciprocal of the cap.  Returns (gamma, sup deviation |h - gamma*s|).
     """
+    tolerance = _nonnegative(tolerance, "tolerance")
     if isinstance(samples, Mapping):
         pairs = sorted(samples.items())
     else:
@@ -560,6 +555,7 @@ def hyers_ulam_approx(
     approximation is the dyadic limit g(x) = f(2^n x)/2^n at the largest
     in-range n, and telescoping the defect gives sup|f - g| <= eps.
     """
+    eps = _nonnegative(eps, "eps")
     if isinstance(samples, Mapping):
         pairs = sorted(samples.items())
     else:
@@ -638,44 +634,31 @@ def _geometric_mean_fraction(ratios: Sequence[Fraction]) -> Fraction:
 def fit_sandwich(t: CorpusTransform, report: StabilityReport) -> StabilityReport:
     """Fit dilation and two-sided constants; re-verify the certificate.
 
-    For an identity-like transform the reference is f(x/alpha), for a
-    gauge-like one it is (Jf)(x/alpha) with J the gauge transform.  The
-    dilation comes from the scaling-invariant support data (indicator image
-    supports for identity, ray image supports for gauge), exactly when those
-    ratios agree exactly.  c and C are the exact global extrema of the
-    image/reference ratio, and c*ref <= Tf <= C*ref is re-verified exactly
-    before the report is updated.  C/c beyond ctilde**10 flags the fit;
-    within ctilde**7 is reported informationally.
+    The reference of f is (Bf)(x/alpha) with B the class's reference base:
+    B f = f for an identity-like transform, B f = J f, the gauge transform,
+    for a gauge-like one.  The dilation comes from the scaling-invariant
+    support ratios Tf.domain_end / Bf.domain_end over the elements whose
+    base is a proper indicator, exactly when those ratios agree exactly.
+    c and C are the exact global extrema of the image/reference ratio, and
+    c*ref <= Tf <= C*ref is re-verified exactly before the report is
+    updated.  C/c beyond ctilde**10 flags the fit; within ctilde**7 is
+    reported informationally.
     """
     k = AlmostOrderConstant(Fraction(report.ctilde))
-    if report.classification is TransformClass.IDENTITY:
-        gauge_like = False
-    elif report.classification is TransformClass.GAUGE:
-        gauge_like = True
-    else:
+    base = _REFERENCE_BASES.get(report.classification)
+    if base is None:
         raise ClassificationError(
-            "sandwich fitting needs an identity-like or gauge-like "
-            "classification"
-        )
+            "sandwich fitting needs an identity-like or gauge-like classification")
     els, imgs, labels = t.corpus.elements, t.images, t.corpus.labels
-
-    ratios: List[Fraction] = []
-    for f, img in zip(els, imgs):
-        if not gauge_like and _proper_indicator(f):
-            ratios.append(Fraction(img.domain_end) / f.domain_end)
-        elif gauge_like and _positive_linear(f):
-            ratios.append(Fraction(img.domain_end) * f.first_slope)
+    bases = [base(f) for f in els]
+    ratios = [Fraction(img.domain_end) / b.domain_end
+              for b, img in zip(bases, imgs) if _proper_indicator(b)]
     if not ratios:
         raise ClassificationError("no support data to fit a dilation from")
     alpha = _geometric_mean_fraction(ratios)
+    refs = [compose_dilate(b, alpha) for b in bases]
 
-    refs = []
-    for f in els:
-        base = gauge_transform(f) if gauge_like else f
-        refs.append(compose_dilate(base, alpha))
-
-    lo: Optional[Fraction] = None
-    hi: Optional[Fraction] = None
+    extrema: List[Tuple[Fraction, Fraction]] = []
     violations: List[Violation] = []
     for f, img, ref, label in zip(els, imgs, refs, labels):
         if f.is_zero or f.is_point_indicator:
@@ -690,17 +673,12 @@ def fit_sandwich(t: CorpusTransform, report: StabilityReport) -> StabilityReport
                 "sandwich", label, "", None,
                 "image and reference have mismatched supports"))
             continue
-        lo = ext[0] if lo is None else min(lo, ext[0])
-        hi = ext[1] if hi is None else max(hi, ext[1])
+        extrema.append(ext)
     if violations:
-        return replace(
-            report,
-            violations=report.violations + tuple(violations),
-            alpha=float(alpha),
-        )
-    if lo is None:
-        lo = hi = Fraction(1)
-
+        return replace(report, violations=report.violations + tuple(violations),
+                       alpha=float(alpha))
+    lo = min((e[0] for e in extrema), default=Fraction(1))
+    hi = max((e[1] for e in extrema), default=Fraction(1))
     for img, ref, label in zip(imgs, refs, labels):
         if not (leq(scale(ref, lo), img) and leq(img, scale(ref, hi))):
             raise ConsistencyError(
@@ -876,29 +854,27 @@ def check_delta_structure(
         offset = tuple(float(v) for v in coef[dim, :])
     flagged = residual > 1e-6
 
-    ratios = [img.c / f.c for f, img in zip(els, imgs) if f.c > 0]
     psi_ok = True
     for f, img, label in zip(els, imgs, labels):
-        if f.c == 0 and img.c != 0:
+        if (f.c > 0) != (img.c > 0):
             psi_ok = False
+            kind = "positive" if f.c > 0 else "zero"
             violations.append(Violation(
                 "delta-value", label, "", f.theta,
-                "zero-value source must map to a zero-value image"))
+                f"{kind}-value source must map to a {kind}-value image"))
+    ratios = [img.c / f.c for f, img in zip(els, imgs) if f.c > 0]
     beta = None
-    if ratios:
-        if any(r <= 0 for r in ratios):
-            psi_ok = False
-        else:
-            beta = math.exp(math.fsum(math.log(r) for r in ratios) / len(ratios))
-            cl, cu = k.reciprocal * Fraction(beta), k.ctilde * Fraction(beta)
-            for f, img, label in zip(els, imgs, labels):
-                if f.c > 0 and not (
-                    cl * Fraction(f.c) <= Fraction(img.c) <= cu * Fraction(f.c)
-                ):
-                    psi_ok = False
-                    violations.append(Violation(
-                        "delta-value", label, "", f.theta,
-                        "image value leaves the (1/C, C) band around beta"))
+    if ratios and min(ratios) > 0:
+        beta = math.exp(math.fsum(math.log(r) for r in ratios) / len(ratios))
+        cl, cu = k.reciprocal * Fraction(beta), k.ctilde * Fraction(beta)
+        for f, img, label in zip(els, imgs, labels):
+            if f.c > 0 and not (
+                cl * Fraction(f.c) <= Fraction(img.c) <= cu * Fraction(f.c)
+            ):
+                psi_ok = False
+                violations.append(Violation(
+                    "delta-value", label, "", f.theta,
+                    "image value leaves the (1/C, C) band around beta"))
     value_bound = None
     if psi_ok and beta is not None:
         samples = [

@@ -22,6 +22,7 @@ from dualitylab import (
     ClassTag,
     ClassificationError,
     ClassTagError,
+    ConsistencyError,
     CorpusError,
     DeltaFunction,
     GridFunction2D,
@@ -30,6 +31,7 @@ from dualitylab import (
     TransformClass,
     Violation,
     WitnessPair,
+    almost_linear_bounds,
     check_extremes,
     classify,
     compose_dilate,
@@ -56,7 +58,18 @@ from dualitylab.pl import (
     as_fraction,
     ratio_sup_abscissae,
 )
-from dualitylab.transforms import _require_geometric
+from dualitylab.stability import (
+    SANDWICH_FLAG_POWER,
+    SANDWICH_REGIME_POWER,
+    AlmostOrderConstant,
+    CorpusTransform,
+    StabilityReport,
+    _geometric_mean_fraction,
+    _positive_linear,
+    _proper_indicator,
+    _ratio_extrema,
+)
+from dualitylab.transforms import _require_geometric, gauge_transform, geometric_dual
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -646,6 +659,200 @@ def reference_ratio_extrema(
     if not vals:
         return Fraction(1), Fraction(1)
     return min(vals), max(vals)
+
+
+# ---------------------------------------------------------------------------
+# the classifier and sandwich fit with one branch per class
+
+
+def reference_image_kind(img: PLConvex1D, k: AlmostOrderConstant) -> str:
+    if img.is_indicator:
+        if not is_inf(img.domain_end) and img.domain_end > 0:
+            return "indicator"
+        return "other"
+    if almost_linear_bounds(img, k.ctilde):
+        return "almost-linear"
+    return "other"
+
+
+def reference_classify_at(
+    t: CorpusTransform, k: AlmostOrderConstant, sense: Optional[str]
+) -> StabilityReport:
+    """`classify` at a decided sense; None when neither condition holds."""
+    els = t.corpus.elements
+    if not all(isinstance(f, PLConvex1D) for f in els):
+        raise CorpusError("classification requires a corpus of 1-d functions")
+    ind = [i for i, f in enumerate(els) if _proper_indicator(f)]
+    lin = [i for i, f in enumerate(els) if _positive_linear(f)]
+    if len(ind) < 2 or len(lin) < 2:
+        raise CorpusError(
+            "classification needs at least two indicators and two rays"
+        )
+
+    diagnostics: List[str] = []
+
+    def report(classification, violations, phi=(), slopes=()) -> StabilityReport:
+        return StabilityReport(
+            classification, float(k.ctilde), tuple(violations), tuple(phi),
+            tuple(slopes), diagnostics=tuple(diagnostics), provenance=t.provenance)
+
+    if sense is None:
+        return report(TransformClass.INCONSISTENT, [Violation(
+            "classification", "", "", None,
+            "neither order condition holds on the corpus")])
+
+    imgs = list(t.images)
+    if sense == "reversing":
+        imgs = [geometric_dual(img) for img in imgs]
+        diagnostics.append(
+            "samples describe the order-preserving composition with the "
+            "geometric dual"
+        )
+
+    kinds = {i: reference_image_kind(imgs[i], k) for i in ind}
+    labels = t.corpus.labels
+    violations: List[Violation] = []
+    n_ind = sum(1 for v in kinds.values() if v == "indicator")
+    n_lin = sum(1 for v in kinds.values() if v == "almost-linear")
+    if n_ind == len(ind):
+        base = TransformClass.IDENTITY
+    elif n_lin == len(ind):
+        base = TransformClass.GAUGE
+    else:
+        i_bad = next(i for i in ind if kinds[i] == "other") if (
+            n_ind + n_lin < len(ind)
+        ) else None
+        if i_bad is not None:
+            violations.append(Violation(
+                "classification", labels[i_bad], "", None,
+                "indicator image is neither an indicator nor almost linear"))
+        else:
+            i_a = next(i for i in ind if kinds[i] == "indicator")
+            i_b = next(i for i in ind if kinds[i] == "almost-linear")
+            violations.append(Violation(
+                "classification", labels[i_a], labels[i_b], None,
+                "indicator images mix both structural kinds"))
+        return report(TransformClass.INCONSISTENT, violations)
+
+    phi: List[Tuple[float, float]] = []
+    for i in ind:
+        z = float(els[i].domain_end)
+        if base is TransformClass.IDENTITY:
+            phi.append((z, float(imgs[i].domain_end)))
+        else:
+            phi.append((z, float(imgs[i].first_slope)))
+    phi.sort()
+
+    expect = "almost-linear" if base is TransformClass.IDENTITY else "indicator"
+    slope_samples: List[Tuple[float, float]] = []
+    for i in lin:
+        kind = reference_image_kind(imgs[i], k)
+        if kind != expect:
+            violations.append(Violation(
+                "classification", labels[i], "", None,
+                f"ray image should be {expect} for this class, got {kind}"))
+            continue
+        a = float(els[i].first_slope)
+        if base is TransformClass.IDENTITY:
+            slope_samples.append((a, float(imgs[i].first_slope)))
+        else:
+            slope_samples.append((a, float(imgs[i].domain_end)))
+    slope_samples.sort()
+
+    if violations:
+        label = TransformClass.INCONSISTENT
+    elif sense == "reversing":
+        label = (
+            TransformClass.REVERSING_GEOMETRIC_DUAL
+            if base is TransformClass.IDENTITY
+            else TransformClass.REVERSING_LEGENDRE
+        )
+    else:
+        label = base
+    return report(label, violations, phi, slope_samples)
+
+
+def reference_fit_sandwich(t: CorpusTransform, report: StabilityReport) -> StabilityReport:
+    """Fit dilation and two-sided constants; re-verify the certificate.
+
+    For an identity-like transform the reference is f(x/alpha), for a
+    gauge-like one it is (Jf)(x/alpha) with J the gauge transform.  The
+    dilation comes from the scaling-invariant support data (indicator image
+    supports for identity, ray image supports for gauge), exactly when those
+    ratios agree exactly.  c and C are the exact global extrema of the
+    image/reference ratio, and c*ref <= Tf <= C*ref is re-verified exactly
+    before the report is updated.  C/c beyond ctilde**10 flags the fit;
+    within ctilde**7 is reported informationally.
+    """
+    k = AlmostOrderConstant(Fraction(report.ctilde))
+    if report.classification is TransformClass.IDENTITY:
+        gauge_like = False
+    elif report.classification is TransformClass.GAUGE:
+        gauge_like = True
+    else:
+        raise ClassificationError(
+            "sandwich fitting needs an identity-like or gauge-like "
+            "classification"
+        )
+    els, imgs, labels = t.corpus.elements, t.images, t.corpus.labels
+
+    ratios: List[Fraction] = []
+    for f, img in zip(els, imgs):
+        if not gauge_like and _proper_indicator(f):
+            ratios.append(Fraction(img.domain_end) / f.domain_end)
+        elif gauge_like and _positive_linear(f):
+            ratios.append(Fraction(img.domain_end) * f.first_slope)
+    if not ratios:
+        raise ClassificationError("no support data to fit a dilation from")
+    alpha = _geometric_mean_fraction(ratios)
+
+    refs = []
+    for f in els:
+        base = gauge_transform(f) if gauge_like else f
+        refs.append(compose_dilate(base, alpha))
+
+    lo: Optional[Fraction] = None
+    hi: Optional[Fraction] = None
+    violations: List[Violation] = []
+    for f, img, ref, label in zip(els, imgs, refs, labels):
+        if f.is_zero or f.is_point_indicator:
+            if img != ref:
+                violations.append(Violation(
+                    "sandwich", label, "", None,
+                    "extreme image does not match its reference exactly"))
+            continue
+        ext = _ratio_extrema(img, ref)
+        if ext is None:
+            violations.append(Violation(
+                "sandwich", label, "", None,
+                "image and reference have mismatched supports"))
+            continue
+        lo = ext[0] if lo is None else min(lo, ext[0])
+        hi = ext[1] if hi is None else max(hi, ext[1])
+    if violations:
+        return replace(
+            report,
+            violations=report.violations + tuple(violations),
+            alpha=float(alpha),
+        )
+    if lo is None:
+        lo = hi = Fraction(1)
+
+    for img, ref, label in zip(imgs, refs, labels):
+        if not (leq(scale(ref, lo), img) and leq(img, scale(ref, hi))):
+            raise ConsistencyError(
+                f"fitted sandwich fails exact re-verification on {label}"
+            )
+
+    spread = hi / lo
+    return replace(
+        report,
+        alpha=float(alpha),
+        sandwich_lower=float(lo),
+        sandwich_upper=float(hi),
+        sandwich_flagged=bool(spread > k.power(SANDWICH_FLAG_POWER)),
+        within_regime=bool(spread <= k.power(SANDWICH_REGIME_POWER)),
+    )
 
 
 # ---------------------------------------------------------------------------

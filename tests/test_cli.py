@@ -132,6 +132,20 @@ class TestCheck:
         assert "identity (certified)" in out and "gamma" not in out
         assert "note: exponent not estimated" in out
 
+    def test_order_certifies_corpus_with_one_extreme(self, capsys, tmp_path):
+        from dualitylab import Corpus, CorpusTransform, geometric_corpus, transform_to_obj
+
+        full = geometric_corpus()
+        assert full.labels[-1] == "point{0}"
+        c = Corpus(full.elements[:-1], full.labels[:-1], "no point{0}", tuple(
+            d for d in full.lattice_pairs if len(full) - 1 not in d))
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(transform_to_obj(CorpusTransform(c, c.elements))))
+        code, out, _ = run(
+            capsys, "check", "order", "--transform", str(path), "--ctilde", "1.5"
+        )
+        assert code == 0 and "identity (certified)" in out
+
     def test_order_flags_sabotage(self, capsys, tmp_path):
         from dualitylab import CorpusTransform, geometric_corpus, transform_to_obj
 
@@ -225,6 +239,40 @@ class TestFuzz:
         )
         assert code == 2 and "DUALITYLAB_TOL" in err
 
+    @pytest.mark.parametrize("flag, env", [
+        (("--tolerance", "-1"), None), (("--tolerance", "nan"), None),
+        (("--tolerance", "inf"), None), ((), "-1"), ((), "nan"), ((), "inf"),
+    ])
+    def test_bad_tolerance_rejected(self, capsys, monkeypatch, flag, env):
+        monkeypatch.delenv("DUALITYLAB_TOL", raising=False)
+        if env is not None:
+            monkeypatch.setenv("DUALITYLAB_TOL", env)
+        code, out, err = run(
+            capsys, "fuzz", "--base", "identity", "--ctilde", "1.5", "--seed", "3", *flag
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "nonnegative" in err
+
+    def test_zero_env_tolerance_is_used(self, capsys, tmp_path, monkeypatch):
+        from dualitylab import INF, Corpus, corpus_to_obj, make_indicator, make_linear
+
+        # log(1000) is 3*log(10) only to within a rounding error, so the grid
+        # snap needs a tolerance above 0
+        els = [make_indicator(z) for z in (10, 100, 1000)]
+        els += [make_linear(a) for a in (10, 100, 1000)]
+        els += [make_indicator(INF), make_indicator(0)]
+        c = Corpus(tuple(els), tuple(f"e{i}" for i in range(8)), "decades")
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(corpus_to_obj(c)))
+        argv = ("fuzz", "--base", "identity", "--ctilde", "1.5", "--seed", "3",
+                "--corpus", str(path))
+        monkeypatch.setenv("DUALITYLAB_TOL", "0")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and "note: exponent not estimated" in out
+        monkeypatch.setenv("DUALITYLAB_TOL", "1e-6")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and "exponent: gamma = 1.0" in out
+
 
 class TestHyersUlam:
     def make_samples(self, tmp_path, eps_field=None):
@@ -266,6 +314,24 @@ class TestHyersUlam:
         code, _, err = run(capsys, "hyers-ulam", "--in", str(path))
         assert code == 2 and "eps" in err
 
+    @pytest.mark.parametrize("flag, field, env", [
+        (("--eps", "nan"), None, None), (("--eps", "inf"), None, None),
+        (("--eps", "-1"), None, None), ((), "NaN", None), ((), "-1", None),
+        ((), "[1]", None), ((), None, "nan"), ((), None, "-0.5"),
+    ])
+    def test_bad_eps_rejected(self, capsys, tmp_path, monkeypatch, flag, field, env):
+        # the samples' additive defect is 3
+        obj = '{"samples": [[0, 0], [1, 1], [2, 5]]' + (
+            "" if field is None else f', "eps": {field}') + "}"
+        path = tmp_path / "s.json"
+        path.write_text(obj)
+        monkeypatch.delenv("DUALITYLAB_TOL", raising=False)
+        if env is not None:
+            monkeypatch.setenv("DUALITYLAB_TOL", env)
+        code, out, err = run(capsys, "hyers-ulam", "--in", str(path), *flag)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "must be" in err
+
     def test_violation_exit(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"samples": [[0, 0], [1, 1], [2, 30]]}))
@@ -291,6 +357,22 @@ class TestReport:
         path.write_text('{"kind": "corpus"}')
         code, _, err = run(capsys, "report", "--in", str(path))
         assert code == 2 and "error:" in err
+
+    @pytest.mark.parametrize("edit, plots", [
+        ({"violations": [{"condition": "sandwich", "detail": "no f"}]}, False),
+        ({"sandwich_lower": "1.0", "sandwich_upper": 2.0}, False),
+        (None, False),
+        ({"classification": "gauge", "phi_samples": [[0.0, 1.0]], "alpha": 1.0,
+          "sandwich_lower": 1.0, "sandwich_upper": 2.0}, True),
+    ])
+    def test_malformed_report(self, capsys, tmp_path, edit, plots):
+        obj = [1, 2] if edit is None else {"kind": "stability-report", **edit}
+        path = tmp_path / "rep.json"
+        path.write_text(json.dumps(obj))
+        argv = ("--emit-plots", str(tmp_path / "plots")) if plots else ()
+        code, out, err = run(capsys, "report", "--in", str(path), *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
 
 
 class TestEntryPoint:

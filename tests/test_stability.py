@@ -21,6 +21,7 @@ from dualitylab import (
     GridSpec,
     HypothesisViolationError,
     PLConvex1D,
+    StabilityReport,
     TransformClass,
     analyze,
     check_almost_preserving,
@@ -61,7 +62,9 @@ from helpers import (
     reference_check_almost_reversing,
     reference_check_inverse_conditions,
     reference_check_lattice_stability,
+    reference_classify_at,
     reference_closed_lattice_pairs,
+    reference_fit_sandwich,
     reference_ratio_extrema,
 )
 
@@ -464,6 +467,84 @@ class TestClassify:
             classify(identity_transform(), K15, sense="sideways")
 
 
+class TestReferenceBaseDifferential:
+    """classify, fit_sandwich and analyze against the branch-per-class code."""
+
+    KS = TestCheckerDifferential.KS
+    BASES = ("identity", "gauge", "legendre", "a")
+    CORPORA = (geometric_corpus(), geometric_corpus((-4, -2, -1, 1, 2, 4)))
+    CLASSIFICATION_DETAILS = (
+        "neither order condition holds on the corpus",
+        "indicator image is neither an indicator nor almost linear",
+        "indicator images mix both structural kinds",
+        "ray image should be",
+    )
+    FIT_ERRORS = (
+        "sandwich fitting needs an identity-like or gauge-like classification",
+        "no support data to fit a dilation from",
+    )
+
+    @staticmethod
+    def _perturbed(rng, t, k):
+        imgs = list(t.images)
+        for i in rng.sample(range(len(imgs)), rng.randint(0, 3)):
+            q = Fraction(rng.randint(1, 12), rng.randint(1, 4))
+            move = rng.randrange(5)
+            if move == 0:
+                imgs[i] = scale(imgs[i], k.power(rng.choice((-2, -1, 1, 2))))
+            elif move == 1:
+                imgs[i] = make_linear(q)
+            elif move == 2:
+                imgs[i] = make_indicator(q)
+            elif move == 3:
+                imgs[i] = make_triangle(q, Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+            else:
+                imgs[i] = compose_dilate(imgs[i], q)
+        return CorpusTransform(t.corpus, tuple(imgs), t.provenance)
+
+    @staticmethod
+    def _outcome(fn, *args):
+        try:
+            return dump_json(report_to_obj(fn(*args)))
+        except Exception as exc:  # the exception is part of the behaviour
+            return f"{type(exc).__name__}: {exc}"
+
+    def test_matches_the_branch_per_class_code(self, monkeypatch):
+        rng = random.Random(59)
+        labels, outcomes = Counter(), []
+        for n in range(408):
+            k = self.KS[n % 3]
+            base = self.BASES[n // 3 % 4]
+            corpus = self.CORPORA[n // 12 % 2]
+            t = self._perturbed(rng, fuzz_transform(n, k, base=base, corpus=corpus), k)
+            for sense in ("preserving", "reversing", None):
+                rep = classify(t, k, sense)
+                at = dualitylab.stability._sense(t, k) if sense is None else sense
+                old = reference_classify_at(t, k, at)
+                assert dump_json(report_to_obj(rep)) == dump_json(report_to_obj(old)), n
+                labels[rep.classification] += 1
+                outcomes += [v.detail for v in rep.violations]
+                got = self._outcome(fit_sandwich, t, rep)
+                assert got == self._outcome(reference_fit_sandwich, t, old), (n, sense)
+                outcomes.append(got)
+            got = self._outcome(analyze, t, k)
+            with monkeypatch.context() as m:
+                m.setattr(dualitylab.stability, "_classify", reference_classify_at)
+                m.setattr(dualitylab.stability, "fit_sandwich", reference_fit_sandwich)
+                assert got == self._outcome(analyze, t, k), n
+        # a corpus without indicators leaves no support ratio to fit
+        bare = Corpus((make_triangle(1, 1), make_indicator(INF)), ("tri", "zero"), "bare")
+        t = CorpusTransform(bare, bare.elements)
+        for cls in (TransformClass.IDENTITY, TransformClass.GAUGE):
+            rep = StabilityReport(cls, 1.5)
+            got = self._outcome(fit_sandwich, t, rep)
+            assert got == self._outcome(reference_fit_sandwich, t, rep)
+            outcomes.append(got)
+        assert set(labels) == set(TransformClass)
+        for text in self.CLASSIFICATION_DETAILS + self.FIT_ERRORS:
+            assert any(text in o for o in outcomes), text
+
+
 class TestEstimateExponent:
     def test_exact_power_laws(self):
         zs = [2.0**j for j in (-4, -2, -1, 1, 2, 4)]
@@ -494,6 +575,11 @@ class TestEstimateExponent:
         with pytest.raises(ValueError):
             estimate_exponent([(2.0, 0.0), (4.0, 1.0)])
 
+    @pytest.mark.parametrize("tolerance", [-1.0, math.nan, math.inf])
+    def test_bad_tolerance_rejected(self, tolerance):
+        with pytest.raises(ValueError, match="tolerance must be finite and nonnegative"):
+            estimate_exponent([(2.0, 2.0), (4.0, 4.0)], tolerance=tolerance)
+
 
 class TestHyersUlam:
     def test_near_linear_recovered(self):
@@ -519,6 +605,11 @@ class TestHyersUlam:
             hyers_ulam_approx({0.0: 0.0, 1.0: 1.0, 2.5: 2.5}, eps=1.0)
         with pytest.raises(ValueError):
             hyers_ulam_approx({}, eps=1.0)
+
+    @pytest.mark.parametrize("eps", [-1.0, math.nan, math.inf])
+    def test_bad_eps_rejected(self, eps):
+        with pytest.raises(ValueError, match="eps must be finite and nonnegative"):
+            hyers_ulam_approx({0.0: 0.0, 1.0: 1.0, 2.0: 5.0}, eps=eps)
 
 
 class TestFitSandwich:
@@ -677,6 +768,16 @@ class TestDeltaStructure:
         assert [v.f_label for v in rep.violations if v.condition == "delta-value"] == [
             "a", "b"]
 
+    def test_positive_value_lost(self):
+        corpus = delta_corpus()
+        imgs = list(corpus.elements)
+        i = next(n for n, f in enumerate(imgs) if f.c == 1.0)
+        imgs[i] = make_delta(imgs[i].theta, 0.0)
+        rep = check_delta_structure(CorpusTransform(corpus, tuple(imgs)), K2)
+        assert not rep.is_delta_structure and not rep.psi_ok and rep.beta is None
+        assert [(v.condition, v.f_label) for v in rep.violations] == [
+            ("delta-value", corpus.labels[i])]
+
     def test_value_band_violation(self):
         corpus = delta_corpus(points=(0.0, 1.0), values=(1.0, 2.0))
         imgs = tuple(
@@ -745,6 +846,18 @@ class TestAnalyzeEdges:
     def test_certified_reads_both_fields(self):
         rep = analyze(identity_transform(), K15)
         assert rep.certified and rep.classification is TransformClass.IDENTITY
+
+    def test_one_extreme_is_checked(self):
+        full = geometric_corpus()
+        assert full.labels[-1] == "point{0}"
+        corpus = Corpus(full.elements[:-1], full.labels[:-1], "no point{0}", tuple(
+            d for d in full.lattice_pairs if len(full) - 1 not in d))
+        rep = analyze(identity_transform(corpus), K15)
+        assert rep.certified and rep.classification is TransformClass.IDENTITY
+        images = list(corpus.elements)
+        images[corpus.labels.index("zero")] = make_indicator(5)
+        bad = check_extremes(CorpusTransform(corpus, tuple(images)))
+        assert [v.condition for v in bad] == ["extreme-zero"]
 
     def test_off_grid_corpus_certifies_without_exponent(self):
         # indicator supports 2 and 3 sit on no common multiplicative grid
