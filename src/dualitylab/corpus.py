@@ -22,10 +22,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
-import numpy as np
-
 from .exceptions import CorpusError
-from .extremal import DeltaFunction, make_delta, make_indicator, make_linear
+from .extremal import DeltaFunction, _delta_ratio, make_delta, make_indicator, make_linear
 from .grid import GridFunction2D
 from .pl import INF, PLConvex1D, hat_inf2, ratio_sup, sup2
 
@@ -43,6 +41,7 @@ def _grid_ratio(f: GridFunction2D, g: GridFunction2D) -> Tuple[object, object]:
     maximiser is among the nodes whose float ratio equals the float maximum;
     those are settled with Fractions.
     """
+    import numpy as np
     if f.spec != g.spec:
         raise CorpusError("grid elements must share one lattice")
     a, b = f.values, g.values
@@ -67,10 +66,7 @@ def _ratio_any(f, g) -> Tuple[object, object]:
     if isinstance(f, PLConvex1D) and isinstance(g, PLConvex1D):
         return ratio_sup(f, g)
     if isinstance(f, DeltaFunction) and isinstance(g, DeltaFunction):
-        # distinct pins: f = +inf at the pin where g is finite
-        if f.theta != g.theta or (g.c == 0 and f.c > 0):
-            return INF, g.theta
-        return (Fraction(f.c) / Fraction(g.c) if g.c else Fraction(0)), g.theta
+        return _delta_ratio(f, g)
     if isinstance(f, GridFunction2D) and isinstance(g, GridFunction2D):
         return _grid_ratio(f, g)
     raise CorpusError(f"cannot compare {type(f).__name__} with {type(g).__name__}")

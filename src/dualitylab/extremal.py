@@ -34,6 +34,7 @@ from .exceptions import (
 from .pl import (
     INF,
     ClassTag,
+    Extended,
     PLConvex1D,
     Scalar,
     as_fraction,
@@ -127,10 +128,20 @@ def make_delta(theta: Theta, c: float) -> DeltaFunction:
     return DeltaFunction(theta, c)
 
 
-def delta_leq(d: DeltaFunction, e: DeltaFunction, factor: Scalar = 1) -> bool:
-    """Pointwise d <= factor * e, decided exactly (floats are binary rationals).
+def _delta_ratio(d: DeltaFunction, e: DeltaFunction) -> Tuple[Extended, Theta]:
+    """Exact sup of d/e with the `pl.ratio_sup` conventions, and e's pin.
     Distinct pins are never comparable (each is finite where the other is +inf)."""
-    return d.theta == e.theta and Fraction(d.c) <= as_fraction(factor) * Fraction(e.c)
+    if d.theta != e.theta or (e.c == 0 and d.c > 0):
+        return INF, e.theta
+    return (Fraction(d.c) / Fraction(e.c) if e.c else _F0), e.theta
+
+
+def delta_leq(d: DeltaFunction, e: DeltaFunction, factor: Scalar = 1) -> bool:
+    """Pointwise d <= factor * e, decided exactly (floats are binary rationals)."""
+    factor = as_fraction(factor)
+    if factor <= 0:
+        raise ValueError("factor must be positive")
+    return _delta_ratio(d, e)[0] <= factor
 
 
 def scale_delta(d: DeltaFunction, lam: float) -> DeltaFunction:

@@ -23,8 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .exceptions import (
     ClassTagError,
     DomainError,
@@ -58,6 +56,7 @@ class GridSpec:
 
     @property
     def coords(self) -> np.ndarray:
+        import numpy as np
         return np.linspace(-self.R, self.R, self.N)
 
     @property
@@ -71,6 +70,7 @@ class GridFunction2D:
     __slots__ = ("spec", "values", "tag")
 
     def __init__(self, spec: GridSpec, values, tag: ClassTag = ClassTag.GEOMETRIC):
+        import numpy as np
         arr = np.array(values, dtype=float)
         if arr.shape != (spec.N, spec.N):
             raise GridValidationError(
@@ -102,11 +102,12 @@ class GridFunction2D:
     ) -> "GridFunction2D":
         spec = GridSpec(R, N)
         c = spec.coords
-        vals = np.array([[float(fn(x, y)) for y in c] for x in c])
+        vals = [[float(fn(x, y)) for y in c] for x in c]
         return cls(spec, vals, tag)
 
     def finite_nodes(self) -> Tuple[np.ndarray, np.ndarray]:
         """(M x 2 coordinates, M values) of the finite nodes."""
+        import numpy as np
         mask = np.isfinite(self.values)
         idx = np.argwhere(mask)
         c = self.spec.coords
@@ -116,6 +117,7 @@ class GridFunction2D:
 
 def validate(g: GridFunction2D) -> List[str]:
     """Midpoint-convexity violations along axes and diagonals (with slack)."""
+    import numpy as np
     v = g.values
     scale = 0.0
     finite = v[np.isfinite(v)]
@@ -163,6 +165,7 @@ def _require_matching(f: GridFunction2D, g: GridFunction2D) -> None:
 
 def sup2_grid(f: GridFunction2D, g: GridFunction2D) -> GridFunction2D:
     """Pointwise maximum; re-validated."""
+    import numpy as np
     _require_matching(f, g)
     out = GridFunction2D(f.spec, np.maximum(f.values, g.values), f.tag)
     ensure_valid(out)
@@ -190,6 +193,7 @@ def _lattice_max(
     tiling.  A masked row is only evaluated between its first and last
     unmasked node.
     """
+    import numpy as np
     c, n = spec.coords, spec.N
     out = np.full((n, n), np.inf)
     p2 = np.multiply.outer(c, y2)
@@ -217,6 +221,7 @@ def _envelope_from_cloud(
     spec: GridSpec, pts: np.ndarray, vals: np.ndarray
 ) -> np.ndarray:
     """Resample the lower convex envelope of epigraph points to the lattice."""
+    import numpy as np
     from scipy.spatial import ConvexHull, QhullError
 
     n = spec.N
@@ -271,16 +276,14 @@ def _envelope_from_cloud(
 
 def hat_inf2_grid(f: GridFunction2D, g: GridFunction2D) -> GridFunction2D:
     """Largest convex minorant of min(f, g), resampled to the lattice."""
+    import numpy as np
     _require_matching(f, g)
-    m = np.minimum(f.values, g.values)
-    mask = np.isfinite(m)
-    idx = np.argwhere(mask)
-    c = f.spec.coords
-    pts = np.column_stack((c[idx[:, 0]], c[idx[:, 1]]))
-    env = _envelope_from_cloud(f.spec, pts, m[mask])
+    low = GridFunction2D(f.spec, np.minimum(f.values, g.values), f.tag)
+    pts, vals = low.finite_nodes()
+    env = _envelope_from_cloud(f.spec, pts, vals)
     # The exact envelope lies between the smallest cloud value and each finite
     # node's own value; clipping to both keeps a geometric meet's exact 0.
-    env = np.minimum(np.maximum(env, m[mask].min(initial=np.inf)), m)
+    env = np.minimum(np.maximum(env, vals.min(initial=np.inf)), low.values)
     out = GridFunction2D(f.spec, env, f.tag)
     ensure_valid(out)
     return out
@@ -345,6 +348,7 @@ def ray_restrict(f: GridFunction2D, u: Sequence[float]) -> PLConvex1D:
 def is_ray_supported(f: GridFunction2D) -> Optional[Tuple[int, int]]:
     """The primitive direction whose ray carries every finite non-origin node,
     or None (no finite mass off the origin, or support off a single ray)."""
+    import numpy as np
     o = f.spec.origin
     idx = np.argwhere(np.isfinite(f.values))
     offsets = [(i - o, j - o) for i, j in idx if (i, j) != (o, o)]

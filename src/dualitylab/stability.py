@@ -29,8 +29,6 @@ from functools import cached_property
 from itertools import permutations
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from .corpus import Corpus, _ratio_any, _ratio_matrix, delta_corpus, geometric_corpus
 from .exceptions import (
     ClassificationError,
@@ -815,6 +813,7 @@ def check_delta_structure(
     map is checked against the quasi-linear sandwich at the corpus constant
     and summarized by the geometric mean beta of image/source value ratios.
     """
+    import numpy as np
     els, imgs, labels = t.corpus.elements, t.images, t.corpus.labels
     if not all(isinstance(f, DeltaFunction) for f in els):
         raise CorpusError("delta-structure checks need a pinned-point corpus")
@@ -902,6 +901,7 @@ def check_delta_structure(
 
 def verify_ray_mapping(t: CorpusTransform) -> RayMappingReport:
     """Fit a linear direction map to a transform of ray-supported grids."""
+    import numpy as np
     els, imgs, labels = t.corpus.elements, t.images, t.corpus.labels
     if not all(isinstance(f, GridFunction2D) for f in els):
         raise CorpusError("ray-mapping checks need a corpus of sampled grids")
@@ -951,7 +951,9 @@ def analyze(
     conditions, lattice stability on designated pairs and the extremes;
     classifies; recovers the exponent (left None, with a diagnostic, when
     the samples are off a multiplicative grid); and fits the sandwich.
+    A NaN, infinite or negative ``exponent_tolerance`` raises ValueError.
     """
+    exponent_tolerance = _nonnegative(exponent_tolerance, "exponent_tolerance")
     has_extremes = any(
         isinstance(f, PLConvex1D) and (f.is_zero or f.is_point_indicator)
         for f in t.corpus.elements

@@ -35,7 +35,6 @@ from dualitylab import (
     check_extremes,
     classify,
     compose_dilate,
-    delta_leq,
     estimate_exponent,
     fit_sandwich,
     hat_inf2,
@@ -433,7 +432,20 @@ def reference_hat_inf2(f: PLConvex1D, g: PLConvex1D) -> PLConvex1D:
 
 # ---------------------------------------------------------------------------
 # reference pairwise checkers and ratio extrema: the per-pair `leq` loops and
-# the Moebius scan that the ratio matrices and `pl.ratio_sup` replaced
+# the Moebius scan that the ratio matrices and `pl.ratio_sup` replaced, and
+# the two former statements of the pinned-point rule
+
+
+def reference_delta_leq(d: DeltaFunction, e: DeltaFunction, factor: Scalar = 1) -> bool:
+    """The former `delta_leq`, with no factor check."""
+    return d.theta == e.theta and Fraction(d.c) <= as_fraction(factor) * Fraction(e.c)
+
+
+def reference_delta_ratio(f: DeltaFunction, g: DeltaFunction):
+    """The former pinned-point branch of `corpus._ratio_any`."""
+    if f.theta != g.theta or (g.c == 0 and f.c > 0):
+        return INF, g.theta
+    return (Fraction(f.c) / Fraction(g.c) if g.c else Fraction(0)), g.theta
 
 
 def _ref_leq(f, g, factor=1):
@@ -441,7 +453,7 @@ def _ref_leq(f, g, factor=1):
         w = leq_witness(f, g, factor)
         return (w is None), (None if w is None else float(w))
     assert isinstance(f, DeltaFunction) and isinstance(g, DeltaFunction)
-    if delta_leq(f, g, factor):
+    if reference_delta_leq(f, g, factor):
         return True, None
     return False, g.theta
 

@@ -387,6 +387,23 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert json.loads(proc.stdout) == {"kind": "indicator", "z": 0.5}
 
+    @pytest.mark.parametrize("op", ["legendre", "a", "j"])
+    def test_grid_module_invocation(self, capsys, tmp_path, op):
+        # a fresh process loads numpy only on first grid use
+        src = tmp_path / "g.csv"
+        write_grid_csv(GridFunction2D.from_function(math.hypot, R=2.0, N=17), str(src))
+        fresh, here = tmp_path / "fresh.csv", tmp_path / "here.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "dualitylab.cli", "transform", "--op", op,
+             "--in", str(src), "--out", str(fresh)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0 and proc.stdout == proc.stderr == ""
+        code, _, _ = run(capsys, "transform", "--op", op, "--in", str(src),
+                         "--out", str(here))
+        assert code == 0
+        assert fresh.read_bytes() == here.read_bytes()
+
     def test_missing_subcommand(self, capsys):
         code, _, _ = run(capsys)
         assert code == 2

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import dualitylab.corpus
 import dualitylab.extremal
 from dualitylab import (
     INF,
@@ -37,6 +38,8 @@ from helpers import (
     random_geometric,
     reference_almost_linear_bounds,
     reference_cover_witness_search,
+    reference_delta_leq,
+    reference_delta_ratio,
 )
 
 
@@ -106,6 +109,46 @@ class TestDelta:
         assert delta_leq(d, make_delta(1.0, 1.0), factor=2.0)
         # different pins never compare, whatever the factor
         assert not delta_leq(d, make_delta(2.0, 100.0), factor=100.0)
+
+    @pytest.mark.parametrize("factor", [0, 0.0, -1, Fraction(-1, 2), "-3"])
+    def test_nonpositive_factor_rejected(self, factor):
+        # the same check as `leq`, which raises for these factors too
+        with pytest.raises(ValueError, match="factor must be positive"):
+            leq(make_linear(1), make_linear(2), factor)
+        for d, e in ((make_delta(1.0, 2.0), make_delta(1.0, 3.0)),
+                     (make_delta(1.0, 0.0), make_delta(1.0, 0.0)),
+                     (make_delta(1.0, 2.0), make_delta(2.0, 3.0))):
+            with pytest.raises(ValueError, match="factor must be positive"):
+                delta_leq(d, e, factor)
+
+    def test_matches_the_former_rules(self):
+        # one pinned rule serves `delta_leq` and the corpus ratio; both agree
+        # with their former separate statements on every positive factor
+        rng = random.Random(7)
+        pins = (0.0, 1.0, -2.5, (1.0, 2.0), (1.0, -2.0))
+        values = (0.0, 0.0, 0.5, 1.0, 3.0, 5e-324, 1e300)
+        factors = (1, 2, Fraction(3, 2), Fraction(2, 3), 0.1, 5e-324, 1e300, "5/7")
+        seen = Counter()
+        for _ in range(4000):
+            theta = rng.choice(pins)
+            d = make_delta(theta, rng.choice(values + (rng.uniform(0, 10),)))
+            e = make_delta(theta if rng.random() < 0.8 else rng.choice(pins),
+                           rng.choice(values + (rng.uniform(0, 10),)))
+            ratio = dualitylab.corpus._ratio_any(d, e)
+            assert ratio == reference_delta_ratio(d, e)
+            for factor in factors + (rng.uniform(0.01, 10), ratio[0]):
+                if is_inf(factor) or factor == 0:
+                    continue
+                got = delta_leq(d, e, factor)
+                assert got == reference_delta_leq(d, e, factor)
+                seen[d.theta == e.theta, d.c == 0, e.c == 0, got] += 1
+        # (same pin, d.c == 0, e.c == 0, d <= factor * e): distinct pins
+        # never compare, a zero d is below every e on its pin, and a positive
+        # d is above a zero e
+        assert set(seen) == {(False, dz, ez, False) for dz in (False, True) for ez in (False, True)} | {
+            (True, True, True, True), (True, True, False, True),
+            (True, False, True, False), (True, False, False, True),
+            (True, False, False, False)}
 
     def test_scale(self):
         d = scale_delta(make_delta(1.0, 2.0), 0.5)

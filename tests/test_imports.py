@@ -1,0 +1,124 @@
+"""The 1-d commands run without numpy or scipy.
+
+Each command runs twice in a fresh interpreter: once as is, and once with
+``numpy`` and ``scipy`` blocked in ``sys.modules``, so that importing either
+raises ImportError.  Both runs must give the same exit code, stdout and
+written files.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import dualitylab
+from dualitylab import (
+    CorpusTransform,
+    analyze,
+    delta_corpus,
+    dump_json,
+    fuzz_transform,
+    geometric_corpus,
+    report_to_obj,
+    transform_to_obj,
+)
+from dualitylab.stability import AlmostOrderConstant
+
+SRC = str(Path(dualitylab.__file__).resolve().parents[1])
+
+_DRIVER = """
+import sys
+if sys.argv[1] == "blocked":
+    sys.modules["numpy"] = None
+    sys.modules["scipy"] = None
+from dualitylab.cli import main
+raise SystemExit(main(sys.argv[2:]))
+"""
+
+
+def _env():
+    env = dict(os.environ)
+    env.pop("DUALITYLAB_TOL", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def _run(cwd: Path, mode: str, argv):
+    cwd.mkdir()
+    proc = subprocess.run(
+        [sys.executable, "-c", _DRIVER, mode, *argv],
+        cwd=cwd, env=_env(), capture_output=True, text=True,
+    )
+    files = {p.relative_to(cwd).as_posix(): p.read_bytes()
+             for p in sorted(cwd.rglob("*")) if p.is_file()}
+    return proc.returncode, proc.stdout, proc.stderr, files
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("inputs")
+    k = AlmostOrderConstant(1.5)
+    (d / "pl.json").write_text(
+        '{"kind": "pl", "knots": [[0, 0], [1, "1/2"], [3, 4]], "tail_slope": 5}')
+    (d / "ray.json").write_text('{"kind": "linear", "a": 2}')
+    c = geometric_corpus()
+    shuffled = c.elements[1:] + c.elements[:1]
+    for name, t in (
+        ("identity", CorpusTransform(c, c.elements)),
+        ("fuzz", fuzz_transform(3, k, base="legendre")),
+        ("shuffled", CorpusTransform(c, shuffled)),
+        ("pinned", CorpusTransform(delta_corpus(), delta_corpus().elements)),
+    ):
+        (d / f"{name}.json").write_text(json.dumps(transform_to_obj(t)))
+    (d / "samples.json").write_text(json.dumps(
+        {"samples": [[0.5 * i, 3.0 * 0.5 * i + (-1) ** i * 0.05] for i in range(-8, 9)]}))
+    report = analyze(fuzz_transform(7, k, base="gauge"), k)
+    (d / "report.json").write_text(dump_json(report_to_obj(report)))
+    return d
+
+
+# name -> (exit code, argv); "{d}" is the inputs directory
+COMMANDS = {
+    "transform-j": (0, ("transform", "--op", "j", "--in", "{d}/pl.json")),
+    "transform-legendre-out": (0, (
+        "transform", "--op", "legendre", "--in", "{d}/ray.json", "--out", "g.json")),
+    "fuzz-artifacts": (0, (
+        "fuzz", "--base", "gauge", "--ctilde", "1.5", "--seed", "7",
+        "--report", "rep.json", "--emit-plots", "plots")),
+    "fuzz-a": (0, ("fuzz", "--base", "a", "--ctilde", "2", "--seed", "2")),
+    "check-order": (0, (
+        "check", "order", "--transform", "{d}/identity.json", "--ctilde", "1.5")),
+    "check-order-fuzz": (0, (
+        "check", "order", "--transform", "{d}/fuzz.json", "--ctilde", "1.5")),
+    "check-order-violated": (1, (
+        "check", "order", "--transform", "{d}/shuffled.json", "--ctilde", "1.5")),
+    "check-order-pinned": (2, (
+        "check", "order", "--transform", "{d}/pinned.json", "--ctilde", "1.5")),
+    "check-ptilde": (1, ("check", "ptilde", "--in", "{d}/pl.json", "--ctilde", "1.5")),
+    "hyers-ulam": (0, (
+        "hyers-ulam", "--in", "{d}/samples.json", "--eps", "0.3", "--out", "fit.json")),
+    "report": (0, ("report", "--in", "{d}/report.json", "--emit-plots", "plots")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_command_runs_without_numpy(tmp_path, inputs, name):
+    code, argv = COMMANDS[name]
+    argv = [a.format(d=inputs) for a in argv]
+    plain = _run(tmp_path / "plain", "plain", argv)
+    blocked = _run(tmp_path / "blocked", "blocked", argv)
+    assert plain[0] == code and "Traceback" not in plain[2]
+    assert blocked[:2] == plain[:2] and "Traceback" not in blocked[2]
+    assert blocked[3] == plain[3]
+
+
+def test_cli_import_leaves_numpy_and_scipy_out():
+    probe = ("import sys, dualitylab.cli; "
+             "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", probe], env=_env(),
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"

@@ -876,3 +876,10 @@ class TestAnalyzeEdges:
             assert rep.gamma is None and rep.exponent_deviation is None
             assert rep.alpha == 1.0 and rep.sandwich_lower is not None
             assert any("multiplicative grid" in note for note in rep.diagnostics)
+
+    @pytest.mark.parametrize("tol", [-1, math.nan, math.inf, "x"])
+    def test_bad_exponent_tolerance_rejected(self, tol):
+        t = fuzz_transform(1, K15, corpus=geometric_corpus((-2, -1, 1, 2)))
+        with pytest.raises(ValueError, match="exponent_tolerance"):
+            analyze(t, K15, exponent_tolerance=tol)
+        assert analyze(t, K15, exponent_tolerance=0).certified
