@@ -21,7 +21,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from .exceptions import ClassTagError, ConvexityError, DomainError
 
@@ -220,34 +220,34 @@ def _require_same_tag(f: PLConvex1D, g: PLConvex1D) -> ClassTag:
 def sup2(f: PLConvex1D, g: PLConvex1D) -> PLConvex1D:
     """Pointwise maximum (the lattice join).  Exact.
 
-    The effective domain is the intersection of the two domains.
+    The effective domain is the intersection of the two domains.  Both
+    functions are read off one `_breakpoints` walk up to that end (the
+    arguments swapped when dom f < dom g); between two breakpoints both are
+    affine, so a sign change of f - g adds one crossing.
     """
     tag = _require_same_tag(f, g)
     end = min(f.domain_end, g.domain_end)
-
-    cand = {x for x in f.xs if x <= end} | {x for x in g.xs if x <= end}
-    if not is_inf(end):
-        cand.add(end)
-    xs = sorted(cand)
-    fv = [f(x) for x in xs]
-    gv = [g(x) for x in xs]
+    if f.domain_end < g.domain_end:
+        walk = [(x, fx, gx) for x, gx, fx in _breakpoints(g, f)]
+    else:
+        walk = list(_breakpoints(f, g))
 
     pts = []
-    for i, x in enumerate(xs):
-        pts.append((x, max(fv[i], gv[i])))
-        if i + 1 < len(xs):
-            d0 = fv[i] - gv[i]
-            d1 = fv[i + 1] - gv[i + 1]
+    for i, (x, fx, gx) in enumerate(walk):
+        pts.append((x, max(fx, gx)))
+        if i + 1 < len(walk):
+            x1, fx1, gx1 = walk[i + 1]
+            d0, d1 = fx - gx, fx1 - gx1
             if (d0 < 0 < d1) or (d1 < 0 < d0):
-                xc = xs[i] + (xs[i + 1] - xs[i]) * d0 / (d0 - d1)
+                xc = x + (x1 - x) * d0 / (d0 - d1)
                 pts.append((xc, f(xc)))
 
     if is_inf(end):
         # Both tails are finite rays here; insert their crossing if it lies
-        # beyond the last candidate, then the steeper ray wins.
+        # beyond the last breakpoint, then the steeper ray wins.
         mf, mg = f.tail_slope, g.tail_slope
-        x_last = xs[-1]
-        d_last = fv[-1] - gv[-1]
+        x_last, fx, gx = walk[-1]
+        d_last = fx - gx
         ds = mf - mg
         if ds != 0 and d_last != 0 and (d_last < 0) == (ds > 0):
             xc = x_last - d_last / ds
@@ -302,11 +302,53 @@ def hat_inf2(f: PLConvex1D, g: PLConvex1D) -> PLConvex1D:
     return _hull_function(f.knots + g.knots, min(f.tail_slope, g.tail_slope), tag)
 
 
+def _value_on(knots, i: int, tail: Extended, x: Fraction) -> Fraction:
+    """Value at x of the function with ``knots`` and ``tail``, where x lies
+    strictly between knots i-1 and i, or past the last knot when i == len."""
+    xa, va = knots[i - 1]
+    if i < len(knots):
+        xb, vb = knots[i]
+        return va + (vb - va) * (x - xa) / (xb - xa)
+    return va + tail * (x - xa)
+
+
+def _breakpoints(f: PLConvex1D, g: PLConvex1D) -> Iterator[Tuple[Fraction, Fraction, Fraction]]:
+    """Yield ``(x, f(x), g(x))`` at every knot x of f or g with x <= dom g, ascending.
+
+    Needs dom f >= dom g, so every value is finite.  One merge pass over the
+    two knot lists, O(k_f + k_g): a knot of one function is valued on the
+    other's current piece, or on its tail ray past its last knot.  Between
+    two breakpoints, and past the last one, both functions are affine.
+    """
+    fk, gk = f.knots, g.knots
+    nf, ng = len(fk), len(gk)
+    g_ray = not is_inf(g.tail_slope)
+    yield fk[0][0], fk[0][1], gk[0][1]  # both lists start at x = 0
+    i = j = 1
+    while j < ng or (g_ray and i < nf):
+        if j == ng or (i < nf and fk[i][0] < gk[j][0]):
+            x, fx = fk[i]
+            gx = _value_on(gk, j, g.tail_slope, x)
+            i += 1
+        else:
+            x, gx = gk[j]
+            if i < nf and fk[i][0] == x:
+                fx = fk[i][1]
+                i += 1
+            else:
+                fx = _value_on(fk, i, f.tail_slope, x)
+            j += 1
+        yield x, fx, gx
+
+
 def leq_witness(f: PLConvex1D, g: PLConvex1D, factor: Scalar = 1) -> Optional[Fraction]:
     """Exact decision of ``f <= factor * g`` on [0, inf); returns a violating x or None.
 
     Conventions: where g = +inf the inequality holds for any factor; where g
     is finite and f = +inf it fails; factor never multiplies an infinity.
+    Both functions are affine between merged breakpoints, so one
+    `_breakpoints` walk, O(k_f + k_g), decides it: the witness is the first
+    failing breakpoint, or a point past the last one when the tail rays part.
     """
     factor = as_fraction(factor)
     if factor <= 0:
@@ -316,19 +358,13 @@ def leq_witness(f: PLConvex1D, g: PLConvex1D, factor: Scalar = 1) -> Optional[Fr
         # f jumps to +inf strictly inside the region where g is finite
         return df + 1 if is_inf(dg) else df + (dg - df) / 2
 
-    cand = {x for x in f.xs if x <= dg} | {x for x in g.xs if x <= dg}
-    if not is_inf(dg):
-        cand.add(dg)
-    xs = sorted(cand)
-    for x in xs:
-        if f(x) > factor * g(x):
+    for x, fx, gx in _breakpoints(f, g):
+        if fx > factor * gx:
             return x
     if is_inf(dg):
         slope_gap = f.tail_slope - factor * g.tail_slope
         if slope_gap > 0:
-            x_last = xs[-1]
-            deficit = factor * g(x_last) - f(x_last)
-            return x_last + deficit / slope_gap + 1
+            return x + (factor * gx - fx) / slope_gap + 1
     return None
 
 
@@ -345,34 +381,32 @@ def ratio_sup(f: PLConvex1D, g: PLConvex1D) -> Tuple[Extended, Optional[Fraction
     So ``leq(f, g, c)`` holds exactly when the sup is at most c.  On each
     common affine piece f/g is a Moebius function of x, hence monotone, so
     the sup sits at a merged breakpoint or is the tail limit; the abscissa
-    is None when only the tail limit reaches it.
+    is None when only the tail limit reaches it.  One `_breakpoints` walk,
+    O(k_f + k_g), finds it; ratios are compared as integer cross-products
+    and one Fraction is built at the end, so the result is still exact.
     """
     df, dg = f.domain_end, g.domain_end
     if df < dg:
         # f jumps to +inf strictly inside the region where g is finite
         return INF, (df + 1 if is_inf(dg) else df + (dg - df) / 2)
-    cand = {x for x in f.xs if x <= dg} | {x for x in g.xs if x <= dg}
-    if not is_inf(dg):
-        cand.add(dg)
-    best: Extended = -1  # below every ratio, so the first candidate sets arg
-    for x in sorted(cand):
-        fv, gv = f(x), g(x)
-        if gv == 0:
-            if fv > 0:
+    bn, bd = -1, 1  # best ratio bn/bd, below every ratio, so the first sets arg
+    for x, fx, gx in _breakpoints(f, g):
+        if gx == 0:
+            if fx:
                 return INF, x
-            r = _F0
+            rn, rd = 0, 1
         else:
-            r = fv / gv
-        if r > best:
-            best, arg = r, x
+            rn, rd = fx.numerator * gx.denominator, fx.denominator * gx.numerator
+        if rn * bd > bn * rd:
+            bn, bd, arg = rn, rd, x
     if is_inf(dg):
         # past the last breakpoint x both are affine and f/g tends to mf/mg;
         # when g(x) = 0 = f(x) the ratio is that constant all along the tail
         mf, mg = f.tail_slope, g.tail_slope
-        lim = mf / mg if mg else (INF if mf else _F0)
-        if lim > best:
-            return lim, (x + 1 if gv == 0 else None)
-    return best, arg
+        ln, ld = mf.numerator * mg.denominator, mf.denominator * mg.numerator
+        if ln * bd > bn * ld:  # ld = 0 only for mg = 0 < mf: the limit is +inf
+            return (Fraction(ln, ld) if ld else INF), (x + 1 if gx == 0 else None)
+    return Fraction(bn, bd), arg
 
 
 def scale(f: PLConvex1D, lam: Scalar) -> PLConvex1D:

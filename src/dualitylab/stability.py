@@ -100,7 +100,7 @@ class AlmostOrderConstant:
         if self.ctilde <= 1:
             raise ValueError("almost-order constant must exceed 1")
 
-    @property
+    @cached_property
     def reciprocal(self) -> Fraction:
         return 1 / self.ctilde
 
@@ -406,18 +406,21 @@ def classify(
     their reciprocals): a gauge-like composition names a Legendre-like
     original, an identity-like composition names a dual-like original.
     """
+    if sense not in (None, "preserving", "reversing"):
+        raise ValueError("sense must be 'preserving' or 'reversing'")
+    _samples(t.corpus)  # a corpus error comes before any ratio matrix
     if sense is None:
         sense = _sense(t, k)
-    elif sense not in ("preserving", "reversing"):
-        raise ValueError("sense must be 'preserving' or 'reversing'")
     return _classify(t, k, sense)
 
 
-def _classify(
-    t: CorpusTransform, k: AlmostOrderConstant, sense: Optional[str]
-) -> StabilityReport:
-    """`classify` at a decided sense; None when neither condition holds."""
-    els = t.corpus.elements
+def _samples(corpus: Corpus) -> Tuple[List[int], List[int]]:
+    """Indices of the corpus's proper indicators and positive rays.
+
+    A CorpusError unless the corpus is all 1-d with at least two of each:
+    checked before the order sense is decided, so before any ratio matrix.
+    """
+    els = corpus.elements
     if not all(isinstance(f, PLConvex1D) for f in els):
         raise CorpusError("classification requires a corpus of 1-d functions")
     ind = [i for i, f in enumerate(els) if _proper_indicator(f)]
@@ -426,7 +429,15 @@ def _classify(
         raise CorpusError(
             "classification needs at least two indicators and two rays"
         )
+    return ind, lin
 
+
+def _classify(
+    t: CorpusTransform, k: AlmostOrderConstant, sense: Optional[str]
+) -> StabilityReport:
+    """`classify` at a decided sense; None when neither condition holds."""
+    els = t.corpus.elements
+    ind, lin = _samples(t.corpus)
     notes: Tuple[str, ...] = ()
 
     def report(classification, violations, phi=(), slopes=()) -> StabilityReport:
@@ -678,7 +689,7 @@ def fit_sandwich(t: CorpusTransform, report: StabilityReport) -> StabilityReport
     lo = min((e[0] for e in extrema), default=Fraction(1))
     hi = max((e[1] for e in extrema), default=Fraction(1))
     for img, ref, label in zip(imgs, refs, labels):
-        if not (leq(scale(ref, lo), img) and leq(img, scale(ref, hi))):
+        if not (leq(ref, img, 1 / lo) and leq(img, ref, hi)):
             raise ConsistencyError(
                 f"fitted sandwich fails exact re-verification on {label}"
             )
@@ -951,13 +962,13 @@ def analyze(
     conditions, lattice stability on designated pairs and the extremes;
     classifies; recovers the exponent (left None, with a diagnostic, when
     the samples are off a multiplicative grid); and fits the sandwich.
-    A NaN, infinite or negative ``exponent_tolerance`` raises ValueError.
+    A NaN, infinite or negative ``exponent_tolerance`` raises ValueError; a
+    corpus that is not all 1-d, or holds fewer than two indicators or two
+    rays, raises CorpusError before any ratio matrix is built.
     """
     exponent_tolerance = _nonnegative(exponent_tolerance, "exponent_tolerance")
-    has_extremes = any(
-        isinstance(f, PLConvex1D) and (f.is_zero or f.is_point_indicator)
-        for f in t.corpus.elements
-    )
+    _samples(t.corpus)  # a corpus error comes before any ratio matrix
+    has_extremes = any(f.is_zero or f.is_point_indicator for f in t.corpus.elements)
     sense = _sense(t, k)
     violations: Tuple[Violation, ...] = ()
     if sense == "preserving":

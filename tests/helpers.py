@@ -431,6 +431,122 @@ def reference_hat_inf2(f: PLConvex1D, g: PLConvex1D) -> PLConvex1D:
 
 
 # ---------------------------------------------------------------------------
+# reference pairwise primitives: the candidate-set scans (a sorted set of
+# both functions' knots, each evaluated through PLConvex1D.__call__) that the
+# one breakpoint walk of `pl._breakpoints` replaced, kept verbatim
+
+
+def reference_ratio_sup(f: PLConvex1D, g: PLConvex1D) -> Tuple[Extended, Optional[Fraction]]:
+    """Exact sup of f/g on [0, inf), and an abscissa where it is reached.
+
+    Conventions match `leq`: points where g = +inf are ignored; f = +inf
+    against a finite g, or f > 0 against g = 0, gives +inf; 0/0 counts as 0.
+    So ``leq(f, g, c)`` holds exactly when the sup is at most c.  On each
+    common affine piece f/g is a Moebius function of x, hence monotone, so
+    the sup sits at a merged breakpoint or is the tail limit; the abscissa
+    is None when only the tail limit reaches it.
+    """
+    df, dg = f.domain_end, g.domain_end
+    if df < dg:
+        # f jumps to +inf strictly inside the region where g is finite
+        return INF, (df + 1 if is_inf(dg) else df + (dg - df) / 2)
+    cand = {x for x in f.xs if x <= dg} | {x for x in g.xs if x <= dg}
+    if not is_inf(dg):
+        cand.add(dg)
+    best: Extended = -1  # below every ratio, so the first candidate sets arg
+    for x in sorted(cand):
+        fv, gv = f(x), g(x)
+        if gv == 0:
+            if fv > 0:
+                return INF, x
+            r = _F0
+        else:
+            r = fv / gv
+        if r > best:
+            best, arg = r, x
+    if is_inf(dg):
+        # past the last breakpoint x both are affine and f/g tends to mf/mg;
+        # when g(x) = 0 = f(x) the ratio is that constant all along the tail
+        mf, mg = f.tail_slope, g.tail_slope
+        lim = mf / mg if mg else (INF if mf else _F0)
+        if lim > best:
+            return lim, (x + 1 if gv == 0 else None)
+    return best, arg
+
+
+def reference_leq_witness(f: PLConvex1D, g: PLConvex1D, factor: Scalar = 1) -> Optional[Fraction]:
+    """Exact decision of ``f <= factor * g`` on [0, inf); returns a violating x or None.
+
+    Conventions: where g = +inf the inequality holds for any factor; where g
+    is finite and f = +inf it fails; factor never multiplies an infinity.
+    """
+    factor = as_fraction(factor)
+    if factor <= 0:
+        raise ValueError("factor must be positive")
+    df, dg = f.domain_end, g.domain_end
+    if df < dg:
+        # f jumps to +inf strictly inside the region where g is finite
+        return df + 1 if is_inf(dg) else df + (dg - df) / 2
+
+    cand = {x for x in f.xs if x <= dg} | {x for x in g.xs if x <= dg}
+    if not is_inf(dg):
+        cand.add(dg)
+    xs = sorted(cand)
+    for x in xs:
+        if f(x) > factor * g(x):
+            return x
+    if is_inf(dg):
+        slope_gap = f.tail_slope - factor * g.tail_slope
+        if slope_gap > 0:
+            x_last = xs[-1]
+            deficit = factor * g(x_last) - f(x_last)
+            return x_last + deficit / slope_gap + 1
+    return None
+
+
+def reference_sup2(f: PLConvex1D, g: PLConvex1D) -> PLConvex1D:
+    """Pointwise maximum (the lattice join).  Exact.
+
+    The effective domain is the intersection of the two domains.
+    """
+    tag = _require_same_tag(f, g)
+    end = min(f.domain_end, g.domain_end)
+
+    cand = {x for x in f.xs if x <= end} | {x for x in g.xs if x <= end}
+    if not is_inf(end):
+        cand.add(end)
+    xs = sorted(cand)
+    fv = [f(x) for x in xs]
+    gv = [g(x) for x in xs]
+
+    pts = []
+    for i, x in enumerate(xs):
+        pts.append((x, max(fv[i], gv[i])))
+        if i + 1 < len(xs):
+            d0 = fv[i] - gv[i]
+            d1 = fv[i + 1] - gv[i + 1]
+            if (d0 < 0 < d1) or (d1 < 0 < d0):
+                xc = xs[i] + (xs[i + 1] - xs[i]) * d0 / (d0 - d1)
+                pts.append((xc, f(xc)))
+
+    if is_inf(end):
+        # Both tails are finite rays here; insert their crossing if it lies
+        # beyond the last candidate, then the steeper ray wins.
+        mf, mg = f.tail_slope, g.tail_slope
+        x_last = xs[-1]
+        d_last = fv[-1] - gv[-1]
+        ds = mf - mg
+        if ds != 0 and d_last != 0 and (d_last < 0) == (ds > 0):
+            xc = x_last - d_last / ds
+            if xc > x_last:
+                pts.append((xc, f(xc)))
+        tail: Extended = max(mf, mg)
+    else:
+        tail = INF
+    return PLConvex1D(tuple(pts), tail, tag)
+
+
+# ---------------------------------------------------------------------------
 # reference pairwise checkers and ratio extrema: the per-pair `leq` loops and
 # the Moebius scan that the ratio matrices and `pl.ratio_sup` replaced, and
 # the two former statements of the pinned-point rule

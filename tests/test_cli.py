@@ -146,6 +146,27 @@ class TestCheck:
         )
         assert code == 0 and "identity (certified)" in out
 
+    def test_order_rejects_pinned_point_corpus_before_any_matrix(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        import dualitylab.cli as cli
+        from dualitylab import CorpusTransform, delta_corpus, transform_to_obj
+
+        c = delta_corpus()
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(transform_to_obj(CorpusTransform(c, c.elements))))
+        parsed = []
+        parse = cli.parse_corpus_transform
+        monkeypatch.setattr(
+            cli, "parse_corpus_transform", lambda obj: parsed.append(parse(obj)) or parsed[-1])
+        code, out, err = run(
+            capsys, "check", "order", "--transform", str(path), "--ctilde", "1.5"
+        )
+        assert code == 2 and out == ""
+        assert err == "error: classification requires a corpus of 1-d functions\n"
+        (t,) = parsed
+        assert "R" not in t.corpus.__dict__ and "R_img" not in t.__dict__
+
     def test_order_flags_sabotage(self, capsys, tmp_path):
         from dualitylab import CorpusTransform, geometric_corpus, transform_to_obj
 

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,9 @@ from helpers import (
     geometric_functions,
     random_geometric,
     random_nonnegative,
+    reference_leq_witness,
+    reference_ratio_sup,
+    reference_sup2,
     sample_points,
 )
 
@@ -277,6 +281,35 @@ class TestOrder:
         assert ratio_sup(ray, point) == (0, 0)  # g = +inf is ignored, 0/0 is 0
         assert ratio_sup(ind, cap) == (0, 0)
         assert ratio_sup(ray, ray) == (1, 1)  # constant ratio, reached past 0
+
+    def test_walk_matches_the_candidate_scans(self):
+        """`ratio_sup`, `leq_witness` and `sup2` on one breakpoint walk give
+        the same values, abscissae, witnesses and types as the former scans."""
+        rng = random.Random(23)
+        seen = Counter()
+        for n in range(5000):
+            if n % 2:
+                f, g = random_geometric(rng, 6), random_geometric(rng, 6)
+            else:
+                f, g = random_nonnegative(rng, 6), random_nonnegative(rng, 6)
+            if n % 5 == 0:  # comparable pairs and shared knots
+                g = scale(f, Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+            elif n % 5 == 1:
+                g = compose_dilate(f, Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+            for a, b in ((f, g), (g, f)):
+                got, want = ratio_sup(a, b), reference_ratio_sup(a, b)
+                assert got == want, (a, b)
+                assert [type(v) for v in got] == [type(v) for v in want], (a, b)
+                seen[type(got[0]).__name__, type(got[1]).__name__] += 1
+            for factor in (1, Fraction(3, 2), Fraction(1, 3), 2):
+                w = leq_witness(f, g, factor)
+                assert w == reference_leq_witness(f, g, factor), (f, g, factor)
+                assert w is None or type(w) is Fraction
+                seen["witness" if w is not None else "holds"] += 1
+            assert sup2(f, g) == reference_sup2(f, g), (f, g)
+        for key in (("Fraction", "Fraction"), ("Fraction", "NoneType"),
+                    ("float", "Fraction"), ("float", "NoneType"), "witness", "holds"):
+            assert seen[key] >= 50, seen
 
 
 class TestScaling:

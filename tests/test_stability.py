@@ -89,6 +89,12 @@ class TestAlmostOrderConstant:
         assert k.reciprocal == Fraction(2, 3)
         assert k.power(3) == Fraction(27, 8)
 
+    def test_reciprocal_is_computed_once(self):
+        k = AlmostOrderConstant(Fraction(3, 2))
+        assert k.reciprocal is k.reciprocal
+        assert k == AlmostOrderConstant(Fraction(3, 2)) and hash(k) == hash(
+            AlmostOrderConstant(Fraction(3, 2)))
+
 
 class TestOrderCheckers:
     def test_identity_is_clean(self):
@@ -461,6 +467,15 @@ class TestClassify:
         bare = Corpus((make_indicator(1), make_linear(1)), ("i", "l"), "thin", ())
         with pytest.raises(CorpusError):
             classify(identity_transform(bare), K15)
+
+    def test_corpus_checked_before_any_matrix(self):
+        bare = Corpus((make_indicator(1), make_linear(1)), ("i", "l"), "thin", ())
+        for corpus, text in ((bare, "two indicators"), (delta_corpus(), "1-d")):
+            for run in (classify, analyze):
+                t = identity_transform(corpus)
+                with pytest.raises(CorpusError, match=text):
+                    run(t, K15)
+                assert "R" not in corpus.__dict__ and "R_img" not in t.__dict__
 
     def test_bad_sense_rejected(self):
         with pytest.raises(ValueError):
