@@ -248,7 +248,7 @@ def _envelope_from_cloud(
         direction = centered[np.argmax(np.abs(centered).sum(axis=1))]
         direction = direction / np.linalg.norm(direction)
         t = (pts - pts[0]) @ direction
-        hull = _lower_hull([(Fraction(float(a)), Fraction(float(b))) for a, b in zip(t, vals)])
+        hull, _ = _lower_hull([(Fraction(float(a)), Fraction(float(b))) for a, b in zip(t, vals)])
         hx = [float(x) for x, _ in hull]
         hv = [float(v) for _, v in hull]
         node_t = (nodes - pts[0]) @ direction
@@ -336,12 +336,8 @@ def ray_restrict(f: GridFunction2D, u: Sequence[float]) -> PLConvex1D:
         k += 1
     if not pts:
         raise DomainError("ray has no finite value at the origin")
-    hull = _lower_hull(pts)
-    if hit_edge and len(hull) >= 2:
-        (xa, va), (xb, vb) = hull[-2], hull[-1]
-        tail = (vb - va) / (xb - xa)
-    else:
-        tail = INF
+    hull, edges = _lower_hull(pts)
+    tail = edges[-1] if hit_edge and edges else INF
     return PLConvex1D(tuple(hull), tail, f.tag)
 
 

@@ -5,7 +5,9 @@ A function is stored as its knot list ``(x_0, v_0), ..., (x_k, v_k)`` with
 means the function jumps to ``+inf`` beyond ``x_k`` (bounded effective
 domain).  All finite data is kept as `fractions.Fraction`, so every operation
 in this module is exact and equality of canonical representations is literal
-equality of the underlying functions.
+equality of the underlying functions.  Construction also keeps the chord
+slopes of the canonical knots, each divided out once; evaluation, the
+breakpoint walk and the transforms read them instead of dividing again.
 
 Two classes are tagged:
 
@@ -79,7 +81,9 @@ class PLConvex1D:
 
     Instances canonicalize on construction: collinear knots are merged
     (including a last knot collinear with the tail ray), so two instances are
-    equal as dataclasses iff they are equal as functions.
+    equal as dataclasses iff they are equal as functions.  ``slopes`` holds
+    the chord slope of each pair of adjacent canonical knots; like ``xs`` it
+    is derived data and takes no part in equality, hashing or repr.
 
     Args:
         knots: ascending ``(x, v)`` pairs, ``x_0 = 0``, finite ``v >= 0``.
@@ -91,6 +95,7 @@ class PLConvex1D:
     tail_slope: Extended = INF
     tag: ClassTag = ClassTag.GEOMETRIC
     xs: Tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
+    slopes: Tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = [(as_fraction(x), as_fraction(v)) for x, v in self.knots]
@@ -108,17 +113,24 @@ class PLConvex1D:
         if not is_inf(tail) and tail < 0:
             raise ConvexityError("tail slope must be nonnegative or +inf")
 
-        # Merge collinear interior knots, then a last knot collinear with the tail.
+        # Merge collinear interior knots, then a last knot collinear with the
+        # tail.  slopes[k] is the chord slope from merged[k] to merged[k + 1]:
+        # each knot p divides out one slope s, and dropping a knot collinear
+        # with p leaves the merged chord at that same slope s.
         merged: list = [pts[0]]
+        slopes: list = []
         for p in pts[1:]:
-            while len(merged) >= 2 and _slope(merged[-2], merged[-1]) == _slope(merged[-1], p):
+            s = _slope(merged[-1], p)
+            while slopes and slopes[-1] == s:
+                slopes.pop()
                 merged.pop()
             merged.append(p)
+            slopes.append(s)
         if not is_inf(tail):
-            while len(merged) >= 2 and _slope(merged[-2], merged[-1]) == tail:
+            while slopes and slopes[-1] == tail:
+                slopes.pop()
                 merged.pop()
 
-        slopes = [_slope(a, b) for a, b in zip(merged, merged[1:])]
         for sa, sb in zip(slopes, slopes[1:]):
             if sa >= sb:
                 raise ConvexityError("chord slopes must be strictly increasing")
@@ -135,6 +147,7 @@ class PLConvex1D:
         object.__setattr__(self, "knots", tuple(merged))
         object.__setattr__(self, "tail_slope", tail)
         object.__setattr__(self, "xs", tuple(x for x, _ in merged))
+        object.__setattr__(self, "slopes", tuple(slopes))
 
     # -- basic queries ---------------------------------------------------
 
@@ -153,7 +166,7 @@ class PLConvex1D:
         xk, vk = self.knots[i]
         if x == xk:
             return vk
-        return vk + _slope(self.knots[i], self.knots[i + 1]) * (x - xk)
+        return vk + self.slopes[i] * (x - xk)
 
     @property
     def domain_end(self) -> Extended:
@@ -161,14 +174,10 @@ class PLConvex1D:
         return self.xs[-1] if is_inf(self.tail_slope) else INF
 
     @property
-    def slopes(self) -> Tuple[Fraction, ...]:
-        return tuple(_slope(a, b) for a, b in zip(self.knots, self.knots[1:]))
-
-    @property
     def first_slope(self) -> Extended:
-        """Right derivative at 0 (tail slope if there is a single knot)."""
-        s = self.slopes
-        return s[0] if s else self.tail_slope
+        """Right derivative at 0: the first stored chord slope, or the tail
+        slope if there is a single knot."""
+        return self.slopes[0] if self.slopes else self.tail_slope
 
     def zero_end(self) -> Extended:
         """Largest x with f(x) = 0, for geometric functions.
@@ -239,8 +248,8 @@ def sup2(f: PLConvex1D, g: PLConvex1D) -> PLConvex1D:
             x1, fx1, gx1 = walk[i + 1]
             d0, d1 = fx - gx, fx1 - gx1
             if (d0 < 0 < d1) or (d1 < 0 < d0):
-                xc = x + (x1 - x) * d0 / (d0 - d1)
-                pts.append((xc, f(xc)))
+                t = d0 / (d0 - d1)  # f is affine on [x, x1]
+                pts.append((x + (x1 - x) * t, fx + (fx1 - fx) * t))
 
     if is_inf(end):
         # Both tails are finite rays here; insert their crossing if it lies
@@ -250,33 +259,38 @@ def sup2(f: PLConvex1D, g: PLConvex1D) -> PLConvex1D:
         d_last = fx - gx
         ds = mf - mg
         if ds != 0 and d_last != 0 and (d_last < 0) == (ds > 0):
-            xc = x_last - d_last / ds
-            if xc > x_last:
-                pts.append((xc, f(xc)))
+            dx = -d_last / ds  # f is on its tail ray past x_last
+            if dx > 0:
+                pts.append((x_last + dx, fx + mf * dx))
         tail: Extended = max(mf, mg)
     else:
         tail = INF
     return PLConvex1D(tuple(pts), tail, tag)
 
 
-def _lower_hull(pts: Sequence[Tuple[Fraction, Fraction]]) -> list:
-    """Lower convex hull of 2-D points, as a left-to-right vertex chain."""
+def _lower_hull(pts: Sequence[Tuple[Fraction, Fraction]]) -> Tuple[list, list]:
+    """Lower convex hull of 2-D points, as a left-to-right vertex chain and
+    its edge slopes (``edges[k]`` runs from ``hull[k]`` to ``hull[k + 1]``).
+
+    A vertex a before a new point p goes when its incoming edge is at least
+    as steep as the chord from a to p; each test divides out that one chord,
+    which becomes the new edge once the pops stop."""
     best: dict = {}
     for x, v in pts:
         if x not in best or v < best[x]:
             best[x] = v
-    ordered = sorted(best.items())
     hull: list = []
-    for p in ordered:
-        while len(hull) >= 2:
-            (ox, ov), (ax, av) = hull[-2], hull[-1]
-            # pop if the middle point is on or above segment (o, p)
-            if (ax - ox) * (p[1] - ov) - (av - ov) * (p[0] - ox) <= 0:
+    edges: list = []
+    for p in sorted(best.items()):
+        if hull:
+            s = _slope(hull[-1], p)
+            while edges and edges[-1] >= s:
+                edges.pop()
                 hull.pop()
-            else:
-                break
+                s = _slope(hull[-1], p)
+            edges.append(s)
         hull.append(p)
-    return hull
+    return hull, edges
 
 
 def _hull_function(
@@ -287,9 +301,10 @@ def _hull_function(
     The lower hull of the points, trimmed of edges at least as steep as a
     finite ``tail`` (an exact inf-convolution with the ray); a ``tail`` of
     +inf ends the domain at the last vertex."""
-    hull = _lower_hull(pts)
+    hull, edges = _lower_hull(pts)
     if not is_inf(tail):
-        while len(hull) >= 2 and _slope(hull[-2], hull[-1]) >= tail:
+        while edges and edges[-1] >= tail:
+            edges.pop()
             hull.pop()
     return PLConvex1D(tuple(hull), tail, tag)
 
@@ -302,14 +317,13 @@ def hat_inf2(f: PLConvex1D, g: PLConvex1D) -> PLConvex1D:
     return _hull_function(f.knots + g.knots, min(f.tail_slope, g.tail_slope), tag)
 
 
-def _value_on(knots, i: int, tail: Extended, x: Fraction) -> Fraction:
-    """Value at x of the function with ``knots`` and ``tail``, where x lies
-    strictly between knots i-1 and i, or past the last knot when i == len."""
-    xa, va = knots[i - 1]
-    if i < len(knots):
-        xb, vb = knots[i]
-        return va + (vb - va) * (x - xa) / (xb - xa)
-    return va + tail * (x - xa)
+def _value_on(f: PLConvex1D, i: int, x: Fraction) -> Fraction:
+    """Value at x of f, where x lies strictly between knots i-1 and i, or past
+    the last knot when i == len: knot i-1 plus the stored slope of that piece
+    (or the tail slope) times the offset, with no division."""
+    xa, va = f.knots[i - 1]
+    s = f.slopes[i - 1] if i < len(f.knots) else f.tail_slope
+    return va + s * (x - xa)
 
 
 def _breakpoints(f: PLConvex1D, g: PLConvex1D) -> Iterator[Tuple[Fraction, Fraction, Fraction]]:
@@ -328,7 +342,7 @@ def _breakpoints(f: PLConvex1D, g: PLConvex1D) -> Iterator[Tuple[Fraction, Fract
     while j < ng or (g_ray and i < nf):
         if j == ng or (i < nf and fk[i][0] < gk[j][0]):
             x, fx = fk[i]
-            gx = _value_on(gk, j, g.tail_slope, x)
+            gx = _value_on(g, j, x)
             i += 1
         else:
             x, gx = gk[j]
@@ -336,7 +350,7 @@ def _breakpoints(f: PLConvex1D, g: PLConvex1D) -> Iterator[Tuple[Fraction, Fract
                 fx = fk[i][1]
                 i += 1
             else:
-                fx = _value_on(fk, i, f.tail_slope, x)
+                fx = _value_on(f, i, x)
             j += 1
         yield x, fx, gx
 
@@ -453,7 +467,7 @@ def ratio_sup_abscissae(
             i -= 1
         xa, va = knots[i]
         if i + 1 < len(knots):
-            s = _slope(knots[i], knots[i + 1])
+            s = f.slopes[i]
         elif is_inf(m):
             out.append(xa)  # bounded domain ending at a feasible knot
             continue

@@ -55,9 +55,12 @@ def scalar_token(v) -> Union[int, float, str]:
     v = Fraction(v)
     if v.denominator == 1:
         return int(v)
-    as_float = float(v)
-    if Fraction(as_float) == v:
-        return as_float
+    try:
+        as_float = float(v)
+        if Fraction(as_float) == v:
+            return as_float
+    except OverflowError:  # beyond float range, so no float token is exact
+        pass
     return f"{v.numerator}/{v.denominator}"
 
 
@@ -140,7 +143,7 @@ def function_to_obj(f: FunctionLike) -> dict:
             return {
                 "kind": "triangle",
                 "z": scalar_token(z),
-                "a": scalar_token(f.knots[1][1] / z),
+                "a": scalar_token(f.slopes[0]),
             }
     obj = {
         "kind": "pl",

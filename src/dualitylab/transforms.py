@@ -54,8 +54,7 @@ def legendre(f: PLConvex1D) -> PLConvex1D:
     """
     _require_geometric(f, "legendre")
     ys: List[Tuple[Fraction, Fraction]] = [(_F0, _F0)]
-    for (xa, va), (xb, vb) in zip(f.knots, f.knots[1:]):
-        s = (vb - va) / (xb - xa)
+    for (xa, va), s in zip(f.knots, f.slopes):
         if s > 0:
             ys.append((s, xa * s - va))
     m = f.tail_slope

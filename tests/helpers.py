@@ -23,6 +23,7 @@ from dualitylab import (
     ClassificationError,
     ClassTagError,
     ConsistencyError,
+    ConvexityError,
     CorpusError,
     DeltaFunction,
     GridFunction2D,
@@ -50,10 +51,10 @@ from dualitylab import (
 )
 from dualitylab.pl import (
     Extended,
-    _lower_hull,
     _require_same_tag,
     Scalar,
     _slope,
+    as_extended,
     as_fraction,
     ratio_sup_abscissae,
 )
@@ -417,7 +418,7 @@ def reference_hat_inf2(f: PLConvex1D, g: PLConvex1D) -> PLConvex1D:
     inf-convolution (trimming hull edges steeper than the ray).
     """
     tag = _require_same_tag(f, g)
-    hull = _lower_hull(list(f.knots) + list(g.knots))
+    hull = reference_lower_hull(list(f.knots) + list(g.knots))
 
     tails = [m for m in (f.tail_slope, g.tail_slope) if not is_inf(m)]
     if tails:
@@ -428,6 +429,101 @@ def reference_hat_inf2(f: PLConvex1D, g: PLConvex1D) -> PLConvex1D:
     else:
         tail = INF
     return PLConvex1D(tuple(hull), tail, tag)
+
+
+# ---------------------------------------------------------------------------
+# reference canonicalization and hulls: the merge-and-validate body of
+# `PLConvex1D.__post_init__` that recomputed chord slopes, and the
+# cross-product lower hull, both of which stored chord slopes replaced, kept
+# verbatim
+
+
+def reference_canonical(knots, tail_slope=INF, tag=ClassTag.GEOMETRIC):
+    """The former validation and collinear merge of `PLConvex1D`.
+
+    Returns the canonical ``(knots, tail_slope, slopes)`` or raises the
+    ConvexityError the former constructor raised."""
+    pts = [(as_fraction(x), as_fraction(v)) for x, v in knots]
+    if not pts:
+        raise ConvexityError("at least one knot is required")
+    if pts[0][0] != 0:
+        raise ConvexityError("the first knot must sit at x = 0")
+    for (xa, _), (xb, _) in zip(pts, pts[1:]):
+        if xb <= xa:
+            raise ConvexityError("knot abscissae must be strictly increasing")
+    for _, v in pts:
+        if v < 0:
+            raise ConvexityError("knot values must be nonnegative")
+    tail = as_extended(tail_slope)
+    if not is_inf(tail) and tail < 0:
+        raise ConvexityError("tail slope must be nonnegative or +inf")
+
+    # Merge collinear interior knots, then a last knot collinear with the tail.
+    merged: list = [pts[0]]
+    for p in pts[1:]:
+        while len(merged) >= 2 and _slope(merged[-2], merged[-1]) == _slope(merged[-1], p):
+            merged.pop()
+        merged.append(p)
+    if not is_inf(tail):
+        while len(merged) >= 2 and _slope(merged[-2], merged[-1]) == tail:
+            merged.pop()
+
+    slopes = [_slope(a, b) for a, b in zip(merged, merged[1:])]
+    for sa, sb in zip(slopes, slopes[1:]):
+        if sa >= sb:
+            raise ConvexityError("chord slopes must be strictly increasing")
+    if slopes and not is_inf(tail) and tail <= slopes[-1]:
+        raise ConvexityError("tail slope must exceed the last chord slope")
+
+    if tag is ClassTag.GEOMETRIC:
+        if merged[0][1] != 0:
+            raise ConvexityError("geometric functions require f(0) = 0")
+        first = slopes[0] if slopes else (tail if not is_inf(tail) else _F0)
+        if first < 0:
+            raise ConvexityError("geometric functions are nondecreasing")
+    return tuple(merged), tail, tuple(slopes)
+
+
+def reference_lower_hull(pts: Sequence[Tuple[Fraction, Fraction]]) -> list:
+    """Lower convex hull of 2-D points, as a left-to-right vertex chain."""
+    best: dict = {}
+    for x, v in pts:
+        if x not in best or v < best[x]:
+            best[x] = v
+    ordered = sorted(best.items())
+    hull: list = []
+    for p in ordered:
+        while len(hull) >= 2:
+            (ox, ov), (ax, av) = hull[-2], hull[-1]
+            # pop if the middle point is on or above segment (o, p)
+            if (ax - ox) * (p[1] - ov) - (av - ov) * (p[0] - ox) <= 0:
+                hull.pop()
+            else:
+                break
+        hull.append(p)
+    return hull
+
+
+def reference_hull_function(
+    pts: Sequence[Tuple[Fraction, Fraction]], tail: Extended, tag: ClassTag
+) -> PLConvex1D:
+    """The former `pl._hull_function`, on the cross-product hull."""
+    hull = reference_lower_hull(pts)
+    if not is_inf(tail):
+        while len(hull) >= 2 and _slope(hull[-2], hull[-1]) >= tail:
+            hull.pop()
+    return PLConvex1D(tuple(hull), tail, tag)
+
+
+def reference_gauge_hull(f: PLConvex1D) -> PLConvex1D:
+    """The former `transforms._gauge_hull`, on the cross-product hull."""
+    pts = [(_F0, _F0)] + [(x / v, _F1 / v) for x, v in f.knots if v > 0]
+    m = f.tail_slope
+    if not is_inf(m) and m > 0:
+        pts.append((_F1 / m, _F0))
+    z0 = f.zero_end()
+    tail: Extended = INF if z0 == 0 else _F0 if is_inf(z0) else _F1 / z0
+    return reference_hull_function(pts, tail, ClassTag.GEOMETRIC)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,18 @@ class TestTransform:
         assert code == 0 and out == ""
         assert json.loads(dest.read_text()) == {"kind": "linear", "a": 2}
 
+    @pytest.mark.parametrize("op", ["legendre", "a", "j"])
+    def test_rational_beyond_float_range(self, capsys, tmp_path, op):
+        from dualitylab import gauge_transform, geometric_dual, legendre, loads_function
+
+        text = '{"kind": "pl", "knots": [[0, 0], [1e-320, 1]], "tail_slope": "inf"}'
+        spec = tmp_path / "f.json"
+        spec.write_text(text)
+        code, out, err = run(capsys, "transform", "--op", op, "--in", str(spec))
+        assert code == 0 and err == ""
+        apply = {"legendre": legendre, "a": geometric_dual, "j": gauge_transform}[op]
+        assert loads_function(out) == apply(loads_function(text))
+
     def test_grid_round(self, capsys, tmp_path):
         g = GridFunction2D.from_function(
             lambda x, y: (x * x + y * y) / 2, R=4.0, N=33

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import random
+from bisect import bisect
 from collections import Counter
 from fractions import Fraction
 
@@ -22,13 +24,19 @@ from dualitylab import (
     scale,
     sup2,
 )
-from dualitylab.pl import ratio_sup
+from dualitylab.pl import _hull_function, _lower_hull, ratio_sup
+from dualitylab.transforms import _gauge_hull
 
 from helpers import (
     geometric_functions,
     random_geometric,
     random_nonnegative,
+    reference_canonical,
+    reference_gauge_hull,
+    reference_hat_inf2,
+    reference_hull_function,
     reference_leq_witness,
+    reference_lower_hull,
     reference_ratio_sup,
     reference_sup2,
     sample_points,
@@ -349,3 +357,182 @@ def test_lattice_bounds_random(f, g):
     s, h = sup2(f, g), hat_inf2(f, g)
     assert leq(f, s) and leq(g, s)
     assert leq(h, f) and leq(h, g)
+
+
+def _chords(knots):
+    return tuple((vb - va) / (xb - xa) for (xa, va), (xb, vb) in zip(knots, knots[1:]))
+
+
+def _outcome(build, *args):
+    """What a construction gives: its result, or its exception class and message."""
+    try:
+        return build(*args)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+def _new_canonical(knots, tail, tag):
+    f = PLConvex1D(knots, tail, tag)
+    return f.knots, f.tail_slope, f.slopes
+
+
+def _knot_list(rng):
+    """Seeded constructor input: pieces whose slopes repeat (collinear runs),
+    a tail that may continue the last piece, and one input defect in six."""
+    tag = rng.choice((ClassTag.GEOMETRIC, ClassTag.NONNEGATIVE))
+    geometric = tag is ClassTag.GEOMETRIC
+    slope = Fraction(rng.randint(0 if geometric else -4, 3), rng.randint(1, 3))
+    x, v = Fraction(0), Fraction(0) if geometric else Fraction(rng.randint(0, 12), rng.randint(1, 2))
+    knots = [(x, v)]
+    for _ in range(rng.randint(0, 7)):
+        if rng.random() < 0.5:  # else the next piece continues this one
+            slope += Fraction(rng.randint(1, 5), rng.randint(1, 4))
+        w = Fraction(rng.randint(1, 6), rng.randint(1, 3))
+        x, v = x + w, v + slope * w
+        knots.append((x, v))
+    tail = rng.choice((INF, "inf", slope, slope, slope + Fraction(rng.randint(1, 4), rng.randint(1, 3))))
+    defect = rng.randrange(12)
+    if defect == 0 and len(knots) > 1:  # abscissae out of order or repeated
+        i = rng.randrange(1, len(knots))
+        knots[i] = (knots[i - 1][0] - rng.randint(0, 1), knots[i][1])
+    elif defect == 1:
+        i = rng.randrange(len(knots))
+        knots[i] = (knots[i][0], -Fraction(rng.randint(1, 3)))
+    elif defect == 2:
+        tail = -Fraction(rng.randint(1, 3), 2)
+    elif defect == 3:
+        knots[0] = (Fraction(rng.randint(1, 3)), knots[0][1])
+    elif defect == 4 and len(knots) > 2:  # a concave kink
+        i = rng.randrange(1, len(knots) - 1)
+        knots[i] = (knots[i][0], knots[i][1] + rng.randint(1, 9))
+    elif defect == 5 and not isinstance(tail, str):
+        tail = rng.choice((INF, slope - Fraction(rng.randint(0, 2), 3)))
+    elif defect == 6:
+        knots = knots[:1]
+        knots[0] = (knots[0][0], rng.randint(0, 2))
+    elif defect == 7:
+        knots = []
+    if rng.random() < 0.3:  # integer and string coordinates convert too
+        knots = [(int(x) if x.denominator == 1 else str(x), v) for x, v in knots]
+    return tuple(knots), tail, tag
+
+
+class TestCanonicalization:
+    def test_running_slopes_match_the_former_merge(self):
+        """Construction with one chord slope per knot gives the knots, tail,
+        slopes, exception classes and messages the former merge did."""
+        rng = random.Random(43)
+        seen = Counter()
+        for _ in range(4000):
+            knots, tail, tag = _knot_list(rng)
+            got = _outcome(_new_canonical, knots, tail, tag)
+            want = _outcome(reference_canonical, knots, tail, tag)
+            assert got == want, (knots, tail, tag)
+            if isinstance(got[1], str):  # an exception: (class, message)
+                seen[got[1]] += 1
+                continue
+            assert [type(t) for t in got[2]] == [Fraction] * len(got[2])
+            assert type(got[1]) is type(want[1])
+            seen[tag] += 1
+            seen["bounded" if math.isinf(got[1]) else "ray"] += 1
+            seen["single knot"] += len(got[0]) == 1
+            seen["merged"] += len(got[0]) < len(knots)
+            seen["tail trimmed"] += (not math.isinf(got[1])
+                                     and got[0][-1][0] < as_fraction(knots[-1][0]))
+        assert len(seen) == 15 and min(seen.values()) >= 40, seen
+
+
+class TestStoredSlopes:
+    def test_slopes_are_the_chord_slopes(self):
+        rng = random.Random(47)
+        for n in range(600):
+            f = random_geometric(rng) if n % 2 else random_nonnegative(rng)
+            assert type(f.slopes) is tuple and f.slopes == _chords(f.knots), f
+            assert f.first_slope == (f.slopes[0] if f.slopes else f.tail_slope)
+
+    def test_slopes_take_no_part_in_eq_hash_repr(self):
+        spec = next(fl for fl in dataclasses.fields(PLConvex1D) if fl.name == "slopes")
+        assert not (spec.init or spec.compare or spec.repr)
+        f = PLConvex1D(((0, 0), (1, 1), (3, 7)), 5)
+        g = PLConvex1D(f.knots, f.tail_slope)
+        object.__setattr__(g, "slopes", (Fraction(-1),))  # tamper with derived data
+        assert f == g and hash(f) == hash(g) and repr(f) == repr(g)
+        assert "slopes" not in repr(f)
+
+    def test_collinear_splits_build_equal_functions(self):
+        rng = random.Random(53)
+        for n in range(600):
+            f = random_geometric(rng) if n % 2 else random_nonnegative(rng)
+            split = [f.knots[0]]
+            for (xb, vb), s in zip(f.knots[1:], f.slopes):
+                xa, va = split[-1]
+                for _ in range(rng.randint(0, 2)):  # extra knots on the chord
+                    xa += (xb - xa) / rng.randint(2, 4)
+                    split.append((xa, split[-1][1] + s * (xa - split[-1][0])))
+                split.append((xb, vb))
+            if not math.isinf(f.tail_slope) and rng.random() < 0.5:
+                xk, vk = split[-1]
+                w = Fraction(rng.randint(1, 5), rng.randint(1, 3))
+                split.append((xk + w, vk + f.tail_slope * w))  # on the tail ray
+            g = PLConvex1D(tuple(split), f.tail_slope, f.tag)
+            assert g == f and hash(g) == hash(f), (split, f)
+            assert g.slopes == f.slopes and g.xs == f.xs
+
+
+def _cloud(rng):
+    """Seeded points with x >= 0, v >= 0 and (0, v0) among them: repeated
+    abscissae, collinear runs and scattered points."""
+    pts = [(Fraction(0), Fraction(rng.randint(0, 4), rng.randint(1, 2)))]
+    for _ in range(rng.randint(0, 4)):
+        kind = rng.choice((0, 0, 1, 2))
+        x0 = Fraction(rng.randint(0, 8), rng.randint(1, 3))
+        v0 = Fraction(rng.randint(0, 12), rng.randint(1, 3))
+        if kind == 0:  # a collinear run on a line through the point at x = 0
+            s = Fraction(rng.randint(-1, 3), rng.randint(1, 3))
+            for _ in range(rng.randint(2, 5)):
+                v = pts[0][1] + s * x0
+                if v >= 0:
+                    pts.append((x0, v))
+                x0 += Fraction(rng.randint(1, 3), rng.randint(1, 2))
+        elif kind == 1:  # one abscissa, several values
+            pts += [(x0, v0 + rng.randint(0, 3)) for _ in range(rng.randint(2, 3))]
+        else:
+            pts.append((x0, v0))
+    rng.shuffle(pts)
+    return pts
+
+
+class TestEdgeSlopeHull:
+    def test_matches_the_cross_product_hull(self):
+        """The hull popped by edge slopes equals the cross-product hull; its
+        edges are its chord slopes; the meet, the gauge hull and the hull
+        function equal their former constructions."""
+        rng = random.Random(59)
+        seen = Counter()
+        for n in range(3000):
+            pts = _cloud(rng)
+            hull, edges = _lower_hull(pts)
+            assert hull == reference_lower_hull(pts), pts
+            assert tuple(edges) == _chords(hull)
+            hx = [x for x, _ in hull]
+            seen["collinear dropped"] += any(  # a point on an edge, not a vertex
+                x not in hx and x < hx[-1] and hull[bisect(hx, x) - 1][1]
+                + edges[bisect(hx, x) - 1] * (x - hx[bisect(hx, x) - 1]) == v
+                for x, v in pts)
+            seen["repeated abscissa"] += len({x for x, _ in pts}) < len(pts)
+            tail = rng.choice((INF, Fraction(rng.randint(0, 6), rng.randint(1, 3))))
+            for tag in ClassTag:
+                got = _outcome(_hull_function, pts, tail, tag)
+                assert got == _outcome(reference_hull_function, pts, tail, tag), (pts, tail, tag)
+                seen[tag if isinstance(got, PLConvex1D) else "raised"] += 1
+            f = random_geometric(rng) if n % 2 else random_nonnegative(rng)
+            g = rng.choice((
+                f, scale(f, Fraction(rng.randint(1, 9), rng.randint(1, 9))),
+                compose_dilate(f, Fraction(rng.randint(1, 9), rng.randint(1, 9))),
+                random_geometric(rng) if n % 2 else random_nonnegative(rng),
+            ))
+            assert hat_inf2(f, g) == reference_hat_inf2(f, g), (f, g)
+            if f.tag is ClassTag.GEOMETRIC:
+                assert _gauge_hull(f) == reference_gauge_hull(f), f
+                seen["gauge"] += 1
+        assert min(seen.values()) >= 300, seen

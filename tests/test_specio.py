@@ -38,6 +38,11 @@ class TestScalarToken:
     def test_inf(self):
         assert scalar_token(INF) == "inf"
 
+    def test_beyond_float_range_stringified(self):
+        big = Fraction(10**400 + 1, 3)
+        assert scalar_token(big) == f"{10**400 + 1}/3"
+        assert scalar_token(10**400) == 10**400
+
 
 class TestRoundTrips:
     @pytest.mark.parametrize(
@@ -78,6 +83,13 @@ class TestRoundTrips:
     @given(geometric_functions())
     def test_random_geometric_round_trip(self, f):
         assert loads_function(dumps_function(f)) == f
+
+    def test_beyond_float_range_round_trip(self):
+        # a slope of 1e320 exceeds float range; the tiny knot stays a float token
+        f = PLConvex1D(((0, 0), (1e-320, 1)), INF)
+        assert function_to_obj(f)["kind"] == "triangle"
+        for g in (f, PLConvex1D(((0, 0), (1, 1)), Fraction(10**400, 7))):
+            assert loads_function(dumps_function(g)) == g
 
     def test_random_nonnegative_round_trip(self):
         rng = random.Random(9)
