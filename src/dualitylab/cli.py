@@ -28,6 +28,7 @@ from typing import List, Optional
 from .corpus import geometric_corpus
 from .exceptions import (
     ClassTagError,
+    ConsistencyError,
     ConvexityError,
     CorpusError,
     DomainError,
@@ -158,7 +159,11 @@ def _cmd_fuzz(args) -> int:
     corpus = _load_corpus(args.corpus)
     tol = (_env_tolerance() if args.tolerance is None
            else _nonnegative(args.tolerance, "--tolerance"))
-    t = fuzz_transform(seed=args.seed, k=k, base=args.base, corpus=corpus)
+    try:
+        t = fuzz_transform(seed=args.seed, k=k, base=args.base, corpus=corpus)
+    except ConsistencyError as exc:  # the corpus is spaced finer than the jitter
+        sys.stderr.write(f"error: {exc}\n")
+        return 2
     report = analyze(t, k, exponent_tolerance=1e-6 if tol is None else tol)
     obj = report_to_obj(report)
     sys.stdout.write(render_report_text(obj))

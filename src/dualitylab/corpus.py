@@ -13,6 +13,12 @@ themselves corpus members, as the lattice-stability checker requires:
 same-family pairs (nested indicators, comparable rays) and any pair
 involving an extreme.  A `Corpus` computes the facts that depend on it
 alone once: its exact ratio matrix and the closure of its designations.
+
+The ratio matrix decides most geometric pairs by support and zero set
+alone.  If f <= c*g for a finite c, then dom f contains dom g and the zero
+set [0, z_f] of f contains that of g; so the ratio sup f/g is +inf when
+dom f < dom g or z_f < z_g, and exactly 0 when f vanishes on all of dom g.
+Only the pairs these rules leave open walk their breakpoints.
 """
 
 from __future__ import annotations
@@ -25,9 +31,11 @@ from typing import Optional, Sequence, Tuple
 from .exceptions import CorpusError
 from .extremal import DeltaFunction, _delta_ratio, make_delta, make_indicator, make_linear
 from .grid import GridFunction2D
-from .pl import INF, PLConvex1D, hat_inf2, ratio_sup, sup2
+from .pl import INF, ClassTag, PLConvex1D, hat_inf2, ratio_sup, sup2
 
 EXPONENT_GRID = (-16, -8, -4, -2, -1, 0, 1, 2, 4, 8, 16)
+
+_F0 = Fraction(0)
 
 
 # ---------------------------------------------------------------------------
@@ -73,10 +81,43 @@ def _ratio_any(f, g) -> Tuple[object, object]:
 
 
 def _ratio_matrix(fs: Sequence) -> Tuple[Tuple[object, ...], ...]:
-    return tuple(
-        tuple(None if i == j else _ratio_any(f, g)[0] for j, g in enumerate(fs))
-        for i, f in enumerate(fs)
-    )
+    """Exact sup f_i/f_j (see `_ratio_any`) for each ordered pair, None on
+    the diagonal.
+
+    A pair of geometric PL functions is first decided by its ends: with
+    d the domain end and z the zero end, the entry is +inf when d_i < d_j
+    (f_i = +inf where f_j is finite) or z_i < z_j (f_i > 0 at the knot z_j,
+    where f_j = 0), and exactly 0 when z_i >= d_j (f_i = 0 on all of
+    dom f_j); `ratio_sup` gives the same value on these pairs.  The ends are
+    ranked once, by one sort of their distinct values, so each of these
+    pairs costs integer compares; only the rest walk with `ratio_sup`.
+    Any other pair goes through `_ratio_any`.
+    """
+    ends = [
+        (f.domain_end, f.zero_end())
+        if isinstance(f, PLConvex1D) and f.tag is ClassTag.GEOMETRIC else None
+        for f in fs
+    ]
+    rank = {v: r for r, v in enumerate(sorted({v for e in ends if e for v in e}))}
+    ranks = [None if e is None else (rank[e[0]], rank[e[1]]) for e in ends]
+    rows = []
+    for i, f in enumerate(fs):
+        row = []
+        ri = ranks[i]
+        for j, g in enumerate(fs):
+            rj = ranks[j]
+            if i == j:
+                row.append(None)
+            elif ri is None or rj is None:
+                row.append(_ratio_any(f, g)[0])
+            elif ri[0] < rj[0] or ri[1] < rj[1]:
+                row.append(INF)
+            elif ri[1] >= rj[0]:
+                row.append(_F0)
+            else:
+                row.append(ratio_sup(f, g)[0])
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -101,7 +142,11 @@ class Corpus:
 
     @cached_property
     def R(self) -> Tuple[Tuple[object, ...], ...]:
-        """Exact sup f_i/f_j for each ordered pair of distinct elements."""
+        """Exact sup f_i/f_j for each ordered pair of distinct elements.
+
+        Built by `_ratio_matrix`: geometric pairs split by support or zero
+        set are +inf, pairs where f_i vanishes on dom f_j are 0, and only
+        the rest walk their breakpoints."""
         return _ratio_matrix(self.elements)
 
     @cached_property

@@ -147,7 +147,11 @@ class CorpusTransform:
 
     @cached_property
     def R_img(self) -> Tuple[Tuple[object, ...], ...]:
-        """Exact sup Tf_i/Tf_j for each ordered pair of distinct images."""
+        """Exact sup Tf_i/Tf_j for each ordered pair of distinct images.
+
+        Built like `Corpus.R` by `_ratio_matrix`: geometric images split by
+        support or zero set are +inf, and 0 where Tf_i vanishes on dom Tf_j,
+        with no breakpoint walk."""
         return _ratio_matrix(self.images)
 
 
@@ -717,6 +721,21 @@ _FUZZ_BASES: Dict[str, Tuple[Optional[Callable], str]] = {
 }
 
 
+def _self_certified(
+    t: CorpusTransform, k: AlmostOrderConstant, sense: str
+) -> CorpusTransform:
+    """``t``, once no pair violates ``sense``; else a ConsistencyError naming
+    the first failing condition and pair (the jitter band [C**-0.5, C**0.5]
+    can reach across a corpus spaced finer than C)."""
+    bad = next(_violations(t, k, sense), None)
+    if bad is not None:
+        raise ConsistencyError(
+            f"fuzzed transform failed its own certification: {bad.condition} "
+            f"on ({bad.f_label}, {bad.g_label}): {bad.detail}"
+        )
+    return t
+
+
 def _jitter_factors(seed: int, k: AlmostOrderConstant, n: int) -> List[Fraction]:
     rng = random.Random(seed)
     half = 0.5 * math.log(float(k.ctilde)) * (1.0 - _JITTER_MARGIN)
@@ -763,12 +782,7 @@ def fuzz_transform(
             f"alpha={float(alpha)!r}, corpus={corpus.description})"
         ),
     )
-    bad = next(_violations(t, k, sense), None)
-    if bad is not None:
-        raise ConsistencyError(
-            f"fuzzed transform failed its own certification: {bad}"
-        )
-    return t
+    return _self_certified(t, k, sense)
 
 
 def fuzz_delta_transform(
@@ -797,12 +811,7 @@ def fuzz_delta_transform(
             f"beta={beta!r}, corpus={corpus.description})"
         ),
     )
-    bad = next(_violations(t, k, "preserving"), None)
-    if bad is not None:
-        raise ConsistencyError(
-            f"fuzzed transform failed its own certification: {bad}"
-        )
-    return t
+    return _self_certified(t, k, "preserving")
 
 
 # ---------------------------------------------------------------------------

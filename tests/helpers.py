@@ -9,14 +9,17 @@ path.
 from __future__ import annotations
 
 import math
+import os
 import random
 from dataclasses import replace
+from pathlib import Path
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from hypothesis import strategies as st
 
+import dualitylab
 from dualitylab import (
     INF,
     ClassTag,
@@ -49,6 +52,7 @@ from dualitylab import (
     sup2,
     witness_is_valid,
 )
+from dualitylab.corpus import _ratio_any
 from dualitylab.pl import (
     Extended,
     _require_same_tag,
@@ -73,6 +77,18 @@ from dualitylab.transforms import _require_geometric, gauge_transform, geometric
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
+
+SRC = str(Path(dualitylab.__file__).resolve().parents[1])
+
+
+def subprocess_env() -> dict:
+    """This environment for a fresh interpreter: the package's source tree
+    first on PYTHONPATH, and no DUALITYLAB_TOL."""
+    env = dict(os.environ)
+    env.pop("DUALITYLAB_TOL", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    return env
 
 
 # ---------------------------------------------------------------------------
@@ -658,6 +674,17 @@ def reference_delta_ratio(f: DeltaFunction, g: DeltaFunction):
     if f.theta != g.theta or (g.c == 0 and f.c > 0):
         return INF, g.theta
     return (Fraction(f.c) / Fraction(g.c) if g.c else Fraction(0)), g.theta
+
+
+# ---------------------------------------------------------------------------
+# the former corpus ratio matrix: `_ratio_any` on every ordered pair
+
+
+def reference_ratio_matrix(fs: Sequence) -> Tuple[Tuple[object, ...], ...]:
+    return tuple(
+        tuple(None if i == j else _ratio_any(f, g)[0] for j, g in enumerate(fs))
+        for i, f in enumerate(fs)
+    )
 
 
 def _ref_leq(f, g, factor=1):

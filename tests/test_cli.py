@@ -9,6 +9,8 @@ import pytest
 from dualitylab import GridFunction2D, read_grid_csv, write_grid_csv
 from dualitylab.cli import main
 
+from helpers import subprocess_env
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -258,6 +260,37 @@ class TestFuzz:
             assert code == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("exponents, ctilde, pair", [
+        (None, "100", "(indicator[0,2^-1], indicator[0,2^-2])"),
+        ((0, 1, 2), "3", "(indicator[0,2^1], indicator[0,2^0])"),
+    ])
+    def test_jitter_wider_than_the_corpus_spacing(
+        self, capsys, tmp_path, exponents, ctilde, pair
+    ):
+        # kappa ranges over [C**-0.5, C**0.5], so once C exceeds the spacing 2
+        # a jittered gauge image can undercut its neighbour
+        from dualitylab import corpus_to_obj, geometric_corpus
+
+        argv = ["fuzz", "--base", "gauge", "--ctilde", ctilde, "--seed", "1"]
+        if exponents is not None:
+            path = tmp_path / "c.json"
+            path.write_text(json.dumps(corpus_to_obj(geometric_corpus(exponents))))
+            argv += ["--corpus", str(path)]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == (
+            "error: fuzzed transform failed its own certification: preserving-b "
+            f"on {pair}: f <= (1/C)*g but not Tf <= Tg\n"
+        )
+
+    def test_sandwich_reverification_failure_surfaces(self, capsys, monkeypatch):
+        import dualitylab.stability
+        from dualitylab import ConsistencyError
+
+        monkeypatch.setattr(dualitylab.stability, "leq", lambda f, g, factor=1: False)
+        with pytest.raises(ConsistencyError, match="fitted sandwich fails"):
+            main(["fuzz", "--base", "gauge", "--ctilde", "1.5", "--seed", "7"])
+
     def test_env_tolerance_accepted(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("DUALITYLAB_TOL", "1e-9")
         code, _, _ = run(
@@ -415,7 +448,7 @@ class TestEntryPoint:
         proc = subprocess.run(
             [sys.executable, "-m", "dualitylab.cli", "transform", "--op", "j",
              "--in", str(spec)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=subprocess_env(),
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout) == {"kind": "indicator", "z": 0.5}
@@ -429,7 +462,7 @@ class TestEntryPoint:
         proc = subprocess.run(
             [sys.executable, "-m", "dualitylab.cli", "transform", "--op", op,
              "--in", str(src), "--out", str(fresh)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=subprocess_env(),
         )
         assert proc.returncode == 0 and proc.stdout == proc.stderr == ""
         code, _, _ = run(capsys, "transform", "--op", op, "--in", str(src),

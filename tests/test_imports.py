@@ -7,14 +7,12 @@ written files.
 """
 
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-import dualitylab
 from dualitylab import (
     CorpusTransform,
     analyze,
@@ -27,7 +25,7 @@ from dualitylab import (
 )
 from dualitylab.stability import AlmostOrderConstant
 
-SRC = str(Path(dualitylab.__file__).resolve().parents[1])
+from helpers import subprocess_env
 
 _DRIVER = """
 import sys
@@ -39,19 +37,11 @@ raise SystemExit(main(sys.argv[2:]))
 """
 
 
-def _env():
-    env = dict(os.environ)
-    env.pop("DUALITYLAB_TOL", None)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (SRC, env.get("PYTHONPATH")) if p)
-    return env
-
-
 def _run(cwd: Path, mode: str, argv):
     cwd.mkdir()
     proc = subprocess.run(
         [sys.executable, "-c", _DRIVER, mode, *argv],
-        cwd=cwd, env=_env(), capture_output=True, text=True,
+        cwd=cwd, env=subprocess_env(), capture_output=True, text=True,
     )
     files = {p.relative_to(cwd).as_posix(): p.read_bytes()
              for p in sorted(cwd.rglob("*")) if p.is_file()}
@@ -119,6 +109,6 @@ def test_command_runs_without_numpy(tmp_path, inputs, name):
 def test_cli_import_leaves_numpy_and_scipy_out():
     probe = ("import sys, dualitylab.cli; "
              "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))")
-    proc = subprocess.run([sys.executable, "-c", probe], env=_env(),
+    proc = subprocess.run([sys.executable, "-c", probe], env=subprocess_env(),
                           capture_output=True, text=True, check=True)
     assert proc.stdout == "[]\n"

@@ -2,7 +2,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -13,6 +13,7 @@ from dualitylab import (
     INF,
     AlmostOrderConstant,
     ClassificationError,
+    ClassTag,
     ConsistencyError,
     Corpus,
     CorpusError,
@@ -53,10 +54,13 @@ from dualitylab import (
     sup2,
     verify_ray_mapping,
 )
+from dualitylab.corpus import _ratio_matrix
 from dualitylab.grid import hat_inf2_grid, sup2_grid
 
 from helpers import (
     random_geometric,
+    random_geometric_grid,
+    random_nonnegative,
     reference_analyze,
     reference_check_almost_preserving,
     reference_check_almost_reversing,
@@ -66,6 +70,7 @@ from helpers import (
     reference_closed_lattice_pairs,
     reference_fit_sandwich,
     reference_ratio_extrema,
+    reference_ratio_matrix,
 )
 
 K15 = AlmostOrderConstant(Fraction(3, 2))
@@ -263,6 +268,114 @@ def _counting(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+class TestRatioMatrixRanks:
+    """The ranked ratio matrix against `_ratio_any` on every ordered pair."""
+
+    ENDS = (Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3))
+    CORPORA = (geometric_corpus(), geometric_corpus(range(-33, 34, 3)))
+
+    @classmethod
+    def _geometric(cls, rng, pool):
+        roll = rng.random()
+        if pool and roll < 0.3:  # a scaled or dilated copy shares ends or zero ends
+            f = rng.choice(pool)
+            q = Fraction(rng.choice((1, 2, 3)), rng.choice((1, 2)))
+            return scale(f, q) if roll < 0.15 else compose_dilate(f, q)
+        if roll < 0.45:
+            return make_indicator(rng.choice(cls.ENDS + (0, INF)))
+        if roll < 0.55:
+            return make_linear(rng.choice(cls.ENDS + (0,)))
+        g = random_geometric(rng, max_knots=5)
+        if roll < 0.75:  # zero on [0, z], then g shifted right by z
+            z = rng.choice(cls.ENDS)
+            return PLConvex1D(((0, 0),) + tuple((z + x, v) for x, v in g.knots),
+                              g.tail_slope)
+        return g
+
+    @classmethod
+    def _elements(cls, rng):
+        n = rng.randint(2, 8)
+        roll = rng.random()
+        if roll < 0.05:
+            return [make_delta(float(rng.randint(0, 2)), rng.choice((0.0, 0.5, 1.0, 2.0)))
+                    for _ in range(n)]
+        if roll < 0.08:
+            g = random_geometric_grid(rng)
+            return [GridFunction2D(g.spec, g.values * rng.choice((0.5, 1.0, 3.0)))
+                    for _ in range(n)]
+        pool = []
+        for _ in range(n):
+            if roll < 0.2 and rng.random() < 0.4:
+                pool.append(random_nonnegative(rng, max_knots=5))
+            else:
+                pool.append(cls._geometric(rng, pool))
+        if 0.2 <= roll < 0.22:  # a 1-d list with a pin in it cannot be compared
+            pool.insert(rng.randrange(n), make_delta(0.0, 1.0))
+        return pool
+
+    @staticmethod
+    def _outcome(build, fs):
+        try:
+            return [[(type(r), r) for r in row] for row in build(fs)]
+        except CorpusError as exc:
+            return f"CorpusError: {exc}"
+
+    def test_matches_every_pair_walk(self):
+        rng = random.Random(61)
+        rules = Counter()
+        for n in range(2000):
+            fs = self._elements(rng)
+            got = self._outcome(_ratio_matrix, fs)
+            assert got == self._outcome(reference_ratio_matrix, fs), n
+            geo = [f for f in fs if isinstance(f, PLConvex1D) and f.tag is ClassTag.GEOMETRIC]
+            for f, g in permutations(geo, 2):
+                if f.domain_end < g.domain_end:
+                    rules["domain"] += 1
+                elif f.zero_end() < g.zero_end():
+                    rules["zero set"] += 1
+                elif f.zero_end() >= g.domain_end:
+                    rules["vanishes"] += 1
+                else:
+                    rules["walk"] += 1
+            rules.update({f.tag.value if isinstance(f, PLConvex1D) else type(f).__name__
+                          for f in fs})
+            rules["error"] += isinstance(got, str)
+        assert min(rules.values()) >= 20, rules
+
+    @pytest.mark.parametrize("corpus", CORPORA, ids=("n24", "n48"))
+    def test_analyze_reports_are_unchanged(self, monkeypatch, corpus):
+        with monkeypatch.context() as m:
+            m.setattr(dualitylab.corpus, "_ratio_matrix", reference_ratio_matrix)
+            m.setattr(dualitylab.stability, "_ratio_matrix", reference_ratio_matrix)
+            old_corpus = Corpus(corpus.elements, corpus.labels, corpus.description,
+                                corpus.lattice_pairs)
+            old_corpus.R
+        assert corpus.R == old_corpus.R
+        for k in TestCheckerDifferential.KS:
+            for base in ("identity", "gauge", "legendre", "a"):
+                for seed in range(10):
+                    t = fuzz_transform(seed, k, base=base, corpus=corpus)
+                    got = dump_json(report_to_obj(analyze(t, k)))
+                    with monkeypatch.context() as m:
+                        m.setattr(dualitylab.stability, "_ratio_matrix",
+                                  reference_ratio_matrix)
+                        old = fuzz_transform(seed, k, base=base, corpus=old_corpus)
+                        want = dump_json(report_to_obj(analyze(old, k)))
+                    assert got == want, (k, base, seed)
+
+    def test_pinned_walk_counts(self, monkeypatch):
+        corpus = self.CORPORA[1]
+        corpus.R
+        calls = _counting(monkeypatch, dualitylab.corpus, "ratio_sup")
+        for base in ("identity", "gauge", "legendre", "a"):
+            del calls[:]
+            fuzz_transform(1, K15, base=base, corpus=corpus)  # builds R_img
+            assert len(calls) == 506, base
+        del calls[:]
+        geometric_corpus().R
+        assert len(calls) == 110  # the ray pairs
 
 
 class TestLatticeDifferential:
