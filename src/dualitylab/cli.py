@@ -26,16 +26,7 @@ import sys
 from typing import List, Optional
 
 from .corpus import geometric_corpus
-from .exceptions import (
-    ClassTagError,
-    ConsistencyError,
-    ConvexityError,
-    CorpusError,
-    DomainError,
-    GridValidationError,
-    HypothesisViolationError,
-    SpecFormatError,
-)
+from .exceptions import ConsistencyError, HypothesisViolationError, SpecFormatError
 from .extremal import cover_witness_search
 from .grid import read_grid_csv, write_grid_csv
 from .pl import PLConvex1D
@@ -59,15 +50,6 @@ from .transforms import (
 )
 
 TOLERANCE_ENV = "DUALITYLAB_TOL"
-
-_USAGE_ERRORS = (
-    SpecFormatError,
-    CorpusError,
-    DomainError,
-    ClassTagError,
-    ConvexityError,
-    GridValidationError,
-)
 
 
 def _env_tolerance() -> Optional[float]:
@@ -99,7 +81,7 @@ def _write_text(path: str, text: str) -> None:
 def _positive_ctilde(raw: str) -> AlmostOrderConstant:
     try:
         k = AlmostOrderConstant(float(raw))
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise SpecFormatError(f"--ctilde: {exc}") from exc
     return k
 
@@ -286,13 +268,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except _USAGE_ERRORS as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # every package input error is a ValueError
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

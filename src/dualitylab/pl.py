@@ -360,26 +360,23 @@ def leq_witness(f: PLConvex1D, g: PLConvex1D, factor: Scalar = 1) -> Optional[Fr
 
     Conventions: where g = +inf the inequality holds for any factor; where g
     is finite and f = +inf it fails; factor never multiplies an infinity.
-    Both functions are affine between merged breakpoints, so one
-    `_breakpoints` walk, O(k_f + k_g), decides it: the witness is the first
-    failing breakpoint, or a point past the last one when the tail rays part.
+    It holds exactly when `ratio_sup` is at most factor, and the witness is
+    that sup's abscissa, a point where f/g is largest.  When only the tail
+    limit mf/mg exceeds factor, f - factor*g grows at mf - factor*mg > 0
+    past the last breakpoint x_L, and the witness lies one unit past the
+    point where it turns positive (or at x_L + 1).
     """
     factor = as_fraction(factor)
     if factor <= 0:
         raise ValueError("factor must be positive")
-    df, dg = f.domain_end, g.domain_end
-    if df < dg:
-        # f jumps to +inf strictly inside the region where g is finite
-        return df + 1 if is_inf(dg) else df + (dg - df) / 2
-
-    for x, fx, gx in _breakpoints(f, g):
-        if fx > factor * gx:
-            return x
-    if is_inf(dg):
-        slope_gap = f.tail_slope - factor * g.tail_slope
-        if slope_gap > 0:
-            return x + (factor * gx - fx) / slope_gap + 1
-    return None
+    r, x = ratio_sup(f, g)
+    if r <= factor:
+        return None
+    if x is not None:
+        return x
+    x_last = max(f.xs[-1], g.xs[-1])
+    deficit = factor * g(x_last) - f(x_last)
+    return x_last + max(deficit, _F0) / (f.tail_slope - factor * g.tail_slope) + 1
 
 
 def leq(f: PLConvex1D, g: PLConvex1D, factor: Scalar = 1) -> bool:
@@ -390,14 +387,16 @@ def leq(f: PLConvex1D, g: PLConvex1D, factor: Scalar = 1) -> bool:
 def ratio_sup(f: PLConvex1D, g: PLConvex1D) -> Tuple[Extended, Optional[Fraction]]:
     """Exact sup of f/g on [0, inf), and an abscissa where it is reached.
 
-    Conventions match `leq`: points where g = +inf are ignored; f = +inf
-    against a finite g, or f > 0 against g = 0, gives +inf; 0/0 counts as 0.
-    So ``leq(f, g, c)`` holds exactly when the sup is at most c.  On each
-    common affine piece f/g is a Moebius function of x, hence monotone, so
-    the sup sits at a merged breakpoint or is the tail limit; the abscissa
-    is None when only the tail limit reaches it.  One `_breakpoints` walk,
-    O(k_f + k_g), finds it; ratios are compared as integer cross-products
-    and one Fraction is built at the end, so the result is still exact.
+    Points where g = +inf are ignored; f = +inf against a finite g, or
+    f > 0 against g = 0, gives +inf; 0/0 counts as 0.  This is the one
+    order decision of the module: `leq_witness` (and so `leq`) holds at c
+    exactly when the sup is at most c, and reads its witness off the
+    abscissa.  On each common affine piece f/g is a Moebius function of x,
+    hence monotone, so the sup sits at a merged breakpoint or is the tail
+    limit; the abscissa is None when only the tail limit reaches it.  One
+    `_breakpoints` walk, O(k_f + k_g), finds it; ratios are compared as
+    integer cross-products and one Fraction is built at the end, so the
+    result is still exact.
     """
     df, dg = f.domain_end, g.domain_end
     if df < dg:

@@ -210,13 +210,13 @@ class RayMappingReport:
 # condition checkers
 
 
-def _leq_any(f, g, factor=1) -> Tuple[bool, object]:
-    """Whether f <= factor*g pointwise; on failure also a witnessing point."""
+def _witness(f, g, factor=1) -> object:
+    """A point where f <= factor*g fails, or None where it holds."""
     if isinstance(f, PLConvex1D) and isinstance(g, PLConvex1D):
         w = leq_witness(f, g, factor)
-        return (w is None), (None if w is None else float(w))
+        return None if w is None else float(w)
     r, at = _ratio_any(f, g)
-    return (True, None) if r <= factor else (False, at)
+    return None if r <= factor else at
 
 
 # condition -> (hypothesis on the images, conclusion reversed, detail of
@@ -249,10 +249,10 @@ def _violations(
         a, b = (j, i) if flip else (i, j)
         r = con[a][b]
         if r > k.ctilde:
-            _, w = _leq_any(sides[a], sides[b], k.ctilde)
+            w = _witness(sides[a], sides[b], k.ctilde)
             yield Violation(f"{condition}-a", labels[i], labels[j], w, detail_a)
         if h <= k.reciprocal and r > 1:
-            _, w = _leq_any(sides[a], sides[b])
+            w = _witness(sides[a], sides[b])
             yield Violation(f"{condition}-b", labels[i], labels[j], w, detail_b)
 
 
@@ -327,7 +327,7 @@ def check_lattice_stability(
         for (condition, lhs, rhs, p, detail), ok in zip(_LATTICE_CONDITIONS, holds):
             if not ok:
                 sides = (imgs[s], join or sup2(f, g), imgs[m], meet or hat_inf2(f, g))
-                _, w = _leq_any(sides[lhs], sides[rhs], k.power(p))
+                w = _witness(sides[lhs], sides[rhs], k.power(p))
                 out.append(Violation(condition, labels[i], labels[j], w, detail))
     return tuple(out)
 
@@ -412,21 +412,24 @@ def classify(
     """
     if sense not in (None, "preserving", "reversing"):
         raise ValueError("sense must be 'preserving' or 'reversing'")
-    _samples(t.corpus)  # a corpus error comes before any ratio matrix
+    _samples(t)  # a corpus error comes before any ratio matrix
     if sense is None:
         sense = _sense(t, k)
     return _classify(t, k, sense)
 
 
-def _samples(corpus: Corpus) -> Tuple[List[int], List[int]]:
+def _samples(t: CorpusTransform) -> Tuple[List[int], List[int]]:
     """Indices of the corpus's proper indicators and positive rays.
 
-    A CorpusError unless the corpus is all 1-d with at least two of each:
-    checked before the order sense is decided, so before any ratio matrix.
+    A CorpusError unless the corpus and its images are all 1-d, with at
+    least two of each: checked before the order sense is decided, so before
+    any ratio matrix.
     """
-    els = corpus.elements
+    els = t.corpus.elements
     if not all(isinstance(f, PLConvex1D) for f in els):
         raise CorpusError("classification requires a corpus of 1-d functions")
+    if not all(isinstance(f, PLConvex1D) for f in t.images):
+        raise CorpusError("classification requires 1-d images")
     ind = [i for i, f in enumerate(els) if _proper_indicator(f)]
     lin = [i for i, f in enumerate(els) if _positive_linear(f)]
     if len(ind) < 2 or len(lin) < 2:
@@ -441,7 +444,7 @@ def _classify(
 ) -> StabilityReport:
     """`classify` at a decided sense; None when neither condition holds."""
     els = t.corpus.elements
-    ind, lin = _samples(t.corpus)
+    ind, lin = _samples(t)
     notes: Tuple[str, ...] = ()
 
     def report(classification, violations, phi=(), slopes=()) -> StabilityReport:
@@ -503,6 +506,18 @@ def _nonnegative(value, name: str) -> float:
     return x
 
 
+def _finite_samples(
+    samples: Union[Mapping[float, float], Sequence[Tuple[float, float]]],
+) -> List[Tuple[float, float]]:
+    """A mapping or sequence of (x, y) samples as float pairs sorted by x
+    (ValueError on a NaN or infinite entry)."""
+    items = samples.items() if isinstance(samples, Mapping) else samples
+    pairs = [(float(x), float(y)) for x, y in items]
+    if not all(math.isfinite(x) and math.isfinite(y) for x, y in pairs):
+        raise ValueError("samples must be finite")
+    return sorted(pairs)
+
+
 def estimate_exponent(
     samples: Union[Mapping[float, float], Sequence[Tuple[float, float]]],
     tolerance: float = 1e-6,
@@ -515,20 +530,15 @@ def estimate_exponent(
     h(2^n s0)/(2^n s0) at the largest in-range n; an exact power law is
     therefore recovered exactly, and multiplicative noise decays like the
     reciprocal of the cap.  Returns (gamma, sup deviation |h - gamma*s|).
+    A NaN, infinite or nonpositive sample raises ValueError.
     """
     tolerance = _nonnegative(tolerance, "tolerance")
-    if isinstance(samples, Mapping):
-        pairs = sorted(samples.items())
-    else:
-        pairs = sorted(samples)
+    pairs = _finite_samples(samples)
     if len(pairs) < 2:
         raise ValueError("need at least two samples")
-    hs = []
-    for z, p in pairs:
-        z, p = float(z), float(p)
-        if not (z > 0 and p > 0) or math.isinf(z) or math.isinf(p):
-            raise ValueError("samples must be positive and finite")
-        hs.append((math.log(z), math.log(p)))
+    if not all(z > 0 and p > 0 for z, p in pairs):
+        raise ValueError("samples must be positive")
+    hs = [(math.log(z), math.log(p)) for z, p in pairs]
     nonzero = [abs(s) for s, _ in hs if abs(s) > tolerance]
     if not nonzero:
         raise ValueError("all abscissae equal 1; no scale to fit")
@@ -566,28 +576,28 @@ def hyers_ulam_approx(
     is first checked for the Cauchy defect |f(x)+f(y)-f(x+y)| <= eps (a
     failure raises HypothesisViolationError with the witnessing pair); the
     approximation is the dyadic limit g(x) = f(2^n x)/2^n at the largest
-    in-range n, and telescoping the defect gives sup|f - g| <= eps.
+    in-range n, and telescoping the defect gives sup|f - g| <= eps.  A NaN
+    or infinite sample raises ValueError.
     """
     eps = _nonnegative(eps, "eps")
-    if isinstance(samples, Mapping):
-        pairs = sorted(samples.items())
-    else:
-        pairs = sorted(samples)
+    pairs = _finite_samples(samples)
     if not pairs:
         raise ValueError("need at least one sample")
-    xs = [float(x) for x, _ in pairs]
+    xs = [x for x, _ in pairs]
     gaps = [b - a for a, b in zip(xs, xs[1:]) if b - a > 0]
     pitch = min(gaps) if gaps else 1.0
     index: Dict[int, float] = {}
     keys: Dict[int, float] = {}
     for x, v in pairs:
-        x = float(x)
-        j = round(x / pitch)
+        steps = x / pitch
+        if not math.isfinite(steps):
+            raise ValueError("abscissae span more grid steps than a float holds")
+        j = round(steps)
         if abs(x - j * pitch) > 1e-6 * pitch * max(1.0, abs(j)):
             raise ValueError("abscissae do not sit on a uniform grid")
         if j in index:
             raise ValueError(f"duplicate abscissa near {x!r}")
-        index[j] = float(v)
+        index[j] = v
         keys[j] = x
     js = sorted(index)
     for a_pos, i in enumerate(js):
@@ -972,11 +982,12 @@ def analyze(
     classifies; recovers the exponent (left None, with a diagnostic, when
     the samples are off a multiplicative grid); and fits the sandwich.
     A NaN, infinite or negative ``exponent_tolerance`` raises ValueError; a
-    corpus that is not all 1-d, or holds fewer than two indicators or two
-    rays, raises CorpusError before any ratio matrix is built.
+    corpus or image list that is not all 1-d, or a corpus with fewer than
+    two indicators or two rays, raises CorpusError before any ratio matrix
+    is built.
     """
     exponent_tolerance = _nonnegative(exponent_tolerance, "exponent_tolerance")
-    _samples(t.corpus)  # a corpus error comes before any ratio matrix
+    _samples(t)  # a corpus error comes before any ratio matrix
     has_extremes = any(f.is_zero or f.is_point_indicator for f in t.corpus.elements)
     sense = _sense(t, k)
     violations: Tuple[Violation, ...] = ()

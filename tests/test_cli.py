@@ -181,6 +181,19 @@ class TestCheck:
         (t,) = parsed
         assert "R" not in t.corpus.__dict__ and "R_img" not in t.__dict__
 
+    def test_order_rejects_pinned_point_images(self, capsys, tmp_path):
+        from dualitylab import CorpusTransform, geometric_corpus, make_delta, transform_to_obj
+
+        c = geometric_corpus((-1, 0, 1))
+        t = CorpusTransform(c, tuple(make_delta(0.0, 1.0) for _ in c.elements))
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(transform_to_obj(t)))
+        code, out, err = run(
+            capsys, "check", "order", "--transform", str(path), "--ctilde", "1.5"
+        )
+        assert code == 2 and out == ""
+        assert err == "error: classification requires 1-d images\n"
+
     def test_order_flags_sabotage(self, capsys, tmp_path):
         from dualitylab import CorpusTransform, geometric_corpus, transform_to_obj
 
@@ -397,6 +410,20 @@ class TestHyersUlam:
         code, out, err = run(capsys, "hyers-ulam", "--in", str(path), *flag)
         assert code == 2 and out == ""
         assert err.startswith("error:") and "must be" in err
+
+    @pytest.mark.parametrize("samples", [
+        '[[0, 0], [1, "nan"], [2, 2]]', '[[0, 0], [1, 1], ["inf", 2]]',
+    ])
+    def test_nonfinite_samples_rejected(self, capsys, tmp_path, samples):
+        path = tmp_path / "s.json"
+        path.write_text('{"samples": ' + samples + "}")
+        out_path = tmp_path / "fit.json"
+        code, out, err = run(
+            capsys, "hyers-ulam", "--in", str(path), "--eps", "0.5",
+            "--out", str(out_path),
+        )
+        assert code == 2 and out == "" and not out_path.exists()
+        assert err == "error: samples must be finite\n"
 
     def test_violation_exit(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

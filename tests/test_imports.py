@@ -3,9 +3,12 @@
 Each command runs twice in a fresh interpreter: once as is, and once with
 ``numpy`` and ``scipy`` blocked in ``sys.modules``, so that importing either
 raises ImportError.  Both runs must give the same exit code, stdout and
-written files.
+written files.  The last test checks that every layer function the
+benchmark traces still imports under its traced name.
 """
 
+import importlib
+import importlib.util
 import json
 import subprocess
 import sys
@@ -13,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import dualitylab
 from dualitylab import (
     CorpusTransform,
     analyze,
@@ -112,3 +116,16 @@ def test_cli_import_leaves_numpy_and_scipy_out():
     proc = subprocess.run([sys.executable, "-c", probe], env=subprocess_env(),
                           capture_output=True, text=True, check=True)
     assert proc.stdout == "[]\n"
+
+
+def test_traced_layers_exist():
+    """Every layer function the benchmark's traced run wraps still exists, and
+    the checkers reach `leq_witness` through the name the trace patches."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "metrics.py"
+    spec = importlib.util.spec_from_file_location("_bench_metrics", path)
+    metrics = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(metrics)
+    for module, fn, _ in metrics.TRACED:
+        assert callable(getattr(importlib.import_module(f"dualitylab.{module}"), fn)), (
+            module, fn)
+    assert dualitylab.stability.leq_witness is dualitylab.pl.leq_witness

@@ -291,8 +291,10 @@ class TestOrder:
         assert ratio_sup(ray, ray) == (1, 1)  # constant ratio, reached past 0
 
     def test_walk_matches_the_candidate_scans(self):
-        """`ratio_sup`, `leq_witness` and `sup2` on one breakpoint walk give
-        the same values, abscissae, witnesses and types as the former scans."""
+        """`ratio_sup` and `sup2` on one breakpoint walk give the same values,
+        abscissae and types as the former scans; `leq_witness` makes the
+        former scan's decision and reads its witness off `ratio_sup`: the
+        abscissa of the sup, or a violating point on the tail rays."""
         rng = random.Random(23)
         seen = Counter()
         for n in range(5000):
@@ -309,14 +311,29 @@ class TestOrder:
                 assert got == want, (a, b)
                 assert [type(v) for v in got] == [type(v) for v in want], (a, b)
                 seen[type(got[0]).__name__, type(got[1]).__name__] += 1
-            for factor in (1, Fraction(3, 2), Fraction(1, 3), 2):
+            r, at = ratio_sup(f, g)
+            factors = [1, Fraction(3, 2), Fraction(1, 3), 2]
+            if 0 < r < INF:  # at the sup, and just below it
+                factors += [r, r * (1 - Fraction(1, 10**6))]
+            for factor in factors:
                 w = leq_witness(f, g, factor)
-                assert w == reference_leq_witness(f, g, factor), (f, g, factor)
-                assert w is None or type(w) is Fraction
-                seen["witness" if w is not None else "holds"] += 1
+                want = reference_leq_witness(f, g, factor)
+                assert (w is None) == (want is None), (f, g, factor)
+                if w is None:
+                    seen["holds"] += 1
+                    continue
+                assert type(w) is Fraction
+                fw, gw = f(w), g(w)
+                assert not math.isinf(gw) and (math.isinf(fw) or fw > factor * gw)
+                if at is not None:
+                    assert w == at, (f, g, factor)
+                    seen["witness"] += 1
+                else:
+                    seen["tail"] += 1
             assert sup2(f, g) == reference_sup2(f, g), (f, g)
         for key in (("Fraction", "Fraction"), ("Fraction", "NoneType"),
-                    ("float", "Fraction"), ("float", "NoneType"), "witness", "holds"):
+                    ("float", "Fraction"), ("float", "NoneType"),
+                    "witness", "tail", "holds"):
             assert seen[key] >= 50, seen
 
 

@@ -590,6 +590,15 @@ class TestClassify:
                     run(t, K15)
                 assert "R" not in corpus.__dict__ and "R_img" not in t.__dict__
 
+    def test_pinned_point_images_checked_before_any_matrix(self):
+        corpus = geometric_corpus((-1, 0, 1))
+        images = tuple(make_delta(0.0, 1.0) for _ in corpus.elements)
+        for run in (classify, analyze):
+            t = CorpusTransform(corpus, images)
+            with pytest.raises(CorpusError, match="1-d images"):
+                run(t, K15)
+            assert "R" not in corpus.__dict__ and "R_img" not in t.__dict__
+
     def test_bad_sense_rejected(self):
         with pytest.raises(ValueError):
             classify(identity_transform(), K15, sense="sideways")
@@ -733,11 +742,23 @@ class TestHyersUlam:
             hyers_ulam_approx({0.0: 0.0, 1.0: 1.0, 2.5: 2.5}, eps=1.0)
         with pytest.raises(ValueError):
             hyers_ulam_approx({}, eps=1.0)
+        with pytest.raises(ValueError):  # 1e308 / 5e-324 steps overflow a float
+            hyers_ulam_approx({0.0: 0.0, 5e-324: 0.0, 1e308: 1.0}, eps=1.0)
 
     @pytest.mark.parametrize("eps", [-1.0, math.nan, math.inf])
     def test_bad_eps_rejected(self, eps):
         with pytest.raises(ValueError, match="eps must be finite and nonnegative"):
             hyers_ulam_approx({0.0: 0.0, 1.0: 1.0, 2.0: 5.0}, eps=eps)
+
+    @pytest.mark.parametrize("samples", [
+        [(0, 0), (1, math.nan), (2, 2)], [(0, 0), (1, 1), (math.inf, 2)],
+        {0.0: 0.0, 1.0: -math.inf},
+    ])
+    def test_nonfinite_samples_rejected(self, samples):
+        with pytest.raises(ValueError, match="samples must be finite"):
+            hyers_ulam_approx(samples, eps=0.5)
+        with pytest.raises(ValueError, match="samples must be finite"):
+            estimate_exponent(samples)
 
 
 class TestFitSandwich:
@@ -838,19 +859,19 @@ class TestFuzz:
 
 class TestDeltaStructure:
     def test_pinned_comparison_is_exact(self):
-        from dualitylab.stability import _leq_any
+        from dualitylab.stability import _witness
 
         # 6.155778894472362 <= (100/199) * 12.25 holds in exact arithmetic,
         # but not after rounding the factor to a float
         d, e = make_delta(1.0, 6.155778894472362), make_delta(1.0, 12.25)
-        assert _leq_any(d, e, Fraction(100, 199)) == (True, None)
+        assert _witness(d, e, Fraction(100, 199)) is None
         # and the same pair of values on grids: 0 at the origin, v elsewhere
         f, g = (
             GridFunction2D(GridSpec(2.0, 3), [[v, v, v], [v, 0.0, v], [v, v, v]])
             for v in (6.155778894472362, 12.25)
         )
-        assert _leq_any(f, g, Fraction(100, 199)) == (True, None)
-        assert _leq_any(f, g, Fraction(99, 199)) == (False, (-2.0, -2.0))
+        assert _witness(f, g, Fraction(100, 199)) is None
+        assert _witness(f, g, Fraction(99, 199)) == (-2.0, -2.0)
 
     def test_affine_point_map_recovered(self):
         t = fuzz_delta_transform(9, K2, point_map=lambda th: 2 * th + 1, beta=3.0)
