@@ -31,6 +31,7 @@ from .extremal import cover_witness_search
 from .grid import read_grid_csv, write_grid_csv
 from .pl import PLConvex1D
 from .reporting import (
+    _write,
     dump_json,
     emit_plots,
     parse_corpus,
@@ -73,11 +74,6 @@ def _read_json(path: str) -> dict:
         raise SpecFormatError(f"{path}: invalid JSON: {exc}") from exc
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-
-
 def _positive_ctilde(raw: str) -> AlmostOrderConstant:
     try:
         k = AlmostOrderConstant(float(raw))
@@ -101,7 +97,7 @@ def _cmd_transform(args) -> int:
     op = {"legendre": legendre, "a": geometric_dual, "j": gauge_transform}[args.op]
     text = dumps_function(op(f)) + "\n"
     if args.out:
-        _write_text(args.out, text)
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
     return 0
@@ -150,7 +146,7 @@ def _cmd_fuzz(args) -> int:
     obj = report_to_obj(report)
     sys.stdout.write(render_report_text(obj))
     if args.report:
-        _write_text(args.report, dump_json(obj))
+        _write(args.report, dump_json(obj))
     if args.emit_plots:
         for path in emit_plots(obj, args.emit_plots):
             sys.stdout.write(f"wrote {path}\n")
@@ -186,7 +182,7 @@ def _cmd_hyers_ulam(args) -> int:
             "sup_error": sup_error,
             "additive": [[x, g[x]] for x in sorted(g)],
         }
-        _write_text(args.out, dump_json(out))
+        _write(args.out, dump_json(out))
     return 0
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
 from .exceptions import (
     ClassificationError,
@@ -236,6 +236,18 @@ def almost_linear_bounds(f: PLConvex1D, ctilde: Scalar) -> bool:
 # -- sampled-data envelopes ----------------------------------------------------
 
 
+def _finite_samples(
+    samples: Union[Mapping[float, float], Sequence[Tuple[float, float]]],
+) -> List[Tuple[float, float]]:
+    """A mapping or sequence of (x, y) samples as float pairs, in input order
+    (ValueError on a NaN or infinite entry)."""
+    items = samples.items() if isinstance(samples, Mapping) else samples
+    pairs = [(float(x), float(y)) for x, y in items]
+    if not all(math.isfinite(x) and math.isfinite(y) for x, y in pairs):
+        raise ValueError("samples must be finite")
+    return pairs
+
+
 def monotone_envelope(
     samples: Sequence[Tuple[float, float]], C: Optional[float] = None
 ) -> List[Tuple[float, float]]:
@@ -245,16 +257,16 @@ def monotone_envelope(
     given, the input is first required to be C-monotone (x <= y implies
     f(x) <= C*f(y)); that hypothesis makes the envelope a two-sided proxy,
     g/C <= f <= g at every sample.  A violating pair raises
-    HypothesisViolationError.
+    HypothesisViolationError; a NaN, infinite or negative sample raises ValueError.
     """
-    pts = [(float(x), float(v)) for x, v in samples]
+    pts = _finite_samples(samples)
     if not pts:
         return []
     for (xa, va), (xb, _) in zip(pts, pts[1:]):
         if xb <= xa:
             raise ValueError("sample abscissae must be strictly ascending")
     for x, v in pts:
-        if x < 0 or v < 0 or not math.isfinite(v):
+        if x < 0 or v < 0:
             raise ValueError("samples must be finite and nonnegative")
 
     if C is not None:
@@ -295,7 +307,7 @@ def quasi_linear_sandwich(
     triple u_q = lam*u_p + (1-lam)*u_r in (x, a) space the two-sided bound
     h(q)/C <= lam*h(p) + (1-lam)*h(r) <= C*h(q).  A violation raises
     HypothesisViolationError carrying the triple.  Returns (C', ok) where
-    ok means C' came out finite.
+    ok means C' came out finite.  Every entry must be finite (else ValueError).
     """
     if C < 1:
         raise ValueError("hypothesis constant must be >= 1")
@@ -303,7 +315,9 @@ def quasi_linear_sandwich(
     for x, a, v in samples:
         coords = tuple(float(u) for u in x) if isinstance(x, (list, tuple)) else (float(x),)
         a, v = float(a), float(v)
-        if a < 0 or v < 0 or not math.isfinite(v):
+        if not all(map(math.isfinite, coords + (a, v))):
+            raise ValueError("samples must be finite")
+        if a < 0 or v < 0:
             raise ValueError("samples must have a >= 0 and finite value >= 0")
         pts.append((coords + (a,), v))
 

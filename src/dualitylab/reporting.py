@@ -186,20 +186,13 @@ _MARGIN = 48.0
 def _svg_scatter_lines(
     series: Sequence[Tuple[str, Sequence[Tuple[float, float]]]],
     title: str,
-    log_axes: bool = True,
 ) -> str:
-    """Flat SVG with one polyline per series; points carry small markers."""
+    """Flat log10/log10 SVG with one polyline per series; points carry small
+    markers, and points off the positive quadrant are dropped."""
     pts_all: List[Tuple[float, float]] = []
     plotted: List[Tuple[str, List[Tuple[float, float]]]] = []
     for name, pts in series:
-        keep = []
-        for x, y in pts:
-            if log_axes:
-                if x <= 0 or y <= 0:
-                    continue
-                keep.append((math.log10(x), math.log10(y)))
-            else:
-                keep.append((float(x), float(y)))
+        keep = [(math.log10(x), math.log10(y)) for x, y in pts if x > 0 and y > 0]
         if keep:
             plotted.append((name, keep))
             pts_all.extend(keep)
@@ -228,10 +221,9 @@ def _svg_scatter_lines(
         f'<text x="{_MARGIN:.2f}" y="{_MARGIN - 12:.2f}" '
         f'font-family="monospace" font-size="13">{title}</text>',
     ]
-    scale_note = "log10/log10" if log_axes else "linear"
     parts.append(
         f'<text x="{_MARGIN:.2f}" y="{_SVG_H - 12:.2f}" '
-        f'font-family="monospace" font-size="11">axes: {scale_note}; '
+        f'font-family="monospace" font-size="11">axes: log10/log10; '
         f'x in [{x0:.4g}, {x1:.4g}], y in [{y0:.4g}, {y1:.4g}]</text>'
     )
     for i, (name, pts) in enumerate(plotted):
@@ -270,52 +262,34 @@ def _csv_rows(header: Sequence[str], rows: Sequence[Sequence[float]]) -> str:
 def emit_plots(obj: dict, directory: str) -> List[str]:
     """Write phi(z), c(a), and sandwich-envelope CSV + SVG artifacts."""
     os.makedirs(directory, exist_ok=True)
-    written: List[str] = []
-
     phi = [(float(z), float(p)) for z, p in obj.get("phi_samples", ())]
-    if phi:
-        path = os.path.join(directory, "phi.csv")
-        _write(path, _csv_rows(("z", "phi"), phi))
-        written.append(path)
-        path = os.path.join(directory, "phi.svg")
-        _write(path, _svg_scatter_lines([("phi(z)", phi)], "indicator support map phi(z)"))
-        written.append(path)
-
     slopes = [(float(a), float(c)) for a, c in obj.get("slope_samples", ())]
-    if slopes:
-        path = os.path.join(directory, "slope.csv")
-        _write(path, _csv_rows(("a", "c"), slopes))
-        written.append(path)
-        path = os.path.join(directory, "slope.svg")
-        _write(path, _svg_scatter_lines([("c(a)", slopes)], "ray image map c(a)"))
-        written.append(path)
-
     # the sandwich constants bound values, so the envelope is drawn around
     # whichever sample family carries value jitter: image slopes in both cases
     lo, hi = obj.get("sandwich_lower"), obj.get("sandwich_upper")
     alpha = obj.get("alpha")
     gauge_like = obj.get("classification") == "gauge"
-    family = phi if gauge_like else slopes
+    family, name = (phi, "phi(z)") if gauge_like else (slopes, "c(a)")
+    band = []
     if family and lo is not None and hi is not None and alpha:
-        rows = []
-        band_lo = []
-        band_hi = []
         for x, v in family:
             ref = (1.0 / (alpha * x)) if gauge_like else (x / alpha)
-            rows.append((x, v, lo * ref, hi * ref))
-            band_lo.append((x, lo * ref))
-            band_hi.append((x, hi * ref))
-        name = "phi(z)" if gauge_like else "c(a)"
-        path = os.path.join(directory, "sandwich.csv")
-        _write(path, _csv_rows(("x", "value", "lower", "upper"), rows))
-        written.append(path)
-        path = os.path.join(directory, "sandwich.svg")
-        _write(
-            path,
-            _svg_scatter_lines(
-                [(name, family), ("c*ref", band_lo), ("C*ref", band_hi)],
-                "sandwich envelope around the value-jittered samples",
-            ),
-        )
-        written.append(path)
+            band.append((x, v, lo * ref, hi * ref))
+    artifacts = (  # (file stem, CSV header, CSV rows, SVG series, SVG title)
+        ("phi", ("z", "phi"), phi, [("phi(z)", phi)], "indicator support map phi(z)"),
+        ("slope", ("a", "c"), slopes, [("c(a)", slopes)], "ray image map c(a)"),
+        ("sandwich", ("x", "value", "lower", "upper"), band,
+         [(name, family), ("c*ref", [(r[0], r[2]) for r in band]),
+          ("C*ref", [(r[0], r[3]) for r in band])],
+         "sandwich envelope around the value-jittered samples"),
+    )
+    written: List[str] = []
+    for stem, header, rows, series, title in artifacts:
+        if not rows:
+            continue
+        for ext, text in (("csv", _csv_rows(header, rows)),
+                          ("svg", _svg_scatter_lines(series, title))):
+            path = os.path.join(directory, f"{stem}.{ext}")
+            _write(path, text)
+            written.append(path)
     return written

@@ -38,6 +38,7 @@ from .exceptions import (
 )
 from .extremal import (
     DeltaFunction,
+    _finite_samples,
     almost_linear_bounds,
     make_delta,
     quasi_linear_sandwich,
@@ -506,16 +507,26 @@ def _nonnegative(value, name: str) -> float:
     return x
 
 
-def _finite_samples(
-    samples: Union[Mapping[float, float], Sequence[Tuple[float, float]]],
-) -> List[Tuple[float, float]]:
-    """A mapping or sequence of (x, y) samples as float pairs sorted by x
-    (ValueError on a NaN or infinite entry)."""
-    items = samples.items() if isinstance(samples, Mapping) else samples
-    pairs = [(float(x), float(y)) for x, y in items]
-    if not all(math.isfinite(x) and math.isfinite(y) for x, y in pairs):
-        raise ValueError("samples must be finite")
-    return sorted(pairs)
+def _grid_index(
+    points: Sequence[Tuple[float, float, float]], pitch: float, tol: float, grid: str
+) -> Tuple[Dict[int, float], Dict[int, float]]:
+    """({j: v}, {j: x}) for samples (x, s, v) whose grid coordinate s lies
+    within tol * max(1, |j|) of j * pitch; ValueError when one is off the
+    grid or two share a step j (the message names the caller's x)."""
+    index: Dict[int, float] = {}
+    keys: Dict[int, float] = {}
+    for x, s, v in points:
+        steps = s / pitch
+        if not math.isfinite(steps):
+            raise ValueError("abscissae span more grid steps than a float holds")
+        j = round(steps)
+        if abs(s - j * pitch) > tol * max(1.0, abs(j)):
+            raise ValueError(f"abscissae do not sit on a {grid} grid")
+        if j in index:
+            raise ValueError(f"duplicate abscissa near {x!r}")
+        index[j] = v
+        keys[j] = x
+    return index, keys
 
 
 def estimate_exponent(
@@ -525,44 +536,32 @@ def estimate_exponent(
     """Recover the power-law exponent of positive samples z -> phi(z).
 
     The abscissae must sit on a multiplicative grid (integer powers of the
-    smallest one above 1) closed under squaring up to a cap.  With
+    one nearest 1) closed under squaring up to a cap.  With
     h(s) = log phi(exp(s)) the estimate is the dyadic-doubling slope
     h(2^n s0)/(2^n s0) at the largest in-range n; an exact power law is
     therefore recovered exactly, and multiplicative noise decays like the
     reciprocal of the cap.  Returns (gamma, sup deviation |h - gamma*s|).
-    A NaN, infinite or nonpositive sample raises ValueError.
+    A NaN, infinite or nonpositive sample, or two at one grid point, raise
+    ValueError.
     """
     tolerance = _nonnegative(tolerance, "tolerance")
-    pairs = _finite_samples(samples)
+    pairs = sorted(_finite_samples(samples))
     if len(pairs) < 2:
         raise ValueError("need at least two samples")
     if not all(z > 0 and p > 0 for z, p in pairs):
         raise ValueError("samples must be positive")
-    hs = [(math.log(z), math.log(p)) for z, p in pairs]
-    nonzero = [abs(s) for s, _ in hs if abs(s) > tolerance]
+    pts = [(z, math.log(z), math.log(p)) for z, p in pairs]
+    nonzero = [abs(s) for _, s, _ in pts if abs(s) > tolerance]
     if not nonzero:
         raise ValueError("all abscissae equal 1; no scale to fit")
     pitch = min(nonzero)
-    index: Dict[int, float] = {}
-    for s, h in hs:
-        j = round(s / pitch)
-        if abs(s - j * pitch) > tolerance * max(1.0, abs(j)):
-            raise ValueError("abscissae do not sit on a multiplicative grid")
-        index[j] = h
-    pos = sorted(j for j in index if j > 0)
-    if pos:
-        j = pos[0]
-        while 2 * j in index:
-            j *= 2
-    else:
-        neg = sorted((j for j in index if j < 0), reverse=True)
-        if not neg:
-            raise ValueError("need at least one abscissa away from 1")
-        j = neg[0]
-        while 2 * j in index:
-            j *= 2
+    index, _ = _grid_index(pts, pitch, tolerance, "multiplicative")
+    # the sample at |s| = pitch sits at step +-1, so a nonzero step exists
+    j = min((j for j in index if j), key=lambda j: (j < 0, abs(j)))
+    while 2 * j in index:
+        j *= 2
     gamma = index[j] / (j * pitch)
-    deviation = max(abs(h - gamma * s) for s, h in hs)
+    deviation = max(abs(h - gamma * s) for _, s, h in pts)
     return gamma, deviation
 
 
@@ -577,28 +576,16 @@ def hyers_ulam_approx(
     failure raises HypothesisViolationError with the witnessing pair); the
     approximation is the dyadic limit g(x) = f(2^n x)/2^n at the largest
     in-range n, and telescoping the defect gives sup|f - g| <= eps.  A NaN
-    or infinite sample raises ValueError.
+    or infinite sample, or two samples at one grid point, raise ValueError.
     """
     eps = _nonnegative(eps, "eps")
-    pairs = _finite_samples(samples)
+    pairs = sorted(_finite_samples(samples))
     if not pairs:
         raise ValueError("need at least one sample")
     xs = [x for x, _ in pairs]
     gaps = [b - a for a, b in zip(xs, xs[1:]) if b - a > 0]
     pitch = min(gaps) if gaps else 1.0
-    index: Dict[int, float] = {}
-    keys: Dict[int, float] = {}
-    for x, v in pairs:
-        steps = x / pitch
-        if not math.isfinite(steps):
-            raise ValueError("abscissae span more grid steps than a float holds")
-        j = round(steps)
-        if abs(x - j * pitch) > 1e-6 * pitch * max(1.0, abs(j)):
-            raise ValueError("abscissae do not sit on a uniform grid")
-        if j in index:
-            raise ValueError(f"duplicate abscissa near {x!r}")
-        index[j] = v
-        keys[j] = x
+    index, keys = _grid_index([(x, x, v) for x, v in pairs], pitch, 1e-6 * pitch, "uniform")
     js = sorted(index)
     for a_pos, i in enumerate(js):
         for j in js[a_pos:]:
@@ -731,12 +718,18 @@ _FUZZ_BASES: Dict[str, Tuple[Optional[Callable], str]] = {
 }
 
 
-def _self_certified(
-    t: CorpusTransform, k: AlmostOrderConstant, sense: str
+def _jittered(
+    seed: int, k: AlmostOrderConstant, corpus: Corpus, image: Callable, sense: str, provenance: str
 ) -> CorpusTransform:
-    """``t``, once no pair violates ``sense``; else a ConsistencyError naming
-    the first failing condition and pair (the jitter band [C**-0.5, C**0.5]
-    can reach across a corpus spaced finer than C)."""
+    """The transform f -> image(f, kappa(f)) with seeded jitter kappa, once no
+    pair violates ``sense``; else a ConsistencyError naming the first failing
+    condition and pair (the jitter band [C**-0.5, C**0.5] can reach across a
+    corpus spaced finer than C)."""
+    rng = random.Random(seed)
+    half = 0.5 * math.log(float(k.ctilde)) * (1.0 - _JITTER_MARGIN)
+    t = CorpusTransform(corpus, tuple(
+        image(f, Fraction(math.exp(rng.uniform(-half, half)))) for f in corpus.elements
+    ), provenance=provenance)
     bad = next(_violations(t, k, sense), None)
     if bad is not None:
         raise ConsistencyError(
@@ -744,12 +737,6 @@ def _self_certified(
             f"on ({bad.f_label}, {bad.g_label}): {bad.detail}"
         )
     return t
-
-
-def _jitter_factors(seed: int, k: AlmostOrderConstant, n: int) -> List[Fraction]:
-    rng = random.Random(seed)
-    half = 0.5 * math.log(float(k.ctilde)) * (1.0 - _JITTER_MARGIN)
-    return [Fraction(math.exp(rng.uniform(-half, half))) for _ in range(n)]
 
 
 def fuzz_transform(
@@ -765,7 +752,7 @@ def fuzz_transform(
     with kappa drawn per element from the seeded generator, log-uniform in
     [ctilde**-0.5, ctilde**0.5] (shrunk by a hair so the certified
     inequalities stay strict).  The matching condition checker re-verifies
-    the construction before it is returned.
+    the construction before it is returned, or raises ConsistencyError.
     """
     if base not in _FUZZ_BASES:
         raise ValueError(f"unknown base transform {base!r}")
@@ -777,22 +764,15 @@ def fuzz_transform(
     alpha = as_fraction(alpha)
     if alpha <= 0:
         raise ValueError("dilation must be positive")
-    kappas = _jitter_factors(seed, k, len(corpus))
-    images = []
-    for f, kap in zip(corpus.elements, kappas):
+
+    def image(f: PLConvex1D, kappa: Fraction) -> PLConvex1D:
         img = f if op is None else op(f)
-        if alpha != 1:
-            img = compose_dilate(img, alpha)
-        images.append(scale(img, kap))
-    t = CorpusTransform(
-        corpus,
-        tuple(images),
-        provenance=(
-            f"fuzz(base={base}, ctilde={float(k.ctilde)!r}, seed={seed}, "
-            f"alpha={float(alpha)!r}, corpus={corpus.description})"
-        ),
-    )
-    return _self_certified(t, k, sense)
+        return scale(img if alpha == 1 else compose_dilate(img, alpha), kappa)
+
+    return _jittered(seed, k, corpus, image, sense, (
+        f"fuzz(base={base}, ctilde={float(k.ctilde)!r}, seed={seed}, "
+        f"alpha={float(alpha)!r}, corpus={corpus.description})"
+    ))
 
 
 def fuzz_delta_transform(
@@ -802,26 +782,21 @@ def fuzz_delta_transform(
     beta: float = 1.0,
     corpus: Optional[Corpus] = None,
 ) -> CorpusTransform:
-    """Jittered pinned-point transform: D(theta)+c -> D(point_map(theta)) + kappa*beta*c."""
+    """Jittered pinned-point transform D(theta)+c -> D(point_map(theta)) + kappa*beta*c,
+    kappa as in `fuzz_transform`; ConsistencyError unless certified almost preserving."""
     if corpus is None:
         corpus = delta_corpus()
     if not all(isinstance(f, DeltaFunction) for f in corpus.elements):
         raise CorpusError("delta fuzzing needs a corpus of pinned-point functions")
     if not beta > 0:
         raise ValueError("value scaling must be positive")
-    kappas = _jitter_factors(seed, k, len(corpus))
-    images = []
-    for f, kap in zip(corpus.elements, kappas):
-        images.append(make_delta(point_map(f.theta), float(kap) * beta * f.c))
-    t = CorpusTransform(
-        corpus,
-        tuple(images),
-        provenance=(
+    return _jittered(
+        seed, k, corpus,
+        lambda f, kappa: make_delta(point_map(f.theta), float(kappa) * beta * f.c),
+        "preserving", (
             f"fuzz-delta(ctilde={float(k.ctilde)!r}, seed={seed}, "
             f"beta={beta!r}, corpus={corpus.description})"
-        ),
-    )
-    return _self_certified(t, k, "preserving")
+        ))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import random
 from dataclasses import replace
 from pathlib import Path
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from hypothesis import strategies as st
@@ -27,10 +27,12 @@ from dualitylab import (
     ClassTagError,
     ConsistencyError,
     ConvexityError,
+    Corpus,
     CorpusError,
     DeltaFunction,
     GridFunction2D,
     GridSpec,
+    HypothesisViolationError,
     PLConvex1D,
     TransformClass,
     Violation,
@@ -39,13 +41,16 @@ from dualitylab import (
     check_extremes,
     classify,
     compose_dilate,
+    delta_corpus,
     estimate_exponent,
     fit_sandwich,
+    geometric_corpus,
     hat_inf2,
     is_inf,
     legendre,
     leq,
     leq_witness,
+    make_delta,
     make_indicator,
     make_linear,
     scale,
@@ -63,15 +68,19 @@ from dualitylab.pl import (
     ratio_sup_abscissae,
 )
 from dualitylab.stability import (
+    _FUZZ_BASES,
+    _JITTER_MARGIN,
     SANDWICH_FLAG_POWER,
     SANDWICH_REGIME_POWER,
     AlmostOrderConstant,
     CorpusTransform,
     StabilityReport,
     _geometric_mean_fraction,
+    _nonnegative,
     _positive_linear,
     _proper_indicator,
     _ratio_extrema,
+    _violations,
 )
 from dualitylab.transforms import _require_geometric, gauge_transform, geometric_dual
 
@@ -1426,3 +1435,364 @@ def geometric_functions(draw, max_knots: int = 12) -> PLConvex1D:
 def nonnegative_functions(draw, max_knots: int = 8) -> PLConvex1D:
     seed = draw(st.integers(min_value=0, max_value=2**48))
     return random_nonnegative(random.Random(seed), max_knots=max_knots)
+
+
+# ---------------------------------------------------------------------------
+# reference sampled-data lemmas, fuzz builders and plot writer: the copies
+# that one sample reader, one grid helper, one jittered builder and one
+# table-driven artifact loop replaced, kept verbatim.  The exponent copy keeps
+# the last of two samples at one grid point, where the library now raises.
+
+
+def _reference_finite_samples(
+    samples: Union[Mapping[float, float], Sequence[Tuple[float, float]]],
+) -> List[Tuple[float, float]]:
+    """A mapping or sequence of (x, y) samples as float pairs sorted by x
+    (ValueError on a NaN or infinite entry)."""
+    items = samples.items() if isinstance(samples, Mapping) else samples
+    pairs = [(float(x), float(y)) for x, y in items]
+    if not all(math.isfinite(x) and math.isfinite(y) for x, y in pairs):
+        raise ValueError("samples must be finite")
+    return sorted(pairs)
+
+
+def reference_estimate_exponent(
+    samples: Union[Mapping[float, float], Sequence[Tuple[float, float]]],
+    tolerance: float = 1e-6,
+) -> Tuple[float, float]:
+    """Recover the power-law exponent of positive samples z -> phi(z).
+
+    The abscissae must sit on a multiplicative grid (integer powers of the
+    smallest one above 1) closed under squaring up to a cap.  With
+    h(s) = log phi(exp(s)) the estimate is the dyadic-doubling slope
+    h(2^n s0)/(2^n s0) at the largest in-range n; an exact power law is
+    therefore recovered exactly, and multiplicative noise decays like the
+    reciprocal of the cap.  Returns (gamma, sup deviation |h - gamma*s|).
+    A NaN, infinite or nonpositive sample raises ValueError.
+    """
+    tolerance = _nonnegative(tolerance, "tolerance")
+    pairs = _reference_finite_samples(samples)
+    if len(pairs) < 2:
+        raise ValueError("need at least two samples")
+    if not all(z > 0 and p > 0 for z, p in pairs):
+        raise ValueError("samples must be positive")
+    hs = [(math.log(z), math.log(p)) for z, p in pairs]
+    nonzero = [abs(s) for s, _ in hs if abs(s) > tolerance]
+    if not nonzero:
+        raise ValueError("all abscissae equal 1; no scale to fit")
+    pitch = min(nonzero)
+    index: Dict[int, float] = {}
+    for s, h in hs:
+        j = round(s / pitch)
+        if abs(s - j * pitch) > tolerance * max(1.0, abs(j)):
+            raise ValueError("abscissae do not sit on a multiplicative grid")
+        index[j] = h
+    pos = sorted(j for j in index if j > 0)
+    if pos:
+        j = pos[0]
+        while 2 * j in index:
+            j *= 2
+    else:
+        neg = sorted((j for j in index if j < 0), reverse=True)
+        if not neg:
+            raise ValueError("need at least one abscissa away from 1")
+        j = neg[0]
+        while 2 * j in index:
+            j *= 2
+    gamma = index[j] / (j * pitch)
+    deviation = max(abs(h - gamma * s) for s, h in hs)
+    return gamma, deviation
+
+
+def reference_hyers_ulam_approx(
+    samples: Union[Mapping[float, float], Sequence[Tuple[float, float]]],
+    eps: float,
+) -> Tuple[Dict[float, float], float]:
+    """Additive approximation of an eps-approximately-additive sample map.
+
+    The abscissae must sit on a uniform grid through 0.  Every in-range pair
+    is first checked for the Cauchy defect |f(x)+f(y)-f(x+y)| <= eps (a
+    failure raises HypothesisViolationError with the witnessing pair); the
+    approximation is the dyadic limit g(x) = f(2^n x)/2^n at the largest
+    in-range n, and telescoping the defect gives sup|f - g| <= eps.  A NaN
+    or infinite sample raises ValueError.
+    """
+    eps = _nonnegative(eps, "eps")
+    pairs = _reference_finite_samples(samples)
+    if not pairs:
+        raise ValueError("need at least one sample")
+    xs = [x for x, _ in pairs]
+    gaps = [b - a for a, b in zip(xs, xs[1:]) if b - a > 0]
+    pitch = min(gaps) if gaps else 1.0
+    index: Dict[int, float] = {}
+    keys: Dict[int, float] = {}
+    for x, v in pairs:
+        steps = x / pitch
+        if not math.isfinite(steps):
+            raise ValueError("abscissae span more grid steps than a float holds")
+        j = round(steps)
+        if abs(x - j * pitch) > 1e-6 * pitch * max(1.0, abs(j)):
+            raise ValueError("abscissae do not sit on a uniform grid")
+        if j in index:
+            raise ValueError(f"duplicate abscissa near {x!r}")
+        index[j] = v
+        keys[j] = x
+    js = sorted(index)
+    for a_pos, i in enumerate(js):
+        for j in js[a_pos:]:
+            if i + j in index:
+                defect = abs(index[i] + index[j] - index[i + j])
+                if defect > eps:
+                    raise HypothesisViolationError(
+                        f"additive defect {defect} exceeds {eps} at "
+                        f"({keys[i]}, {keys[j]})",
+                        witness=(keys[i], keys[j]),
+                    )
+    g: Dict[float, float] = {}
+    sup_error = 0.0
+    for j in js:
+        if j == 0:
+            gj = 0.0
+        else:
+            m, n = j, 0
+            while 2 * m in index:
+                m, n = 2 * m, n + 1
+            gj = index[m] / (1 << n)
+        g[keys[j]] = gj
+        sup_error = max(sup_error, abs(index[j] - gj))
+    return g, sup_error
+
+
+def _reference_self_certified(
+    t: CorpusTransform, k: AlmostOrderConstant, sense: str
+) -> CorpusTransform:
+    """``t``, once no pair violates ``sense``; else a ConsistencyError naming
+    the first failing condition and pair (the jitter band [C**-0.5, C**0.5]
+    can reach across a corpus spaced finer than C)."""
+    bad = next(_violations(t, k, sense), None)
+    if bad is not None:
+        raise ConsistencyError(
+            f"fuzzed transform failed its own certification: {bad.condition} "
+            f"on ({bad.f_label}, {bad.g_label}): {bad.detail}"
+        )
+    return t
+
+
+def _reference_jitter_factors(seed: int, k: AlmostOrderConstant, n: int) -> List[Fraction]:
+    rng = random.Random(seed)
+    half = 0.5 * math.log(float(k.ctilde)) * (1.0 - _JITTER_MARGIN)
+    return [Fraction(math.exp(rng.uniform(-half, half))) for _ in range(n)]
+
+
+def reference_fuzz_transform(
+    seed: int,
+    k: AlmostOrderConstant,
+    base: str = "identity",
+    alpha=1,
+    corpus: Optional[Corpus] = None,
+) -> CorpusTransform:
+    """Deterministic jittered transform certified at construction.
+
+    Each corpus element f maps to kappa(f) * (base image of f)(x/alpha),
+    with kappa drawn per element from the seeded generator, log-uniform in
+    [ctilde**-0.5, ctilde**0.5] (shrunk by a hair so the certified
+    inequalities stay strict).  The matching condition checker re-verifies
+    the construction before it is returned.
+    """
+    if base not in _FUZZ_BASES:
+        raise ValueError(f"unknown base transform {base!r}")
+    op, sense = _FUZZ_BASES[base]
+    if corpus is None:
+        corpus = geometric_corpus()
+    if not all(isinstance(f, PLConvex1D) for f in corpus.elements):
+        raise CorpusError("fuzzing needs a corpus of 1-d functions")
+    alpha = as_fraction(alpha)
+    if alpha <= 0:
+        raise ValueError("dilation must be positive")
+    kappas = _reference_jitter_factors(seed, k, len(corpus))
+    images = []
+    for f, kap in zip(corpus.elements, kappas):
+        img = f if op is None else op(f)
+        if alpha != 1:
+            img = compose_dilate(img, alpha)
+        images.append(scale(img, kap))
+    t = CorpusTransform(
+        corpus,
+        tuple(images),
+        provenance=(
+            f"fuzz(base={base}, ctilde={float(k.ctilde)!r}, seed={seed}, "
+            f"alpha={float(alpha)!r}, corpus={corpus.description})"
+        ),
+    )
+    return _reference_self_certified(t, k, sense)
+
+
+def reference_fuzz_delta_transform(
+    seed: int,
+    k: AlmostOrderConstant,
+    point_map: Callable,
+    beta: float = 1.0,
+    corpus: Optional[Corpus] = None,
+) -> CorpusTransform:
+    """Jittered pinned-point transform: D(theta)+c -> D(point_map(theta)) + kappa*beta*c."""
+    if corpus is None:
+        corpus = delta_corpus()
+    if not all(isinstance(f, DeltaFunction) for f in corpus.elements):
+        raise CorpusError("delta fuzzing needs a corpus of pinned-point functions")
+    if not beta > 0:
+        raise ValueError("value scaling must be positive")
+    kappas = _reference_jitter_factors(seed, k, len(corpus))
+    images = []
+    for f, kap in zip(corpus.elements, kappas):
+        images.append(make_delta(point_map(f.theta), float(kap) * beta * f.c))
+    t = CorpusTransform(
+        corpus,
+        tuple(images),
+        provenance=(
+            f"fuzz-delta(ctilde={float(k.ctilde)!r}, seed={seed}, "
+            f"beta={beta!r}, corpus={corpus.description})"
+        ),
+    )
+    return _reference_self_certified(t, k, "preserving")
+
+
+_SVG_W, _SVG_H = 480, 360
+_MARGIN = 48.0
+
+
+def _reference_svg_scatter_lines(
+    series: Sequence[Tuple[str, Sequence[Tuple[float, float]]]],
+    title: str,
+    log_axes: bool = True,
+) -> str:
+    """Flat SVG with one polyline per series; points carry small markers."""
+    pts_all: List[Tuple[float, float]] = []
+    plotted: List[Tuple[str, List[Tuple[float, float]]]] = []
+    for name, pts in series:
+        keep = []
+        for x, y in pts:
+            if log_axes:
+                if x <= 0 or y <= 0:
+                    continue
+                keep.append((math.log10(x), math.log10(y)))
+            else:
+                keep.append((float(x), float(y)))
+        if keep:
+            plotted.append((name, keep))
+            pts_all.extend(keep)
+    if not pts_all:
+        pts_all = [(0.0, 0.0), (1.0, 1.0)]
+    x0 = min(p[0] for p in pts_all)
+    x1 = max(p[0] for p in pts_all)
+    y0 = min(p[1] for p in pts_all)
+    y1 = max(p[1] for p in pts_all)
+    dx = (x1 - x0) or 1.0
+    dy = (y1 - y0) or 1.0
+
+    def to_px(p):
+        px = _MARGIN + (p[0] - x0) / dx * (_SVG_W - 2 * _MARGIN)
+        py = _SVG_H - _MARGIN - (p[1] - y0) / dy * (_SVG_H - 2 * _MARGIN)
+        return f"{px:.2f},{py:.2f}"
+
+    colors = ("#1f5fa8", "#bb3311", "#227744", "#886600")
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" '
+        f'height="{_SVG_H}" viewBox="0 0 {_SVG_W} {_SVG_H}">',
+        f'<rect width="{_SVG_W}" height="{_SVG_H}" fill="white"/>',
+        f'<rect x="{_MARGIN:.2f}" y="{_MARGIN:.2f}" '
+        f'width="{_SVG_W - 2 * _MARGIN:.2f}" '
+        f'height="{_SVG_H - 2 * _MARGIN:.2f}" fill="none" stroke="#333"/>',
+        f'<text x="{_MARGIN:.2f}" y="{_MARGIN - 12:.2f}" '
+        f'font-family="monospace" font-size="13">{title}</text>',
+    ]
+    scale_note = "log10/log10" if log_axes else "linear"
+    parts.append(
+        f'<text x="{_MARGIN:.2f}" y="{_SVG_H - 12:.2f}" '
+        f'font-family="monospace" font-size="11">axes: {scale_note}; '
+        f'x in [{x0:.4g}, {x1:.4g}], y in [{y0:.4g}, {y1:.4g}]</text>'
+    )
+    for i, (name, pts) in enumerate(plotted):
+        color = colors[i % len(colors)]
+        coords = " ".join(to_px(p) for p in pts)
+        parts.append(
+            f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
+            f'points="{coords}"/>'
+        )
+        for p in pts:
+            px, py = to_px(p).split(",")
+            parts.append(
+                f'<circle cx="{px}" cy="{py}" r="2.5" fill="{color}"/>'
+            )
+        parts.append(
+            f'<text x="{_SVG_W - _MARGIN:.2f}" y="{_MARGIN + 14 * (i + 1):.2f}" '
+            f'text-anchor="end" font-family="monospace" font-size="11" '
+            f'fill="{color}">{name}</text>'
+        )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+def _reference_write(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+
+
+def _reference_csv_rows(header: Sequence[str], rows: Sequence[Sequence[float]]) -> str:
+    out = [",".join(header)]
+    for row in rows:
+        out.append(",".join(repr(float(v)) for v in row))
+    return "\n".join(out) + "\n"
+
+
+def reference_emit_plots(obj: dict, directory: str) -> List[str]:
+    """Write phi(z), c(a), and sandwich-envelope CSV + SVG artifacts."""
+    os.makedirs(directory, exist_ok=True)
+    written: List[str] = []
+
+    phi = [(float(z), float(p)) for z, p in obj.get("phi_samples", ())]
+    if phi:
+        path = os.path.join(directory, "phi.csv")
+        _reference_write(path, _reference_csv_rows(("z", "phi"), phi))
+        written.append(path)
+        path = os.path.join(directory, "phi.svg")
+        _reference_write(path, _reference_svg_scatter_lines([("phi(z)", phi)], "indicator support map phi(z)"))
+        written.append(path)
+
+    slopes = [(float(a), float(c)) for a, c in obj.get("slope_samples", ())]
+    if slopes:
+        path = os.path.join(directory, "slope.csv")
+        _reference_write(path, _reference_csv_rows(("a", "c"), slopes))
+        written.append(path)
+        path = os.path.join(directory, "slope.svg")
+        _reference_write(path, _reference_svg_scatter_lines([("c(a)", slopes)], "ray image map c(a)"))
+        written.append(path)
+
+    # the sandwich constants bound values, so the envelope is drawn around
+    # whichever sample family carries value jitter: image slopes in both cases
+    lo, hi = obj.get("sandwich_lower"), obj.get("sandwich_upper")
+    alpha = obj.get("alpha")
+    gauge_like = obj.get("classification") == "gauge"
+    family = phi if gauge_like else slopes
+    if family and lo is not None and hi is not None and alpha:
+        rows = []
+        band_lo = []
+        band_hi = []
+        for x, v in family:
+            ref = (1.0 / (alpha * x)) if gauge_like else (x / alpha)
+            rows.append((x, v, lo * ref, hi * ref))
+            band_lo.append((x, lo * ref))
+            band_hi.append((x, hi * ref))
+        name = "phi(z)" if gauge_like else "c(a)"
+        path = os.path.join(directory, "sandwich.csv")
+        _reference_write(path, _reference_csv_rows(("x", "value", "lower", "upper"), rows))
+        written.append(path)
+        path = os.path.join(directory, "sandwich.svg")
+        _reference_write(
+            path,
+            _reference_svg_scatter_lines(
+                [(name, family), ("c*ref", band_lo), ("C*ref", band_hi)],
+                "sandwich envelope around the value-jittered samples",
+            ),
+        )
+        written.append(path)
+    return written

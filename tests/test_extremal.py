@@ -328,3 +328,26 @@ class TestQuasiLinearSandwich:
     def test_scalar_x_accepted(self):
         cprime, ok = quasi_linear_sandwich([(1.0, 2.0, 2.0)], C=2.0)
         assert ok and cprime == 1.0
+
+
+class TestNonFiniteSamples:
+    """Both sampled-data envelopes reject a NaN or infinite entry."""
+
+    @pytest.mark.parametrize("samples, C", [
+        ([(0.0, 1.0), (math.nan, 2.0)], None),
+        ([(0.0, 1.0), (math.inf, 2.0)], None),
+        ([(0.0, 1.0), (math.inf, 2.0)], 1.5),
+    ], ids=["nan-abscissa", "inf-abscissa", "inf-abscissa-with-C"])
+    def test_envelope_rejects(self, samples, C):
+        with pytest.raises(ValueError, match="samples must be finite"):
+            monotone_envelope(samples, C=C)
+
+    @pytest.mark.parametrize("samples", [
+        [(0.0, math.nan, 1.0), (1.0, 1.0, 1.0)],
+        [(math.nan, 1.0, 1.0), (1.0, 1.0, 1.0)],
+        [((0.0, math.nan), 1.0, 1.0), ((1.0, 1.0), 1.0, 1.0)],
+        [(0.0, math.inf, 1.0), (1.0, 1.0, 1.0)],
+    ], ids=["nan-a", "nan-coordinate", "nan-second-coordinate", "inf-a"])
+    def test_sandwich_rejects(self, samples):
+        with pytest.raises(ValueError, match="samples must be finite"):
+            quasi_linear_sandwich(samples, 1.5)

@@ -3,10 +3,12 @@
 Each command runs twice in a fresh interpreter: once as is, and once with
 ``numpy`` and ``scipy`` blocked in ``sys.modules``, so that importing either
 raises ImportError.  Both runs must give the same exit code, stdout and
-written files.  The last test checks that every layer function the
-benchmark traces still imports under its traced name.
+written files.  The last two tests check that every layer function the
+benchmark traces still imports under its traced name, and that every
+dualitylab name the bench scripts import or read still resolves.
 """
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -129,3 +131,52 @@ def test_traced_layers_exist():
         assert callable(getattr(importlib.import_module(f"dualitylab.{module}"), fn)), (
             module, fn)
     assert dualitylab.stability.leq_witness is dualitylab.pl.leq_witness
+
+
+def _bench_names():
+    """Every dualitylab name the bench scripts use, as (module, attribute
+    path): each ``from dualitylab... import`` name, and each attribute chain
+    read off a name bound to a dualitylab module."""
+    names = set()
+    for path in sorted((Path(__file__).resolve().parents[1] / "bench").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        modules = {}  # local name -> dualitylab module it is bound to
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for a in node.names:
+                    if a.name.split(".")[0] == "dualitylab":
+                        modules[a.asname or "dualitylab"] = a.name if a.asname else "dualitylab"
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dualitylab":
+                for a in node.names:
+                    names.add((node.module, a.name))
+                    try:  # a submodule binds a module name
+                        importlib.import_module(f"{node.module}.{a.name}")
+                    except ImportError:
+                        continue
+                    modules[a.asname or a.name] = f"{node.module}.{a.name}"
+        inner = {id(n.value) for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        for node in ast.walk(tree):
+            if id(node) in inner:  # only whole chains: dl.pl.leq_witness, not dl.pl
+                continue
+            chain = []
+            while isinstance(node, ast.Attribute):
+                chain.insert(0, node.attr)
+                node = node.value
+            if chain and isinstance(node, ast.Name) and node.id in modules:
+                names.add((modules[node.id], ".".join(chain)))
+    return names
+
+
+def test_bench_names_exist():
+    """Every dualitylab name the benchmark imports or reads still resolves,
+    so a refactor that drops one fails here rather than in a bench run."""
+    names = _bench_names()
+    assert len(names) >= 28, sorted(names)
+    assert ("dualitylab.cli", "TOLERANCE_ENV") in names
+    assert ("dualitylab", "fuzz_transform") in names
+    assert ("dualitylab.stability", "AlmostOrderConstant") in names
+    for module, attrs in sorted(names):
+        obj = importlib.import_module(module)
+        for attr in attrs.split("."):
+            assert hasattr(obj, attr), f"{module}.{attrs}"
+            obj = getattr(obj, attr)

@@ -21,6 +21,8 @@ from dualitylab import (
     transform_to_obj,
 )
 
+from helpers import reference_emit_plots
+
 K15 = AlmostOrderConstant(Fraction(3, 2))
 
 
@@ -104,3 +106,24 @@ class TestPlots:
         for p in paths:
             if p.endswith(".svg"):
                 ET.parse(p)  # raises on malformed XML
+
+    def test_artifacts_match_reference(self, tmp_path):
+        """36 fuzz reports: every plot file is byte-identical to the one the
+        previous three-block writer produced."""
+        seen = set()
+        for base in ("identity", "gauge", "legendre", "a"):
+            for k in (AlmostOrderConstant(Fraction(11, 10)), K15, AlmostOrderConstant(2)):
+                for seed in range(3):
+                    alpha = Fraction(1, 7) if seed == 2 else 1
+                    t = fuzz_transform(seed, k, base=base, alpha=alpha)
+                    obj = report_to_obj(analyze(t, k))
+                    new, old = tmp_path / "new", tmp_path / "old"
+                    got = emit_plots(obj, str(new))
+                    want = reference_emit_plots(obj, str(old))
+                    assert [os.path.basename(p) for p in got] == [
+                        os.path.basename(p) for p in want]
+                    for name in map(os.path.basename, got):
+                        assert (new / name).read_bytes() == (old / name).read_bytes(), name
+                        (new / name).unlink(), (old / name).unlink()
+                        seen.add(name)
+        assert len(seen) == 6, seen

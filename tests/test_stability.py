@@ -68,7 +68,11 @@ from helpers import (
     reference_check_lattice_stability,
     reference_classify_at,
     reference_closed_lattice_pairs,
+    reference_estimate_exponent,
     reference_fit_sandwich,
+    reference_fuzz_delta_transform,
+    reference_fuzz_transform,
+    reference_hyers_ulam_approx,
     reference_ratio_extrema,
     reference_ratio_matrix,
 )
@@ -1032,3 +1036,137 @@ class TestAnalyzeEdges:
         with pytest.raises(ValueError, match="exponent_tolerance"):
             analyze(t, K15, exponent_tolerance=tol)
         assert analyze(t, K15, exponent_tolerance=0).certified
+
+
+def _outcome(fn, *args):
+    """repr of fn's result, or its exception type, message and witness."""
+    try:
+        return repr(fn(*args))
+    except Exception as exc:  # compared as data: old and new must agree
+        return type(exc), str(exc), getattr(exc, "witness", None)
+
+
+def _grid_sample_sets(rng: random.Random, n: int) -> list:
+    """n seeded sample sets for the two grid lemmas: on a multiplicative or a
+    uniform grid (some on the negative side only), noisy, off the grid, with
+    a repeated grid point, degenerate, or as a mapping."""
+    sets = [
+        [], {}, [(2.0, 1.0)], [(1.0, 1.0), (1.0 + 1e-9, 2.0)],
+        {0.0: 0.0, 5e-324: 0.0, 1e308: 1.0}, {0.5: 2.0, 0.25: 4.0},
+        [(2.0, 2.0), (2.0, 3.0), (4.0, 4.0)], [(0, 0), (1, math.nan), (2, 2)],
+        [(2.0, 0.0), (4.0, 1.0)], [(-1.0, 1.0), (-2.0, 2.0)],
+    ]
+    while len(sets) < n:
+        shape = rng.randrange(4)
+        if shape < 2:  # multiplicative grid b**j, exponents dyadic
+            b = rng.choice((2.0, 3.0, 1.5, math.sqrt(2), 10.0))
+            js = [j for j in (-16, -8, -4, -3, -2, -1, 0, 1, 2, 3, 4, 8, 16)
+                  if rng.random() < 0.5 and (shape == 0 or j < 0)]
+            gamma = rng.choice((1.0, -1.0, 2.0, 0.5, rng.uniform(-3, 3)))
+            noise = rng.choice((0.0, 1e-9, 0.05, 0.5))
+            pts = [(b**j, b ** (gamma * j) * math.exp(rng.uniform(-noise, noise)))
+                   for j in js]
+        else:  # uniform grid p*j
+            p = rng.choice((1.0, 0.1, 0.5, 3.0, 1e-3))
+            js = [j for j in range(-10, 11)
+                  if rng.random() < 0.6 and (shape != 2 or j < 0)]
+            a = rng.uniform(-4, 4)
+            noise = rng.choice((0.0, 0.01, 0.3, 2.0))
+            pts = [(p * j, a * p * j + rng.uniform(-noise, noise)) for j in js]
+        if pts and rng.random() < 0.3:  # nudge one abscissa, often off the grid
+            i = rng.randrange(len(pts))
+            x, v = pts[i]
+            pts[i] = (x * (1 + rng.choice((1e-12, 1e-8, 1e-5, 1e-3, 0.1))), v)
+        if pts and rng.random() < 0.1:  # a second value at one abscissa
+            x, v = rng.choice(pts)
+            pts.append((x, 2 * v + 1))
+        if pts and rng.random() < 0.05:  # a nonpositive value
+            pts[0] = (pts[0][0], rng.choice((0.0, -1.0)))
+        if pts and rng.random() < 0.03:  # a non-finite entry
+            bad = rng.choice((math.nan, math.inf, -math.inf))
+            pts[-1] = rng.choice(((bad, pts[-1][1]), (pts[-1][0], bad)))
+        rng.shuffle(pts)
+        sets.append(dict(pts) if rng.random() < 0.3 else pts)
+    return sets
+
+
+class TestGridLemmaDifferential:
+    """`estimate_exponent` and `hyers_ulam_approx` against their previous
+    copies: equal results, or the same exception and message, except where
+    the exponent copy kept the last of two samples at one grid point."""
+
+    def test_matches_reference_on_seeded_sample_sets(self):
+        rng = random.Random(16)
+        counts = Counter()
+        for samples in _grid_sample_sets(rng, 2400):
+            tol = rng.choice((1e-6, 0.0, 1e-3, 0.7))
+            eps = rng.choice((0.0, 0.1, 0.5, 5.0, 1e9))
+            cases = (
+                (estimate_exponent, reference_estimate_exponent, (samples, tol)),
+                (hyers_ulam_approx, reference_hyers_ulam_approx, (samples, eps)),
+            )
+            for new, old, args in cases:
+                got, want = _outcome(new, *args), _outcome(old, *args)
+                if got != want and new is estimate_exponent:
+                    assert got[0] is ValueError, (samples, got, want)
+                    assert got[1].startswith("duplicate abscissa near "), (samples, got)
+                    xs = samples.keys() if isinstance(samples, dict) else [x for x, _ in samples]
+                    assert got[1].rsplit(" ", 1)[1] in {repr(float(x)) for x in xs}
+                    counts["duplicate"] += 1
+                    continue
+                assert got == want, (new.__name__, samples, args[1])
+                kind = "ok" if isinstance(got, str) else " ".join(got[1].split()[:2])
+                counts[new.__name__, kind] += 1
+        # every branch is reached: results, each input error, defects, duplicates
+        assert counts["duplicate"] >= 20, counts
+        for key in (("estimate_exponent", "ok"), ("hyers_ulam_approx", "ok"),
+                    ("estimate_exponent", "abscissae do"), ("hyers_ulam_approx", "abscissae do"),
+                    ("hyers_ulam_approx", "additive defect"),
+                    ("hyers_ulam_approx", "duplicate abscissa")):
+            assert counts[key] >= 20, (key, counts)
+        for key in (("hyers_ulam_approx", "samples must"), ("hyers_ulam_approx", "need at"),
+                    ("hyers_ulam_approx", "abscissae span"), ("estimate_exponent", "all abscissae")):
+            assert counts[key] >= 1, (key, counts)
+
+    def test_repeated_grid_point_is_rejected(self):
+        with pytest.raises(ValueError, match=r"^duplicate abscissa near 2\.0$"):
+            estimate_exponent([(2.0, 2.0), (2.0, 3.0), (4.0, 4.0)])
+        assert reference_estimate_exponent([(2.0, 2.0), (2.0, 3.0), (4.0, 4.0)])[0] == 1.0
+        # z = 1 and z = 2 both snap to step 0 at a snap tolerance of 0.7
+        t = identity_transform(geometric_corpus((0, 1, 2, 3)))
+        rep = analyze(t, K15, exponent_tolerance=0.7)
+        assert rep.certified and rep.gamma is None
+        assert "exponent not estimated: duplicate abscissa near 2.0" in rep.diagnostics
+
+
+class TestFuzzDifferential:
+    """Both fuzz builders give exactly the images, provenance and errors of
+    their previous copies."""
+
+    @pytest.mark.parametrize("base", ["identity", "gauge", "legendre", "a"])
+    def test_fuzz_transform_matches_reference(self, base):
+        ks = (AlmostOrderConstant(Fraction(11, 10)), K15, K2, AlmostOrderConstant(100))
+        for k in ks:
+            for seed in range(4):
+                for alpha in (1, Fraction(1, 7)):
+                    args = (seed, k, base, alpha)
+                    new, old = _outcome(fuzz_transform, *args), _outcome(reference_fuzz_transform, *args)
+                    assert new == old, args
+
+    def test_fuzz_delta_transform_matches_reference(self):
+        from dualitylab.corpus import DELTA_POINTS_2D
+
+        corpora_maps = (
+            (None, lambda th: 2.0 * th + 1.0),
+            (None, lambda th: th * th),
+            (delta_corpus(points=DELTA_POINTS_2D), lambda th: (-th[1] + 0.5, th[0] - 1.0)),
+            (delta_corpus(points=DELTA_POINTS_2D), lambda th: (th[0] * th[1], th[1])),
+        )
+        for corpus, point_map in corpora_maps:
+            for k in (K15, K2):
+                for seed in range(6):
+                    for beta in (1.0, 3.0, 0.5):
+                        args = (seed, k, point_map, beta, corpus)
+                        new = fuzz_delta_transform(*args)
+                        old = reference_fuzz_delta_transform(*args)
+                        assert new.images == old.images and new.provenance == old.provenance
