@@ -76,8 +76,9 @@ def _read_json(path: str) -> dict:
 
 def _positive_ctilde(raw: str) -> AlmostOrderConstant:
     try:
-        k = AlmostOrderConstant(float(raw))
-    except ValueError as exc:
+        k = AlmostOrderConstant(raw)
+        float(k.ctilde)  # reports print C as a float
+    except (ValueError, OverflowError) as exc:
         raise SpecFormatError(f"--ctilde: {exc}") from exc
     return k
 
@@ -103,15 +104,14 @@ def _cmd_transform(args) -> int:
     return 0
 
 
-def _cmd_check(args) -> int:
-    if args.mode == "order":
-        t = parse_corpus_transform(_read_json(args.transform))
-        k = _positive_ctilde(args.ctilde)
-        report = analyze(t, k)
-        obj = report_to_obj(report)
-        sys.stdout.write(render_report_text(obj))
-        return 0 if obj["certified"] else 1
-    # ptilde: two-piece cover witness search
+def _cmd_check_order(args) -> int:
+    t = parse_corpus_transform(_read_json(args.transform))
+    obj = report_to_obj(analyze(t, _positive_ctilde(args.ctilde)))
+    sys.stdout.write(render_report_text(obj))
+    return 0 if obj["certified"] else 1
+
+
+def _cmd_check_ptilde(args) -> int:
     f = loads_function(_read_text(args.infile))
     if not isinstance(f, PLConvex1D):
         raise SpecFormatError("the witness search applies to 1-d function specs")
@@ -142,8 +142,7 @@ def _cmd_fuzz(args) -> int:
     except ConsistencyError as exc:  # the corpus is spaced finer than the jitter
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    report = analyze(t, k, exponent_tolerance=1e-6 if tol is None else tol)
-    obj = report_to_obj(report)
+    obj = report_to_obj(analyze(t, k, exponent_tolerance=1e-6 if tol is None else tol))
     sys.stdout.write(render_report_text(obj))
     if args.report:
         _write(args.report, dump_json(obj))
@@ -157,10 +156,8 @@ def _cmd_hyers_ulam(args) -> int:
     from .stability import hyers_ulam_approx
 
     obj = _read_json(args.infile)
-    try:
-        samples = [(float(x), float(v)) for x, v in obj["samples"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SpecFormatError(f"samples must be a list of [x, f(x)] pairs: {exc}")
+    if not isinstance(obj, dict) or "samples" not in obj:
+        raise SpecFormatError('input needs a "samples" field')
     eps = args.eps
     if eps is None:
         eps = obj.get("eps")
@@ -170,7 +167,7 @@ def _cmd_hyers_ulam(args) -> int:
         raise SpecFormatError("no eps given (flag, file field, or DUALITYLAB_TOL)")
     eps = _nonnegative(eps, "eps")
     try:
-        g, sup_error = hyers_ulam_approx(samples, eps)
+        g, sup_error = hyers_ulam_approx(obj["samples"], eps)
     except HypothesisViolationError as exc:
         sys.stdout.write(f"additive hypothesis fails: {exc}\n")
         return 1
@@ -220,11 +217,11 @@ def build_parser() -> argparse.ArgumentParser:
     order = ck_sub.add_parser("order", help="certify a serialized corpus transform")
     order.add_argument("--transform", required=True, help="corpus-transform JSON")
     order.add_argument("--ctilde", required=True)
-    order.set_defaults(func=_cmd_check, mode="order")
+    order.set_defaults(func=_cmd_check_order)
     pt = ck_sub.add_parser("ptilde", help="two-piece cover witness search")
     pt.add_argument("--in", dest="infile", required=True)
     pt.add_argument("--ctilde", required=True)
-    pt.set_defaults(func=_cmd_check, mode="ptilde")
+    pt.set_defaults(func=_cmd_check_ptilde)
 
     fz = sub.add_parser("fuzz", help="seeded jittered transform + certification")
     fz.add_argument("--base", required=True,
@@ -243,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     hu = sub.add_parser("hyers-ulam", help="additive approximation of samples")
     hu.add_argument("--in", dest="infile", required=True,
-                    help='JSON with {"samples": [[x, f(x)], ...]}')
+                    help='JSON {"samples": ...}, a list of [x, f(x)] pairs or an object')
     hu.add_argument("--eps", type=float,
                     help=f"defect bound (default: file field or ${TOLERANCE_ENV})")
     hu.add_argument("--out", help="write the approximant JSON here")

@@ -111,12 +111,10 @@ class DeltaFunction:
             t = tuple(float(u) for u in t)
             if not t:
                 raise ValueError("pin location needs at least one coordinate")
-            if not all(math.isfinite(u) for u in t):
-                raise ValueError("pin location must be finite")
         else:
             t = float(t)
-            if not math.isfinite(t):
-                raise ValueError("pin location must be finite")
+        if not all(map(math.isfinite, t if isinstance(t, tuple) else (t,))):
+            raise ValueError("pin location must be finite")
         c = float(self.c)
         if not math.isfinite(c) or c < 0:
             raise ValueError("pinned value must be finite and >= 0")
@@ -240,9 +238,14 @@ def _finite_samples(
     samples: Union[Mapping[float, float], Sequence[Tuple[float, float]]],
 ) -> List[Tuple[float, float]]:
     """A mapping or sequence of (x, y) samples as float pairs, in input order
-    (ValueError on a NaN or infinite entry)."""
-    items = samples.items() if isinstance(samples, Mapping) else samples
-    pairs = [(float(x), float(y)) for x, y in items]
+    (ValueError unless every item is a pair of finite numbers)."""
+    try:
+        items = list(samples.items() if isinstance(samples, Mapping) else samples)
+        if any(isinstance(p, str) for p in items):  # "12" is no pair
+            raise TypeError
+        pairs = [(float(x), float(y)) for x, y in items]
+    except (TypeError, ValueError):
+        raise ValueError("samples must be (x, y) pairs of numbers") from None
     if not all(math.isfinite(x) and math.isfinite(y) for x, y in pairs):
         raise ValueError("samples must be finite")
     return pairs

@@ -384,8 +384,5 @@ def read_grid_csv(path: str) -> GridFunction2D:
     data = rows[1:]
     if len(data) != N:
         raise GridValidationError(f"expected {N} data rows, got {len(data)}")
-    vals = [
-        [math.inf if cell.strip() == "inf" else float(cell) for cell in row]
-        for row in data
-    ]
+    vals = [[float(cell) for cell in row] for row in data]  # float() reads "inf" too
     return GridFunction2D(GridSpec(R, N), vals, tag)

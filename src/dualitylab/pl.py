@@ -37,13 +37,16 @@ _F0 = Fraction(0)
 
 
 def as_fraction(x: Scalar) -> Fraction:
-    """Convert to an exact Fraction.  Floats convert exactly (binary rationals)."""
+    """Convert to an exact Fraction: a float as its binary value, a str as "p/q" or a decimal."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, bool):
         raise TypeError("bool is not a scalar")
     if isinstance(x, (int, str)):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:  # a "p/0" string
+            raise ValueError(f"zero denominator in {x!r}") from None
     if isinstance(x, float):
         if math.isinf(x) or math.isnan(x):
             raise ValueError(f"not a finite number: {x!r}")

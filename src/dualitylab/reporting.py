@@ -101,7 +101,7 @@ def report_to_obj(r: StabilityReport) -> dict:
         "kind": "stability-report",
         "classification": r.classification.value,
         "certified": r.certified,
-        "ctilde": r.ctilde,
+        "ctilde": float(r.ctilde),
         "violations": [
             {
                 "condition": v.condition,

@@ -33,12 +33,10 @@ FunctionLike = Union[PLConvex1D, DeltaFunction]
 
 
 def _number(raw, what: str):
-    """A JSON number or numeric string (never a bool) as a Fraction or +inf."""
-    if isinstance(raw, bool) or not isinstance(raw, (int, float, str)):
-        raise SpecFormatError(f"{what} must be a number or numeric string")
+    """A JSON number or numeric string as a Fraction or +inf (`as_extended`)."""
     try:
         return as_extended(raw)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError) as exc:  # TypeError: a bool, null, list or object
         raise SpecFormatError(f"{what}: {exc}") from exc
 
 

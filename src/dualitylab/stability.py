@@ -159,7 +159,7 @@ class CorpusTransform:
 @dataclass(frozen=True)
 class StabilityReport:
     classification: TransformClass
-    ctilde: float
+    ctilde: Fraction  # exact; `fit_sandwich` reads a float as its binary value
     violations: Tuple[Violation, ...] = ()
     phi_samples: Tuple[Tuple[float, float], ...] = ()
     slope_samples: Tuple[Tuple[float, float], ...] = ()
@@ -450,7 +450,7 @@ def _classify(
 
     def report(classification, violations, phi=(), slopes=()) -> StabilityReport:
         return StabilityReport(
-            classification, float(k.ctilde), tuple(violations), tuple(phi),
+            classification, k.ctilde, tuple(violations), tuple(phi),
             tuple(slopes), diagnostics=notes, provenance=t.provenance)
 
     if sense is None:
@@ -510,9 +510,9 @@ def _nonnegative(value, name: str) -> float:
 def _grid_index(
     points: Sequence[Tuple[float, float, float]], pitch: float, tol: float, grid: str
 ) -> Tuple[Dict[int, float], Dict[int, float]]:
-    """({j: v}, {j: x}) for samples (x, s, v) whose grid coordinate s lies
-    within tol * max(1, |j|) of j * pitch; ValueError when one is off the
-    grid or two share a step j (the message names the caller's x)."""
+    """({j: v}, {j: x}) for samples (x, s, v) whose grid coordinate s lies in
+    a window tol * max(1, |j|) < pitch / 2 around j * pitch; ValueError
+    otherwise or when two share a step j (the message names the caller's x)."""
     index: Dict[int, float] = {}
     keys: Dict[int, float] = {}
     for x, s, v in points:
@@ -520,7 +520,11 @@ def _grid_index(
         if not math.isfinite(steps):
             raise ValueError("abscissae span more grid steps than a float holds")
         j = round(steps)
-        if abs(s - j * pitch) > tol * max(1.0, abs(j)):
+        window = tol * max(1.0, abs(j))
+        if 2 * window >= pitch:
+            raise ValueError(f"snap tolerance {tol!r} at step {j} reaches half "
+                             f"the {grid} grid pitch {pitch!r}")
+        if abs(s - j * pitch) > window:
             raise ValueError(f"abscissae do not sit on a {grid} grid")
         if j in index:
             raise ValueError(f"duplicate abscissa near {x!r}")
@@ -654,7 +658,7 @@ def fit_sandwich(t: CorpusTransform, report: StabilityReport) -> StabilityReport
     updated.  C/c beyond ctilde**10 flags the fit; within ctilde**7 is
     reported informationally.
     """
-    k = AlmostOrderConstant(Fraction(report.ctilde))
+    k = AlmostOrderConstant(report.ctilde)
     base = _REFERENCE_BASES.get(report.classification)
     if base is None:
         raise ClassificationError(
@@ -866,15 +870,13 @@ def check_delta_structure(
             violations.append(Violation(
                 "delta-value", label, "", f.theta,
                 f"{kind}-value source must map to a {kind}-value image"))
-    ratios = [img.c / f.c for f, img in zip(els, imgs) if f.c > 0]
+    ratios = [(f, Fraction(img.c) / Fraction(f.c), label)
+              for f, img, label in zip(els, imgs, labels) if f.c > 0]
     beta = None
-    if ratios and min(ratios) > 0:
-        beta = math.exp(math.fsum(math.log(r) for r in ratios) / len(ratios))
-        cl, cu = k.reciprocal * Fraction(beta), k.ctilde * Fraction(beta)
-        for f, img, label in zip(els, imgs, labels):
-            if f.c > 0 and not (
-                cl * Fraction(f.c) <= Fraction(img.c) <= cu * Fraction(f.c)
-            ):
+    if ratios and min(r for _, r, _ in ratios) > 0:
+        beta = _geometric_mean_fraction([r for _, r, _ in ratios])
+        for f, r, label in ratios:
+            if not k.reciprocal * beta <= r <= k.ctilde * beta:
                 psi_ok = False
                 violations.append(Violation(
                     "delta-value", label, "", f.theta,
@@ -897,7 +899,7 @@ def check_delta_structure(
         point_offset=offset,
         point_residual=residual,
         flagged_nonaffine=flagged,
-        beta=beta,
+        beta=None if beta is None else float(beta),
         value_ratio_bound=value_bound,
         psi_ok=psi_ok,
         violations=tuple(violations),

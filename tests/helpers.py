@@ -1431,12 +1431,6 @@ def geometric_functions(draw, max_knots: int = 12) -> PLConvex1D:
     return random_geometric(random.Random(seed), max_knots=max_knots)
 
 
-@st.composite
-def nonnegative_functions(draw, max_knots: int = 8) -> PLConvex1D:
-    seed = draw(st.integers(min_value=0, max_value=2**48))
-    return random_nonnegative(random.Random(seed), max_knots=max_knots)
-
-
 # ---------------------------------------------------------------------------
 # reference sampled-data lemmas, fuzz builders and plot writer: the copies
 # that one sample reader, one grid helper, one jittered builder and one

@@ -2,12 +2,13 @@ import json
 import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from dualitylab import GridFunction2D, read_grid_csv, write_grid_csv
-from dualitylab.cli import main
+from dualitylab.cli import _positive_ctilde, main
 
 from helpers import subprocess_env
 
@@ -246,6 +247,39 @@ class TestCheck:
         assert code == 2 and "error:" in err
 
 
+class TestExactConstant:
+    """--ctilde is read exactly, as a decimal or "p/q", by `AlmostOrderConstant`."""
+
+    def test_decimal_token_is_exact(self):
+        assert _positive_ctilde("1.1").ctilde == Fraction(11, 10)
+
+    def test_rational_token_and_bad_tokens(self, capsys):
+        argv = ("fuzz", "--base", "gauge", "--seed", "7", "--ctilde")
+        code, out, err = run(capsys, *argv, "3/2")
+        assert code == 0 and err == ""
+        assert out == run(capsys, *argv, "1.5")[1]
+        for token in ("1/0", "nan", "inf"):
+            code, out, err = run(capsys, *argv, token)
+            assert code == 2 and out == "", token
+            assert err.startswith("error: --ctilde: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("power, regime, flagged", [(7, "no", "no"), (10, "no", "yes")])
+    def test_check_order_keeps_eleven_tenths(self, capsys, tmp_path, power, regime, flagged):
+        # the float 1.1 exceeds 11/10 and would pass both spreads
+        from dualitylab import CorpusTransform, dump_json, geometric_corpus, scale, transform_to_obj
+
+        corpus = geometric_corpus((-4, -2, -1, 0, 1, 2, 4))
+        images = list(corpus.elements)
+        i = corpus.labels.index("linear 2^4*x")
+        images[i] = scale(images[i], Fraction(11, 10) ** power * (1 + Fraction(1, 10**16)))
+        path = tmp_path / "t.json"
+        path.write_text(dump_json(transform_to_obj(CorpusTransform(corpus, tuple(images)))))
+        code, out, _ = run(capsys, "check", "order", "--transform", str(path), "--ctilde", "1.1")
+        assert code == 0
+        assert "classification: identity (certified)" in out
+        assert f"flagged: {flagged}; within C^7: {regime})" in out
+
+
 class TestFuzz:
     def test_certified_run_with_artifacts(self, capsys, tmp_path):
         rep = tmp_path / "rep.json"
@@ -424,6 +458,29 @@ class TestHyersUlam:
         )
         assert code == 2 and out == "" and not out_path.exists()
         assert err == "error: samples must be finite\n"
+
+    def test_mapping_samples_keep_their_abscissae(self, capsys, tmp_path):
+        path, out_path = tmp_path / "s.json", tmp_path / "fit.json"
+        path.write_text('{"samples": {"10": 0, "20": 0}, "eps": 1}')
+        code, _, _ = run(capsys, "hyers-ulam", "--in", str(path), "--out", str(out_path))
+        assert code == 0
+        assert json.loads(out_path.read_text())["additive"] == [[10.0, 0.0], [20.0, 0.0]]
+
+    @pytest.mark.parametrize("samples", ["[[1]]", "[1, 2]", '"ab"', '["12"]', "5"])
+    def test_malformed_samples_rejected(self, capsys, tmp_path, samples):
+        path = tmp_path / "s.json"
+        path.write_text('{"samples": ' + samples + ', "eps": 1}')
+        code, out, err = run(capsys, "hyers-ulam", "--in", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: samples must be (x, y) pairs of numbers\n"
+
+    @pytest.mark.parametrize("text", ['{"eps": 1}', "[[0, 0], [1, 1]]"])
+    def test_missing_samples_field(self, capsys, tmp_path, text):
+        path = tmp_path / "s.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "hyers-ulam", "--in", str(path))
+        assert code == 2 and out == ""
+        assert err == 'error: input needs a "samples" field\n'
 
     def test_violation_exit(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

@@ -57,6 +57,11 @@ class TestScalars:
         with pytest.raises(TypeError):
             as_fraction(True)
 
+    def test_as_fraction_reads_strings_exactly(self):
+        assert as_fraction("1.1") == Fraction(11, 10)
+        with pytest.raises(ValueError, match="zero denominator in '1/0'"):
+            as_fraction("1/0")
+
     def test_as_extended(self):
         assert as_extended("inf") == INF
         assert as_extended(INF) == INF

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
@@ -451,6 +453,42 @@ class TestLatticeDifferential:
                     found += bool(got)
         assert found >= 20
 
+    def test_member_rows_follow_from_preserving_part_a(self):
+        # a closed designation orders f_a <= f_s and f_m <= f_a, so part a of
+        # the preserving condition already gives T f_a <= C T f_s and
+        # T f_m <= C T f_a: once it holds, only the join and meet rows can fail
+        member_rows = {"lattice-sup-upper", "lattice-inf-lower"}
+        f, g = make_indicator(2), make_linear(Fraction(1, 2))
+        join, meet = sup2(f, g), hat_inf2(f, g)
+        assert join == make_triangle(2, Fraction(1, 2))
+        assert meet == PLConvex1D(((0, 0), (2, 0)), Fraction(1, 2))  # max(0, (x - 2)/2)
+        quad = Corpus((f, g, join, meet), ("f", "g", "s", "m"), "quad", ((0, 1, 2, 3),))
+        rng = random.Random(71)
+        transforms = []
+        for _ in range(200):
+            imgs = list(quad.elements)
+            for n in rng.sample(range(4), rng.randint(1, 2)):
+                lam, q = K15.power(rng.randint(-3, 3)), Fraction(rng.randint(4, 6), 5)
+                imgs[n] = compose_dilate(scale(imgs[n], lam), q)
+            transforms.append(CorpusTransform(quad, tuple(imgs)))
+        for n in range(24):
+            k = self.KS[n % 3]
+            t = fuzz_transform(n, k, base=("identity", "gauge")[n % 2])
+            transforms.append(TestReferenceBaseDifferential._perturbed(rng, t, k))
+        transforms += [self._lattice_transform(rng) for _ in range(100)]
+        seen = Counter()
+        for t in transforms:
+            for k in self.KS:
+                rows = {v.condition for v in check_lattice_stability(t, k)}
+                preserving = check_almost_preserving(t, k) == ()
+                if preserving:
+                    assert not rows & member_rows, (t.corpus.description, k)
+                seen[preserving, bool(rows & member_rows), bool(rows - member_rows)] += 1
+        # the member rows do fail where part a fails; the join and meet rows
+        # also fail where it holds
+        assert seen[True, False, False] >= 100 and seen[True, False, True] >= 50, seen
+        assert seen[False, True, False] + seen[False, True, True] >= 100, seen
+
     def test_second_transform_builds_no_join_or_meet(self, monkeypatch):
         corpus = geometric_corpus()
         first = fuzz_transform(1, K15, base="identity", corpus=corpus)
@@ -706,6 +744,16 @@ class TestEstimateExponent:
         est, _ = estimate_exponent({0.5: 2.0, 0.25: 4.0})
         assert est == -1.0
 
+    def test_snap_window_must_stay_below_half_a_pitch(self):
+        # at tolerance 0.5 every z lies in a window: z = 3 would snap to 2**2
+        samples = [(2.0, 2.0), (3.0, 3.0), (8.0, 8.0)]
+        message = (r"^snap tolerance 0\.5 at step 1 reaches half the multiplicative "
+                   rf"grid pitch {math.log(2)!r}$")
+        with pytest.raises(ValueError, match=message):
+            estimate_exponent(samples, tolerance=0.5)
+        with pytest.raises(ValueError, match="^abscissae do not sit on a multiplicative grid$"):
+            estimate_exponent(samples)
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             estimate_exponent([(2.0, 1.0)])
@@ -764,8 +812,33 @@ class TestHyersUlam:
         with pytest.raises(ValueError, match="samples must be finite"):
             estimate_exponent(samples)
 
+    @pytest.mark.parametrize("samples", [[[1]], [1, 2], "ab", ["12"], [(1, None)], 5])
+    def test_malformed_samples_rejected(self, samples):
+        message = r"^samples must be \(x, y\) pairs of numbers$"
+        with pytest.raises(ValueError, match=message):
+            hyers_ulam_approx(samples, eps=0.5)
+        with pytest.raises(ValueError, match=message):
+            estimate_exponent(samples)
+
 
 class TestFitSandwich:
+    @pytest.mark.parametrize("power, within, flagged", [(7, False, False), (10, False, True)])
+    def test_spread_just_past_a_power_of_eleven_tenths(self, power, within, flagged):
+        # the float 1.1 exceeds 11/10, so a float C would pass both spreads
+        C = Fraction(11, 10)
+        corpus = geometric_corpus((-4, -2, -1, 0, 1, 2, 4))
+        images = list(corpus.elements)
+        i = corpus.labels.index("linear 2^4*x")
+        images[i] = scale(images[i], C**power * (1 + Fraction(1, 10**16)))
+        t = CorpusTransform(corpus, tuple(images))
+        rep = analyze(t, AlmostOrderConstant(C))
+        assert rep.classification is TransformClass.IDENTITY and rep.certified
+        assert rep.ctilde == C
+        assert (rep.within_regime, rep.sandwich_flagged) == (within, flagged)
+        # a float C from a caller still fits, read as the binary value it is
+        rep = fit_sandwich(t, dataclasses.replace(rep, ctilde=1.1))
+        assert (rep.within_regime, rep.sandwich_flagged) == (power == 7, False)
+
     def test_pure_dilation_exact(self):
         corpus = geometric_corpus()
         t = CorpusTransform(
@@ -1093,7 +1166,8 @@ def _grid_sample_sets(rng: random.Random, n: int) -> list:
 class TestGridLemmaDifferential:
     """`estimate_exponent` and `hyers_ulam_approx` against their previous
     copies: equal results, or the same exception and message, except where
-    the exponent copy kept the last of two samples at one grid point."""
+    the exponent copy kept the last of two samples at one grid point, and
+    where either copy snapped with a window of half a pitch or more."""
 
     def test_matches_reference_on_seeded_sample_sets(self):
         rng = random.Random(16)
@@ -1107,6 +1181,14 @@ class TestGridLemmaDifferential:
             )
             for new, old, args in cases:
                 got, want = _outcome(new, *args), _outcome(old, *args)
+                window = got[0] is ValueError and re.fullmatch(
+                    r"snap tolerance (\S+) at step (-?\d+) reaches half the "
+                    r"(multiplicative|uniform) grid pitch (\S+)", got[1])
+                if got != want and window:
+                    tol, j, _, pitch = window.groups()
+                    assert 2 * float(tol) * max(1, abs(int(j))) >= float(pitch), got
+                    counts[new.__name__, "window"] += 1
+                    continue
                 if got != want and new is estimate_exponent:
                     assert got[0] is ValueError, (samples, got, want)
                     assert got[1].startswith("duplicate abscissa near "), (samples, got)
@@ -1122,7 +1204,8 @@ class TestGridLemmaDifferential:
         for key in (("estimate_exponent", "ok"), ("hyers_ulam_approx", "ok"),
                     ("estimate_exponent", "abscissae do"), ("hyers_ulam_approx", "abscissae do"),
                     ("hyers_ulam_approx", "additive defect"),
-                    ("hyers_ulam_approx", "duplicate abscissa")):
+                    ("hyers_ulam_approx", "duplicate abscissa"),
+                    ("estimate_exponent", "window"), ("hyers_ulam_approx", "window")):
             assert counts[key] >= 20, (key, counts)
         for key in (("hyers_ulam_approx", "samples must"), ("hyers_ulam_approx", "need at"),
                     ("hyers_ulam_approx", "abscissae span"), ("estimate_exponent", "all abscissae")):
@@ -1132,11 +1215,13 @@ class TestGridLemmaDifferential:
         with pytest.raises(ValueError, match=r"^duplicate abscissa near 2\.0$"):
             estimate_exponent([(2.0, 2.0), (2.0, 3.0), (4.0, 4.0)])
         assert reference_estimate_exponent([(2.0, 2.0), (2.0, 3.0), (4.0, 4.0)])[0] == 1.0
-        # z = 1 and z = 2 both snap to step 0 at a snap tolerance of 0.7
+        # a snap tolerance of 0.7 would put z = 1 and z = 2 both at step 0
         t = identity_transform(geometric_corpus((0, 1, 2, 3)))
         rep = analyze(t, K15, exponent_tolerance=0.7)
         assert rep.certified and rep.gamma is None
-        assert "exponent not estimated: duplicate abscissa near 2.0" in rep.diagnostics
+        assert rep.diagnostics == (
+            "exponent not estimated: snap tolerance 0.7 at step 0 reaches half the "
+            f"multiplicative grid pitch {math.log(4)!r}",)
 
 
 class TestFuzzDifferential:
