@@ -9,10 +9,13 @@ pair separated by at least a factor 2, the largest constant the tests and
 the benchmark certify at (nothing enforces a cap).
 
 Lattice designations list pairs of 1-d functions whose join and meet are
-themselves corpus members, as the lattice-stability checker requires:
-same-family pairs (nested indicators, comparable rays) and any pair
-involving an extreme.  A `Corpus` computes the facts that depend on it
-alone once: its exact ratio matrix and the closure of its designations.
+themselves corpus members, as the lattice-stability checker requires.  A
+comparable pair is its own join and meet, and the checker has nothing to
+decide on it that the preserving condition does not, so the geometric
+corpus designates no pairs; a corpus that needs the lattice rows designates
+a pair whose join or meet is a new member.  A `Corpus` computes the facts
+that depend on it alone once: its exact ratio matrix and the closure of its
+designations.
 
 The ratio matrix decides most geometric pairs by support and zero set
 alone.  If f <= c*g for a finite c, then dom f contains dom g and the zero
@@ -151,22 +154,16 @@ class Corpus:
 
     @cached_property
     def closed_lattice_pairs(self) -> Tuple[Tuple[int, int, int, int], ...]:
-        """``lattice_pairs``, once each pair's join and meet are its members
-        (else a CorpusError naming the pair: a configuration error).
-
-        A comparable designation, {s, m} = {i, j}, is read off ``R``: its join
-        is f_s and its meet f_m exactly when f_m <= f_s.  Only the others
-        build sup2/hat_inf2."""
+        """``lattice_pairs``, once each pair's sup2 and hat_inf2 equal its
+        designated members (else a CorpusError naming the pair: a
+        configuration error).  A comparable designation is checked the same
+        way."""
         els, labels = self.elements, self.labels
         for i, j, s, m in self.lattice_pairs:
-            f, g = els[i], els[j]
-            if not all(isinstance(els[n], PLConvex1D) for n in (i, j, s, m)):
-                closed = False
-            elif {s, m} == {i, j} and f.tag is g.tag:
-                closed = s == m or self.R[m][s] <= 1
-            else:
-                closed = sup2(f, g) == els[s] and hat_inf2(f, g) == els[m]
-            if not closed:
+            if not (
+                all(isinstance(els[n], PLConvex1D) for n in (i, j, s, m))
+                and sup2(els[i], els[j]) == els[s] and hat_inf2(els[i], els[j]) == els[m]
+            ):
                 raise CorpusError(
                     f"designated lattice pair ({labels[i]}, {labels[j]}) is not "
                     "closed in the corpus, or not 1-d"
@@ -175,7 +172,10 @@ class Corpus:
 
 
 def geometric_corpus(exponents: Sequence[int] = EXPONENT_GRID) -> Corpus:
-    """Indicators and linear rays on the 2**j grid, plus both extremes."""
+    """Indicators and linear rays on the 2**j grid, plus both extremes.
+
+    Every pair of its members is comparable or has a join or meet outside
+    it, so it designates no lattice pairs."""
     elements = []
     labels = []
     zs = [Fraction(2) ** j for j in exponents]
@@ -185,35 +185,12 @@ def geometric_corpus(exponents: Sequence[int] = EXPONENT_GRID) -> Corpus:
     for j, a in zip(exponents, zs):
         elements.append(make_linear(a))
         labels.append(f"linear 2^{j}*x")
-    zero_idx = len(elements)
-    elements.append(make_indicator(INF))
-    labels.append("zero")
-    point_idx = len(elements)
-    elements.append(make_indicator(0))
-    labels.append("point{0}")
-
-    n_ind = len(exponents)
-    pairs = []
-    # nested indicators: sup is the narrower, meet the wider
-    for i in range(n_ind):
-        for j in range(i + 1, n_ind):  # z_i < z_j
-            pairs.append((i, j, i, j))
-    # comparable rays: sup is the steeper, meet the flatter
-    for i in range(n_ind):
-        for j in range(i + 1, n_ind):
-            a, b = n_ind + i, n_ind + j
-            pairs.append((a, b, b, a))
-    # extremes absorb: sup(0, f) = f, inf(0, f) = 0; sup(p, f) = p, inf(p, f) = f
-    for i in range(len(elements)):
-        if i != zero_idx:
-            pairs.append((zero_idx, i, i, zero_idx))
-        if i not in (zero_idx, point_idx):
-            pairs.append((point_idx, i, point_idx, i))
+    elements += [make_indicator(INF), make_indicator(0)]
+    labels += ["zero", "point{0}"]
     return Corpus(
         tuple(elements),
         tuple(labels),
         f"geometric powers-of-two corpus, exponents {tuple(exponents)}",
-        tuple(pairs),
     )
 
 

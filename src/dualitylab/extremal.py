@@ -244,6 +244,8 @@ def _finite_samples(
         if any(isinstance(p, str) for p in items):  # "12" is no pair
             raise TypeError
         pairs = [(float(x), float(y)) for x, y in items]
+        if any(isinstance(v, bool) for p in items for v in p):  # True is no number
+            raise TypeError
     except (TypeError, ValueError):
         raise ValueError("samples must be (x, y) pairs of numbers") from None
     if not all(math.isfinite(x) and math.isfinite(y) for x, y in pairs):

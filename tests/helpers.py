@@ -829,6 +829,34 @@ def reference_closed_lattice_pairs(corpus):
     return corpus.lattice_pairs
 
 
+def reference_geometric_corpus(exponents: Sequence[int]) -> Corpus:
+    """`geometric_corpus` with the comparable designations it formerly made:
+    nested indicators, comparable rays and every pair with an extreme."""
+    corpus = geometric_corpus(exponents)
+    elements = corpus.elements
+    zero_idx, point_idx = len(elements) - 2, len(elements) - 1
+    assert elements[zero_idx].is_zero and elements[point_idx].is_point_indicator
+
+    n_ind = len(exponents)
+    pairs = []
+    # nested indicators: sup is the narrower, meet the wider
+    for i in range(n_ind):
+        for j in range(i + 1, n_ind):  # z_i < z_j
+            pairs.append((i, j, i, j))
+    # comparable rays: sup is the steeper, meet the flatter
+    for i in range(n_ind):
+        for j in range(i + 1, n_ind):
+            a, b = n_ind + i, n_ind + j
+            pairs.append((a, b, b, a))
+    # extremes absorb: sup(0, f) = f, inf(0, f) = 0; sup(p, f) = p, inf(p, f) = f
+    for i in range(len(elements)):
+        if i != zero_idx:
+            pairs.append((zero_idx, i, i, zero_idx))
+        if i not in (zero_idx, point_idx):
+            pairs.append((point_idx, i, point_idx, i))
+    return replace(corpus, lattice_pairs=tuple(pairs))
+
+
 def reference_analyze(t, k, exponent_tolerance: float = 1e-6):
     """The pipeline on the reference checkers, running each order checker in
     full before it picks the sense."""

@@ -152,8 +152,7 @@ class TestCheck:
 
         full = geometric_corpus()
         assert full.labels[-1] == "point{0}"
-        c = Corpus(full.elements[:-1], full.labels[:-1], "no point{0}", tuple(
-            d for d in full.lattice_pairs if len(full) - 1 not in d))
+        c = Corpus(full.elements[:-1], full.labels[:-1], "no point{0}")
         path = tmp_path / "t.json"
         path.write_text(json.dumps(transform_to_obj(CorpusTransform(c, c.elements))))
         code, out, _ = run(
@@ -466,7 +465,9 @@ class TestHyersUlam:
         assert code == 0
         assert json.loads(out_path.read_text())["additive"] == [[10.0, 0.0], [20.0, 0.0]]
 
-    @pytest.mark.parametrize("samples", ["[[1]]", "[1, 2]", '"ab"', '["12"]', "5"])
+    @pytest.mark.parametrize("samples", [
+        "[[1]]", "[1, 2]", '"ab"', '["12"]', "5", "[[true, 1], [2, 2]]", "[[0, 0], [1, false]]",
+    ])
     def test_malformed_samples_rejected(self, capsys, tmp_path, samples):
         path = tmp_path / "s.json"
         path.write_text('{"samples": ' + samples + ', "eps": 1}')

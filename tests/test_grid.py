@@ -2,6 +2,7 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -157,6 +158,41 @@ class TestLattice:
         scale = np.abs(old[fin]).max() + 1.0
         assert np.abs(h.values[fin] - old[fin]).max() <= 4 * np.finfo(float).eps * scale
 
+    def test_inf_hat_of_a_point_cloud(self):
+        def pin(x, y):
+            return 0.0 if (x, y) == (0.0, 0.0) else INF
+
+        f = GridFunction2D.from_function(pin, R=1.0, N=5)
+        assert np.array_equal(hat_inf2_grid(f, f).values, f.values)
+
+    def test_inf_hat_of_a_collinear_cloud(self):
+        # rays x and -2x along the x axis: their min is already convex on it
+        def ray(slope, sign):
+            return lambda x, y: slope * abs(x) if y == 0 and sign * x >= 0 else INF
+
+        f = GridFunction2D.from_function(ray(1.0, 1), R=2.0, N=9)
+        g = GridFunction2D.from_function(ray(2.0, -1), R=2.0, N=9)
+        h = hat_inf2_grid(f, g)
+        c = h.spec.coords
+        want = [[(x if x >= 0 else -2 * x) if y == 0 else INF for y in c] for x in c]
+        assert np.array_equal(h.values, want)
+
+    def test_inf_hat_of_a_flat_cloud(self):
+        # disc and square indicators: 0 on their union, a lattice-convex set
+        def disc(x, y):
+            return 0.0 if x * x + y * y <= 4 else INF
+
+        def square(x, y):
+            return 0.0 if max(abs(x), abs(y)) <= 1.5 else INF
+
+        f = GridFunction2D.from_function(disc, R=2.0, N=9)
+        g = GridFunction2D.from_function(square, R=2.0, N=9)
+        h = hat_inf2_grid(f, g)
+        c = h.spec.coords
+        want = [[min(disc(x, y), square(x, y)) for y in c] for x in c]
+        assert np.array_equal(h.values, want)
+        assert np.isfinite(h.values).sum() == 53  # the 7 x 7 square and 4 axis tips
+
     def test_mismatches_rejected(self):
         f = GridFunction2D.from_function(cone, R=2.0, N=17)
         g = GridFunction2D.from_function(cone, R=2.0, N=33)
@@ -222,7 +258,7 @@ class TestCsv:
         assert h.spec == g.spec and h.tag is g.tag
         assert np.array_equal(h.values, g.values)
         write_grid_csv(h, p2)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     def test_read_rejects_malformed(self, tmp_path):
         p = tmp_path / "bad.csv"

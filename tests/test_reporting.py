@@ -1,6 +1,7 @@
 import json
 import os
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -96,7 +97,7 @@ class TestPlots:
             "slope.csv", "slope.svg",
         ]
         for p1, p2 in zip(sorted(paths1), sorted(paths2)):
-            assert open(p1, "rb").read() == open(p2, "rb").read()
+            assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     def test_svg_is_wellformed_enough(self, tmp_path):
         import xml.etree.ElementTree as ET
