@@ -39,7 +39,7 @@ from .reporting import (
     render_report_text,
     report_to_obj,
 )
-from .specio import dumps_function, loads_function
+from .specio import dumps_function, parse_function
 from .stability import AlmostOrderConstant, _nonnegative, analyze, fuzz_transform
 from .transforms import (
     a_grid,
@@ -58,18 +58,12 @@ def _env_tolerance() -> Optional[float]:
     return None if raw is None else _nonnegative(raw, TOLERANCE_ENV)
 
 
-def _read_text(path: str) -> str:
+def _read_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+            return json.load(fh)
     except OSError as exc:
         raise SpecFormatError(f"cannot read {path}: {exc}") from exc
-
-
-def _read_json(path: str) -> dict:
-    text = _read_text(path)
-    try:
-        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SpecFormatError(f"{path}: invalid JSON: {exc}") from exc
 
@@ -92,7 +86,7 @@ def _cmd_transform(args) -> int:
         op = {"legendre": legendre_grid, "a": a_grid, "j": gauge_grid}[args.op]
         write_grid_csv(op(f), args.out)
         return 0
-    f = loads_function(_read_text(args.infile))
+    f = parse_function(_read_json(args.infile))
     if not isinstance(f, PLConvex1D):
         raise SpecFormatError("transforms apply to 1-d function specs")
     op = {"legendre": legendre, "a": geometric_dual, "j": gauge_transform}[args.op]
@@ -112,7 +106,7 @@ def _cmd_check_order(args) -> int:
 
 
 def _cmd_check_ptilde(args) -> int:
-    f = loads_function(_read_text(args.infile))
+    f = parse_function(_read_json(args.infile))
     if not isinstance(f, PLConvex1D):
         raise SpecFormatError("the witness search applies to 1-d function specs")
     k = _positive_ctilde(args.ctilde)
@@ -190,7 +184,8 @@ def _cmd_report(args) -> int:
     try:
         text = render_report_text(obj)
         written = emit_plots(obj, args.emit_plots) if args.emit_plots else []
-    except (AttributeError, KeyError, TypeError, ZeroDivisionError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError,
+            OverflowError) as exc:
         raise SpecFormatError(f"malformed stability report: {exc!r}") from exc
     sys.stdout.write(text)
     for path in written:

@@ -128,7 +128,8 @@ class Corpus:
     """Indexed family of functions with labels and designated lattice pairs.
 
     ``lattice_pairs`` holds (i, j, sup_index, inf_index) of 1-d functions:
-    the corpus is closed under sup2/hat_inf2 for exactly these pairs.
+    the corpus is closed under sup2/hat_inf2 for exactly these pairs.  One
+    label per element and indices into ``elements`` (else ValueError).
     """
 
     elements: Tuple[object, ...]
@@ -139,6 +140,8 @@ class Corpus:
     def __post_init__(self):
         if len(self.elements) != len(self.labels):
             raise ValueError("one label per element required")
+        if any(not 0 <= i < len(self) for p in self.lattice_pairs for i in p):
+            raise ValueError("lattice pair index out of range")
 
     def __len__(self) -> int:
         return len(self.elements)

@@ -375,14 +375,10 @@ def write_grid_csv(f: GridFunction2D, path: str) -> None:
 def read_grid_csv(path: str) -> GridFunction2D:
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    if not rows or len(rows[0]) != 3:
-        raise GridValidationError("grid CSV needs a header row: R,N,tag")
     try:
-        R, N, tag = float(rows[0][0]), int(rows[0][1]), ClassTag(rows[0][2])
-    except ValueError as exc:
-        raise GridValidationError(f"bad grid CSV header: {exc}") from exc
-    data = rows[1:]
-    if len(data) != N:
-        raise GridValidationError(f"expected {N} data rows, got {len(data)}")
-    vals = [[float(cell) for cell in row] for row in data]  # float() reads "inf" too
-    return GridFunction2D(GridSpec(R, N), vals, tag)
+        (R, N, tag), *data = rows
+        spec, tag = GridSpec(float(R), int(N)), ClassTag(tag)
+        # float() reads "inf" too; GridFunction2D checks the shape
+        return GridFunction2D(spec, [[float(c) for c in row] for row in data], tag)
+    except ValueError as exc:  # a short header, a cell that is no number, ragged rows
+        raise GridValidationError(f"bad grid CSV: {exc}") from exc

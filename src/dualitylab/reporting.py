@@ -48,25 +48,26 @@ def corpus_to_obj(c: Corpus) -> dict:
     }
 
 
-def parse_corpus(obj: dict) -> Corpus:
-    if not isinstance(obj, dict) or obj.get("kind") != "corpus":
-        raise SpecFormatError("corpus object must have kind 'corpus'")
+def _parse(obj: dict, kind: str, build):
+    """``build(obj)`` for an object of ``kind``; a wrong kind, a missing or
+    malformed field, or a value a constructor rejects is one SpecFormatError."""
+    if not isinstance(obj, dict) or obj.get("kind") != kind:
+        raise SpecFormatError(f"{kind} object must have kind {kind!r}")
     try:
-        elements = tuple(parse_function(o) for o in obj["elements"])
-        labels = tuple(str(s) for s in obj["labels"])
-        pairs = tuple(
-            (int(a), int(b), int(s), int(m))
-            for a, b, s, m in obj.get("lattice_pairs", [])
-        )
-        description = str(obj.get("description", ""))
+        return build(obj)
     except SpecFormatError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SpecFormatError(f"malformed corpus object: {exc}") from exc
-    n = len(elements)
-    if any(not 0 <= i < n for p in pairs for i in p):
-        raise SpecFormatError("lattice pair index out of range")
-    return Corpus(elements, labels, description, pairs)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise SpecFormatError(f"malformed {kind} object: {exc}") from exc
+
+
+def parse_corpus(obj: dict) -> Corpus:
+    return _parse(obj, "corpus", lambda o: Corpus(
+        tuple(parse_function(e) for e in o["elements"]),
+        tuple(str(s) for s in o["labels"]),
+        str(o.get("description", "")),
+        tuple((int(a), int(b), int(s), int(m)) for a, b, s, m in o.get("lattice_pairs", [])),
+    ))
 
 
 def transform_to_obj(t: CorpusTransform) -> dict:
@@ -79,21 +80,11 @@ def transform_to_obj(t: CorpusTransform) -> dict:
 
 
 def parse_corpus_transform(obj: dict) -> CorpusTransform:
-    if not isinstance(obj, dict) or obj.get("kind") != "corpus-transform":
-        raise SpecFormatError(
-            "corpus transform object must have kind 'corpus-transform'"
-        )
-    corpus = parse_corpus(obj.get("corpus", {}))
-    try:
-        images = tuple(parse_function(o) for o in obj["images"])
-        provenance = str(obj.get("provenance", ""))
-    except SpecFormatError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SpecFormatError(f"malformed corpus transform: {exc}") from exc
-    if len(images) != len(corpus):
-        raise SpecFormatError("one image per corpus element required")
-    return CorpusTransform(corpus, images, provenance)
+    return _parse(obj, "corpus-transform", lambda o: CorpusTransform(
+        parse_corpus(o.get("corpus", {})),
+        tuple(parse_function(e) for e in o["images"]),
+        str(o.get("provenance", "")),
+    ))
 
 
 def report_to_obj(r: StabilityReport) -> dict:

@@ -10,12 +10,16 @@ Recognized shapes::
 
 Scalars may be JSON numbers, the string ``"inf"``, or an exact-rational
 string ``"p/q"``; emission picks whichever token reproduces the value
-exactly, so emit -> parse is the identity on canonical functions.
+exactly.  Every kind is built by its constructor, which owns its value
+rules, and a 1-d function is written as the first named family whose
+constructor rebuilds it exactly from the fields read off it, else as
+``pl``; so emit -> parse is the identity by construction.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import suppress
 from fractions import Fraction
 from typing import Union
 
@@ -31,6 +35,13 @@ from .pl import ClassTag, PLConvex1D, as_extended, is_inf
 
 FunctionLike = Union[PLConvex1D, DeltaFunction]
 
+# named family -> (constructor, JSON fields, how each field is read off a function)
+_FAMILIES = {
+    "indicator": (make_indicator, ("z",), (lambda f: f.domain_end,)),
+    "linear": (make_linear, ("a",), (lambda f: f.tail_slope,)),
+    "triangle": (make_triangle, ("z", "a"), (lambda f: f.xs[-1], lambda f: f.first_slope)),
+}
+
 
 def _number(raw, what: str):
     """A JSON number or numeric string as a Fraction or +inf (`as_extended`)."""
@@ -44,6 +55,14 @@ def _scalar(obj: dict, key: str):
     if key not in obj:
         raise SpecFormatError(f"function spec is missing field {key!r}")
     return _number(obj[key], f"field {key!r}")
+
+
+def _build(kind: str, make, *args):
+    """``make(*args)``; a value its constructor rejects is a SpecFormatError."""
+    try:
+        return make(*args)
+    except (ValueError, OverflowError) as exc:
+        raise SpecFormatError(f"invalid {kind} function: {exc}") from exc
 
 
 def scalar_token(v) -> Union[int, float, str]:
@@ -67,53 +86,22 @@ def parse_function(obj: dict) -> FunctionLike:
     if not isinstance(obj, dict):
         raise SpecFormatError("function spec must be a JSON object")
     kind = obj.get("kind")
-    if kind == "indicator":
-        z = _scalar(obj, "z")
-        if not is_inf(z) and z < 0:
-            raise SpecFormatError("indicator needs z >= 0")
-        return make_indicator(z)
-    if kind == "linear":
-        a = _scalar(obj, "a")
-        if not is_inf(a) and a < 0:
-            raise SpecFormatError("linear needs a >= 0")
-        return make_linear(a)
-    if kind == "triangle":
-        z, a = _scalar(obj, "z"), _scalar(obj, "a")
-        if is_inf(z) or is_inf(a) or z <= 0 or a <= 0:
-            raise SpecFormatError("triangle needs finite z > 0 and a > 0")
-        return make_triangle(z, a)
+    if isinstance(kind, str) and kind in _FAMILIES:
+        make, keys, _ = _FAMILIES[kind]
+        return _build(kind, make, *(_scalar(obj, key) for key in keys))
     if kind == "pl":
-        knots_raw = obj.get("knots")
-        if not isinstance(knots_raw, list) or not knots_raw:
-            raise SpecFormatError("pl spec needs a nonempty knots list")
-        knots = []
-        for item in knots_raw:
-            if not isinstance(item, list) or len(item) != 2:
-                raise SpecFormatError("each knot must be an [x, v] pair")
-            x, v = (_number(c, "knot coordinate") for c in item)
-            if is_inf(x) or is_inf(v):
-                raise SpecFormatError("knots must be finite")
-            knots.append((x, v))
-        tail = _scalar(obj, "tail_slope")
-        tag_name = obj.get("tag", "geometric")
-        try:
-            tag = ClassTag(tag_name)
-        except ValueError:
-            raise SpecFormatError(f"unknown class tag {tag_name!r}") from None
-        try:
-            return PLConvex1D(tuple(knots), tail, tag)
-        except Exception as exc:
-            raise SpecFormatError(f"invalid pl function: {exc}") from exc
+        knots = obj.get("knots")
+        pairs = isinstance(knots, list) and all(isinstance(p, list) and len(p) == 2 for p in knots)
+        if not pairs:
+            raise SpecFormatError("pl spec needs a list of [x, v] knots")
+        knots = tuple(tuple(_number(c, "knot coordinate") for c in item) for item in knots)
+        return _build(kind, lambda tail, tag: PLConvex1D(knots, tail, ClassTag(tag)),
+                      _scalar(obj, "tail_slope"), obj.get("tag", "geometric"))
     if kind == "delta":
         raw = obj.get("theta")
-        if isinstance(raw, list):
-            theta = tuple(_number(t, "theta coordinate") for t in raw)
-        else:
-            theta = _scalar(obj, "theta")
-        try:
-            return make_delta(theta, _scalar(obj, "c"))
-        except (ValueError, OverflowError) as exc:
-            raise SpecFormatError(str(exc)) from exc
+        theta = (tuple(_number(t, "theta coordinate") for t in raw) if isinstance(raw, list)
+                 else _scalar(obj, "theta"))
+        return _build(kind, make_delta, theta, _scalar(obj, "c"))
     raise SpecFormatError(f"unknown function kind {kind!r}")
 
 
@@ -124,25 +112,11 @@ def function_to_obj(f: FunctionLike) -> dict:
         return {"kind": "delta", "theta": theta, "c": f.c}
     if not isinstance(f, PLConvex1D):
         raise SpecFormatError(f"cannot describe {type(f).__name__}")
-    if f.tag is ClassTag.GEOMETRIC:
-        if f.is_zero:
-            return {"kind": "indicator", "z": "inf"}
-        if f.is_indicator:
-            return {"kind": "indicator", "z": scalar_token(f.domain_end)}
-        if f.is_linear:
-            return {"kind": "linear", "a": scalar_token(f.tail_slope)}
-        if (
-            len(f.knots) == 2
-            and f.knots[0][1] == 0
-            and f.knots[1][1] > 0
-            and is_inf(f.tail_slope)
-        ):
-            z = f.knots[1][0]
-            return {
-                "kind": "triangle",
-                "z": scalar_token(z),
-                "a": scalar_token(f.slopes[0]),
-            }
+    for kind, (make, keys, readers) in _FAMILIES.items():
+        values = [read(f) for read in readers]
+        with suppress(SpecFormatError):  # f's fields lie outside the family
+            if _build(kind, make, *values) == f:
+                return {"kind": kind, **dict(zip(keys, map(scalar_token, values)))}
     obj = {
         "kind": "pl",
         "knots": [[scalar_token(x), scalar_token(v)] for x, v in f.knots],

@@ -318,8 +318,8 @@ def check_lattice_stability(
             None if m in (i, j) else (hat_inf2(f, g), imgs[m]),
         )
         for (condition, detail), pair in zip(_LATTICE_CONDITIONS, sides):
-            if pair is not None and ratio_sup(*pair)[0] > bound:
-                w = _witness(*pair, bound)
+            w = None if pair is None else _witness(*pair, bound)
+            if w is not None:
                 out.append(Violation(condition, labels[i], labels[j], w, detail))
     return tuple(out)
 
@@ -404,10 +404,10 @@ def classify(
     """
     if sense not in (None, "preserving", "reversing"):
         raise ValueError("sense must be 'preserving' or 'reversing'")
-    _samples(t)  # a corpus error comes before any ratio matrix
+    ind, lin = _samples(t)  # a corpus error comes before any ratio matrix
     if sense is None:
         sense = _sense(t, k)
-    return _classify(t, k, sense)
+    return _classify(t, k, sense, ind, lin)
 
 
 def _samples(t: CorpusTransform) -> Tuple[List[int], List[int]]:
@@ -432,11 +432,11 @@ def _samples(t: CorpusTransform) -> Tuple[List[int], List[int]]:
 
 
 def _classify(
-    t: CorpusTransform, k: AlmostOrderConstant, sense: Optional[str]
+    t: CorpusTransform, k: AlmostOrderConstant, sense: Optional[str],
+    ind: List[int], lin: List[int],
 ) -> StabilityReport:
-    """`classify` at a decided sense; None when neither condition holds."""
+    """`classify` at a decided sense (None when neither holds), on `_samples`."""
     els = t.corpus.elements
-    ind, lin = _samples(t)
     notes: Tuple[str, ...] = ()
 
     def report(classification, violations, phi=(), slopes=()) -> StabilityReport:
@@ -499,11 +499,12 @@ def _nonnegative(value, name: str) -> float:
 
 
 def _grid_index(
-    points: Sequence[Tuple[float, float, float]], pitch: float, tol: float, grid: str
+    points: Sequence[Tuple[float, float, float]], pitch: float,
+    window: Callable[[int], float], grid: str,
 ) -> Tuple[Dict[int, float], Dict[int, float]]:
-    """({j: v}, {j: x}) for samples (x, s, v) whose grid coordinate s lies in
-    a window tol * max(1, |j|) < pitch / 2 around j * pitch; ValueError
-    otherwise or when two share a step j (the message names the caller's x)."""
+    """({j: v}, {j: x}) for samples (x, s, v) whose grid coordinate s lies
+    within window(j) of j * pitch; ValueError otherwise or when two share a
+    step j (the message names the caller's x)."""
     index: Dict[int, float] = {}
     keys: Dict[int, float] = {}
     for x, s, v in points:
@@ -511,11 +512,7 @@ def _grid_index(
         if not math.isfinite(steps):
             raise ValueError("abscissae span more grid steps than a float holds")
         j = round(steps)
-        window = tol * max(1.0, abs(j))
-        if 2 * window >= pitch:
-            raise ValueError(f"snap tolerance {tol!r} at step {j} reaches half "
-                             f"the {grid} grid pitch {pitch!r}")
-        if abs(s - j * pitch) > window:
+        if abs(s - j * pitch) > window(j):
             raise ValueError(f"abscissae do not sit on a {grid} grid")
         if j in index:
             raise ValueError(f"duplicate abscissa near {x!r}")
@@ -550,7 +547,14 @@ def estimate_exponent(
     if not nonzero:
         raise ValueError("all abscissae equal 1; no scale to fit")
     pitch = min(nonzero)
-    index, _ = _grid_index(pts, pitch, tolerance, "multiplicative")
+    def window(j: int) -> float:
+        w = tolerance * max(1.0, abs(j))
+        if 2 * w >= pitch:  # every abscissa would snap
+            raise ValueError(f"snap tolerance {tolerance!r} at step {j} reaches "
+                             f"half the multiplicative grid pitch {pitch!r}")
+        return w
+
+    index, _ = _grid_index(pts, pitch, window, "multiplicative")
     # the sample at |s| = pitch sits at step +-1, so a nonzero step exists
     j = min((j for j in index if j), key=lambda j: (j < 0, abs(j)))
     while 2 * j in index:
@@ -566,7 +570,11 @@ def hyers_ulam_approx(
 ) -> Tuple[Dict[float, float], float]:
     """Additive approximation of an eps-approximately-additive sample map.
 
-    The abscissae must sit on a uniform grid through 0.  Every in-range pair
+    The abscissae must sit on a uniform grid through 0: each within 1e-6 of
+    a pitch of its grid point, or within the float rounding that the pitch
+    (the least gap, a difference of two samples) carries over its steps if
+    that is more, so an exact grid point is accepted at any step, 10**9
+    included, and 10**6 + 0.2 is off the grid.  Every in-range pair
     is first checked for the Cauchy defect |f(x)+f(y)-f(x+y)| <= eps (a
     failure raises HypothesisViolationError with the witnessing pair); the
     approximation is the dyadic limit g(x) = f(2^n x)/2^n at the largest
@@ -578,9 +586,11 @@ def hyers_ulam_approx(
     if not pairs:
         raise ValueError("need at least one sample")
     xs = [x for x, _ in pairs]
-    gaps = [b - a for a, b in zip(xs, xs[1:]) if b - a > 0]
-    pitch = min(gaps) if gaps else 1.0
-    index, keys = _grid_index([(x, x, v) for x, v in pairs], pitch, 1e-6 * pitch, "uniform")
+    gaps = [(b - a, max(abs(a), abs(b))) for a, b in zip(xs, xs[1:]) if b - a > 0]
+    pitch, far = min(gaps) if gaps else (1.0, 1.0)
+    slack = 8 * math.ulp(far)  # rounding of the pitch and of j * pitch, per step
+    index, keys = _grid_index([(x, x, v) for x, v in pairs], pitch,
+                              lambda j: max(1e-6 * pitch, slack * abs(j)), "uniform")
     js = sorted(index)
     for a_pos, i in enumerate(js):
         for j in js[a_pos:]:
@@ -955,7 +965,7 @@ def analyze(
     is built.
     """
     exponent_tolerance = _nonnegative(exponent_tolerance, "exponent_tolerance")
-    _samples(t)  # a corpus error comes before any ratio matrix
+    ind, lin = _samples(t)  # a corpus error comes before any ratio matrix
     has_extremes = any(f.is_zero or f.is_point_indicator for f in t.corpus.elements)
     sense = _sense(t, k)
     violations: Tuple[Violation, ...] = ()
@@ -965,7 +975,7 @@ def analyze(
             violations = violations + check_extremes(t)
     elif sense is None:
         violations = check_almost_preserving(t, k) + check_almost_reversing(t, k)
-    report = _classify(t, k, sense)
+    report = _classify(t, k, sense, ind, lin)
     report = replace(report, violations=report.violations + violations)
     if report.classification is not TransformClass.INCONSISTENT:
         try:

@@ -8,6 +8,7 @@ path.
 
 from __future__ import annotations
 
+import csv
 import math
 import os
 import random
@@ -32,8 +33,10 @@ from dualitylab import (
     DeltaFunction,
     GridFunction2D,
     GridSpec,
+    GridValidationError,
     HypothesisViolationError,
     PLConvex1D,
+    SpecFormatError,
     TransformClass,
     Violation,
     WitnessPair,
@@ -53,7 +56,9 @@ from dualitylab import (
     make_delta,
     make_indicator,
     make_linear,
+    make_triangle,
     scale,
+    scalar_token,
     sup2,
     witness_is_valid,
 )
@@ -1818,3 +1823,170 @@ def reference_emit_plots(obj: dict, directory: str) -> List[str]:
         )
         written.append(path)
     return written
+
+
+# ---------------------------------------------------------------------------
+# reference readers and writers: the function-spec, corpus and grid readers
+# that re-checked each family's value rules by hand, the shape-test writer,
+# and the corpus readers that checked counts and lattice indices themselves,
+# which one family table and the constructors replaced, kept verbatim
+
+
+def _reference_number(raw, what: str):
+    """A JSON number or numeric string as a Fraction or +inf (`as_extended`)."""
+    try:
+        return as_extended(raw)
+    except (TypeError, ValueError) as exc:  # TypeError: a bool, null, list or object
+        raise SpecFormatError(f"{what}: {exc}") from exc
+
+
+def _reference_scalar(obj: dict, key: str):
+    if key not in obj:
+        raise SpecFormatError(f"function spec is missing field {key!r}")
+    return _reference_number(obj[key], f"field {key!r}")
+
+
+def reference_parse_function(obj: dict):
+    """Build a function from its JSON-object description."""
+    if not isinstance(obj, dict):
+        raise SpecFormatError("function spec must be a JSON object")
+    kind = obj.get("kind")
+    if kind == "indicator":
+        z = _reference_scalar(obj, "z")
+        if not is_inf(z) and z < 0:
+            raise SpecFormatError("indicator needs z >= 0")
+        return make_indicator(z)
+    if kind == "linear":
+        a = _reference_scalar(obj, "a")
+        if not is_inf(a) and a < 0:
+            raise SpecFormatError("linear needs a >= 0")
+        return make_linear(a)
+    if kind == "triangle":
+        z, a = _reference_scalar(obj, "z"), _reference_scalar(obj, "a")
+        if is_inf(z) or is_inf(a) or z <= 0 or a <= 0:
+            raise SpecFormatError("triangle needs finite z > 0 and a > 0")
+        return make_triangle(z, a)
+    if kind == "pl":
+        knots_raw = obj.get("knots")
+        if not isinstance(knots_raw, list) or not knots_raw:
+            raise SpecFormatError("pl spec needs a nonempty knots list")
+        knots = []
+        for item in knots_raw:
+            if not isinstance(item, list) or len(item) != 2:
+                raise SpecFormatError("each knot must be an [x, v] pair")
+            x, v = (_reference_number(c, "knot coordinate") for c in item)
+            if is_inf(x) or is_inf(v):
+                raise SpecFormatError("knots must be finite")
+            knots.append((x, v))
+        tail = _reference_scalar(obj, "tail_slope")
+        tag_name = obj.get("tag", "geometric")
+        try:
+            tag = ClassTag(tag_name)
+        except ValueError:
+            raise SpecFormatError(f"unknown class tag {tag_name!r}") from None
+        try:
+            return PLConvex1D(tuple(knots), tail, tag)
+        except Exception as exc:
+            raise SpecFormatError(f"invalid pl function: {exc}") from exc
+    if kind == "delta":
+        raw = obj.get("theta")
+        if isinstance(raw, list):
+            theta = tuple(_reference_number(t, "theta coordinate") for t in raw)
+        else:
+            theta = _reference_scalar(obj, "theta")
+        try:
+            return make_delta(theta, _reference_scalar(obj, "c"))
+        except (ValueError, OverflowError) as exc:
+            raise SpecFormatError(str(exc)) from exc
+    raise SpecFormatError(f"unknown function kind {kind!r}")
+
+
+def reference_function_to_obj(f) -> dict:
+    """Describe a function as a JSON object, preferring the named families."""
+    if isinstance(f, DeltaFunction):
+        theta = list(f.theta) if isinstance(f.theta, tuple) else f.theta
+        return {"kind": "delta", "theta": theta, "c": f.c}
+    if not isinstance(f, PLConvex1D):
+        raise SpecFormatError(f"cannot describe {type(f).__name__}")
+    if f.tag is ClassTag.GEOMETRIC:
+        if f.is_zero:
+            return {"kind": "indicator", "z": "inf"}
+        if f.is_indicator:
+            return {"kind": "indicator", "z": scalar_token(f.domain_end)}
+        if f.is_linear:
+            return {"kind": "linear", "a": scalar_token(f.tail_slope)}
+        if (
+            len(f.knots) == 2
+            and f.knots[0][1] == 0
+            and f.knots[1][1] > 0
+            and is_inf(f.tail_slope)
+        ):
+            z = f.knots[1][0]
+            return {
+                "kind": "triangle",
+                "z": scalar_token(z),
+                "a": scalar_token(f.slopes[0]),
+            }
+    obj = {
+        "kind": "pl",
+        "knots": [[scalar_token(x), scalar_token(v)] for x, v in f.knots],
+        "tail_slope": scalar_token(f.tail_slope),
+    }
+    if f.tag is not ClassTag.GEOMETRIC:
+        obj["tag"] = f.tag.value
+    return obj
+
+
+def reference_parse_corpus(obj: dict) -> Corpus:
+    if not isinstance(obj, dict) or obj.get("kind") != "corpus":
+        raise SpecFormatError("corpus object must have kind 'corpus'")
+    try:
+        elements = tuple(reference_parse_function(o) for o in obj["elements"])
+        labels = tuple(str(s) for s in obj["labels"])
+        pairs = tuple(
+            (int(a), int(b), int(s), int(m))
+            for a, b, s, m in obj.get("lattice_pairs", [])
+        )
+        description = str(obj.get("description", ""))
+    except SpecFormatError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SpecFormatError(f"malformed corpus object: {exc}") from exc
+    n = len(elements)
+    if any(not 0 <= i < n for p in pairs for i in p):
+        raise SpecFormatError("lattice pair index out of range")
+    return Corpus(elements, labels, description, pairs)
+
+
+def reference_parse_corpus_transform(obj: dict) -> CorpusTransform:
+    if not isinstance(obj, dict) or obj.get("kind") != "corpus-transform":
+        raise SpecFormatError(
+            "corpus transform object must have kind 'corpus-transform'"
+        )
+    corpus = reference_parse_corpus(obj.get("corpus", {}))
+    try:
+        images = tuple(reference_parse_function(o) for o in obj["images"])
+        provenance = str(obj.get("provenance", ""))
+    except SpecFormatError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SpecFormatError(f"malformed corpus transform: {exc}") from exc
+    if len(images) != len(corpus):
+        raise SpecFormatError("one image per corpus element required")
+    return CorpusTransform(corpus, images, provenance)
+
+
+def reference_read_grid_csv(path: str) -> GridFunction2D:
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows or len(rows[0]) != 3:
+        raise GridValidationError("grid CSV needs a header row: R,N,tag")
+    try:
+        R, N, tag = float(rows[0][0]), int(rows[0][1]), ClassTag(rows[0][2])
+    except ValueError as exc:
+        raise GridValidationError(f"bad grid CSV header: {exc}") from exc
+    data = rows[1:]
+    if len(data) != N:
+        raise GridValidationError(f"expected {N} data rows, got {len(data)}")
+    vals = [[float(cell) for cell in row] for row in data]  # float() reads "inf" too
+    return GridFunction2D(GridSpec(R, N), vals, tag)

@@ -761,7 +761,9 @@ class TestReferenceBaseDifferential:
                 outcomes.append(got)
             got = self._outcome(analyze, t, k)
             with monkeypatch.context() as m:
-                m.setattr(dualitylab.stability, "_classify", reference_classify_at)
+                # the reference reads the indicator and ray indices itself
+                m.setattr(dualitylab.stability, "_classify",
+                          lambda t, k, sense, *_: reference_classify_at(t, k, sense))
                 m.setattr(dualitylab.stability, "fit_sandwich", reference_fit_sandwich)
                 assert got == self._outcome(analyze, t, k), n
         # a corpus without indicators leaves no support ratio to fit
@@ -849,6 +851,22 @@ class TestHyersUlam:
             hyers_ulam_approx({}, eps=1.0)
         with pytest.raises(ValueError):  # 1e308 / 5e-324 steps overflow a float
             hyers_ulam_approx({0.0: 0.0, 5e-324: 0.0, 1e308: 1.0}, eps=1.0)
+
+    @pytest.mark.parametrize("far", [10**6, 10**9])
+    def test_exact_grid_points_accepted_at_any_step(self, far):
+        samples = {0: 0, 1: 1, far: far}
+        assert hyers_ulam_approx(samples, 0) == ({0.0: 0.0, 1.0: 1.0, float(far): float(far)}, 0.0)
+
+    @pytest.mark.parametrize("x", [10**6 + 0.4, 10**6 + 0.2, 10**9 + 0.1])
+    def test_far_point_off_the_grid_rejected(self, x):
+        with pytest.raises(ValueError, match="^abscissae do not sit on a uniform grid$"):
+            hyers_ulam_approx({0: 0, 1: 1, x: 10**6}, 0)
+
+    def test_pitch_rounding_is_carried_over_the_steps(self):
+        # the pitch 0.1 * 100000 - 0.1 * 99999 is 1.5e-12 short of 0.1, which
+        # puts 0.1 * 100000 1.5e-6 of it off step 100000
+        xs = (0.0, 0.1 * 99999, 0.1 * 100000)
+        assert hyers_ulam_approx({x: 2 * x for x in xs}, 1e-9)[0] == {x: 2 * x for x in xs}
 
     @pytest.mark.parametrize("eps", [-1.0, math.nan, math.inf])
     def test_bad_eps_rejected(self, eps):
@@ -1231,11 +1249,25 @@ def _grid_sample_sets(rng: random.Random, n: int) -> list:
     return sets
 
 
+def _uniform_offsets(samples) -> list:
+    """(|x - j * pitch|, j, pitch, slack) for each finite abscissa, with the
+    pitch and the per-step rounding slack that `hyers_ulam_approx` reads."""
+    xs = samples.keys() if isinstance(samples, dict) else [x for x, _ in samples]
+    xs = sorted(x for x in map(float, xs) if math.isfinite(x))
+    gaps = [(b - a, max(abs(a), abs(b))) for a, b in zip(xs, xs[1:]) if b - a > 0]
+    pitch, far = min(gaps) if gaps else (1.0, 1.0)
+    steps = [(x, round(x / pitch)) for x in xs if math.isfinite(x / pitch)]
+    return [(abs(x - j * pitch), j, pitch, 8 * math.ulp(far)) for x, j in steps]
+
+
 class TestGridLemmaDifferential:
     """`estimate_exponent` and `hyers_ulam_approx` against their previous
     copies: equal results, or the same exception and message, except where
-    the exponent copy kept the last of two samples at one grid point, and
-    where either copy snapped with a window of half a pitch or more."""
+    the exponent copy kept the last of two samples at one grid point, where
+    the exponent snap window reaches half a pitch, and where the additive
+    copy's window of 1e-6 of a pitch per step took in a sample that is more
+    than 1e-6 of a pitch, and more than the rounding of the pitch over its
+    steps, off its grid point."""
 
     def test_matches_reference_on_seeded_sample_sets(self):
         rng = random.Random(16)
@@ -1251,9 +1283,15 @@ class TestGridLemmaDifferential:
                 got, want = _outcome(new, *args), _outcome(old, *args)
                 window = got[0] is ValueError and re.fullmatch(
                     r"snap tolerance (\S+) at step (-?\d+) reaches half the "
-                    r"(multiplicative|uniform) grid pitch (\S+)", got[1])
+                    r"multiplicative grid pitch (\S+)", got[1])
+                if got != want and new is hyers_ulam_approx:
+                    assert got == (ValueError, "abscissae do not sit on a uniform grid", None), got
+                    assert any(max(1e-6 * p, slack * abs(j)) < off <= 1e-6 * p * max(1, abs(j))
+                               for off, j, p, slack in _uniform_offsets(samples)), (samples, want)
+                    counts[new.__name__, "window"] += 1
+                    continue
                 if got != want and window:
-                    tol, j, _, pitch = window.groups()
+                    tol, j, pitch = window.groups()
                     assert 2 * float(tol) * max(1, abs(int(j))) >= float(pitch), got
                     counts[new.__name__, "window"] += 1
                     continue
