@@ -172,38 +172,56 @@ def sup2_grid(f: GridFunction2D, g: GridFunction2D) -> GridFunction2D:
     return out
 
 
-_TILE_ROWS = 8  # lattice nodes per tile of `_lattice_max`
+_TILE_ROWS = 8  # lattice nodes per tile of `_lattice_max` and `legendre_grid`
+
+
+def _maximal(w: np.ndarray, s1: int, s2: int) -> np.ndarray:
+    """Mask of the nodes of ``w`` that no other node dominates, where (k, l)
+    dominates (i, j) when s1*k >= s1*i, s2*l >= s2*j and w[k, l] <= w[i, j];
+    an absent node is +inf and is never in the mask.
+
+    Two suffix-minimum passes over the flipped array give, at each node, the
+    smallest value in its closed dominating quadrant; a node is kept when it
+    is strictly below that minimum over the next row and the next column.
+    """
+    import numpy as np
+    u = w[::s1, ::s2]
+    m = np.minimum.accumulate(np.minimum.accumulate(u[::-1, ::-1], axis=0), axis=1)[::-1, ::-1]
+    nxt = np.full(u.shape, np.inf)
+    nxt[:-1] = m[1:]
+    np.minimum(nxt[:, :-1], m[:, 1:], out=nxt[:, :-1])
+    return (u < nxt)[::s1, ::s2]
 
 
 def _lattice_max(
-    spec: GridSpec,
+    x1: np.ndarray,
+    x2: np.ndarray,
     y1: np.ndarray,
     y2: np.ndarray,
     offset=None,
     divisor: Optional[np.ndarray] = None,
     mask: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """N x N array: at each lattice node x, the max over m of
-    fl(fl(<x, y_m> + offset[m]) / divisor[m]) with
+    """len(x1) x len(x2) array: at each node (x1[i], x2[j]), the max over m
+    of fl(fl(<x, y_m> + offset[m]) / divisor[m]) with
     <x, y_m> = fl(fl(x1*y1[m]) + fl(x2*y2[m])) (a missing offset or divisor
     is skipped); +inf where ``mask`` is False.
 
-    The nodes go a few at a time, so memory is O(N * M) for M >= 1 points;
-    every entry is formed elementwise, so the bits do not depend on the
-    tiling.  A masked row is only evaluated between its first and last
+    The nodes go a few at a time, so memory is O(len(x2) * M) for M >= 1
+    points; every entry is formed elementwise, so the bits do not depend on
+    the tiling.  A masked row is only evaluated between its first and last
     unmasked node.
     """
     import numpy as np
-    c, n = spec.coords, spec.N
-    out = np.full((n, n), np.inf)
-    p2 = np.multiply.outer(c, y2)
+    out = np.full((len(x1), len(x2)), np.inf)
+    p2 = np.multiply.outer(x2, y2)
     buf = np.empty((_TILE_ROWS, len(y1)))
-    rows = np.ones((n, n), dtype=bool) if mask is None else mask
+    rows = np.ones(out.shape, dtype=bool) if mask is None else mask
     for i, row in enumerate(rows):
         cols = np.flatnonzero(row)
         if cols.size == 0:
             continue
-        p1 = c[i] * y1
+        p1 = x1[i] * y1
         for a in range(cols[0], cols[-1] + 1, _TILE_ROWS):
             b = min(a + _TILE_ROWS, cols[-1] + 1)
             tile = buf[: b - a]
@@ -270,8 +288,8 @@ def _envelope_from_cloud(
         planes = coef[None, :]
 
     shadow = ConvexHull(pts).equations
-    inside = _lattice_max(spec, shadow[:, 0], shadow[:, 1], shadow[:, 2]) <= tol
-    return _lattice_max(spec, planes[:, 0], planes[:, 1], planes[:, 2], mask=inside)
+    inside = _lattice_max(c, c, shadow[:, 0], shadow[:, 1], shadow[:, 2]) <= tol
+    return _lattice_max(c, c, planes[:, 0], planes[:, 1], planes[:, 2], mask=inside)
 
 
 def hat_inf2_grid(f: GridFunction2D, g: GridFunction2D) -> GridFunction2D:

@@ -171,46 +171,60 @@ def _grid_geometric(f, op: str):
 def legendre_grid(f):
     """Conjugate on the lattice: g(q) = max over finite nodes p of <q, p> - f(p).
 
-    Two 1-d passes, O(N^3) time and memory: t(p1, q2) = max_p2 fl(q2*p2 - f(p1, p2)), then
+    Two 1-d passes, O(N^3) time: t(p1, q2) = max_p2 fl(q2*p2 - f(p1, p2)), then
     g(q1, q2) = max_p1 fl(q1*p1 + t(p1, q2)); +inf nodes enter as -inf terms.
+    Each pass goes `grid._TILE_ROWS` rows at a time, so memory is O(N^2).
     Rounding is monotone, so this is bit-identical to the brute force
     max_p fl(fl(q1*p1) + fl(fl(q2*p2) - f(p)))."""
     import numpy as np
 
-    from .grid import GridFunction2D
+    from . import grid
 
     _grid_geometric(f, "legendre_grid")
+    v, n, tile = f.values, f.spec.N, grid._TILE_ROWS
     qp = np.multiply.outer(f.spec.coords, f.spec.coords)  # qp[q, p] = q*p
-    t = (qp[None, :, :] - f.values[:, None, :]).max(axis=2)  # t[p1, q2]
-    g = (qp[:, :, None] + t[None, :, :]).max(axis=1)
-    return GridFunction2D(f.spec, g, ClassTag.GEOMETRIC)
+    t = np.empty((n, n))  # t[p1, q2]
+    g = np.empty((n, n))
+    for a in range(0, n, tile):
+        t[a : a + tile] = (qp[None, :, :] - v[a : a + tile, None, :]).max(axis=2)
+    for a in range(0, n, tile):
+        g[a : a + tile] = (qp[a : a + tile, :, None] + t[None, :, :]).max(axis=1)
+    return grid.GridFunction2D(f.spec, g, ClassTag.GEOMETRIC)
 
 
 def a_grid(f):
-    """Polar-type dual on the lattice, by brute force over node pairs.
+    """Polar-type dual on the lattice, bit-identical to the brute force over
+    node pairs: +inf outside the discrete polar of the zero set (pairwise
+    <x, y> <= 1 test), and on it the floored max of fl(fl(<x, y> - 1) / f(y))
+    over nodes y with finite positive value, <x, y> = fl(fl(x1*y1) + fl(x2*y2)).
 
-    +inf outside the discrete polar of the zero set (pairwise <x, y> <= 1
-    test), and on the polar the floored max of fl(fl(<x, y> - 1) / f(y))
-    over nodes y with finite positive value, where <x, y> is
-    fl(fl(x1*y1) + fl(x2*y2)).  O(N^2 * M) for M such nodes, in tiles of a
-    few lattice nodes (see `grid._lattice_max`): memory is O(N * M), and
-    the bits do not depend on the tiling."""
+    On a quadrant of x nodes with signs (s1, s2) every rounded step is
+    monotone in s1*y1 and s2*y2, and a numerator >= 0 over a smaller f(y) is
+    no smaller (a negative quotient is floored to 0), so only the nodes that
+    `grid._maximal` keeps can set the max, in the polar test too.  O(N^2 * M)
+    at worst for M positive nodes, in tiles (see `grid._lattice_max`)."""
     import numpy as np
 
-    from .grid import GridFunction2D, _lattice_max
+    from .grid import GridFunction2D, _lattice_max, _maximal
 
     _grid_geometric(f, "a_grid")
     c, v = f.spec.coords, f.values
     tol = 1e-9 * (f.spec.R**2 + 1.0)
-    z1, z2 = (c[k] for k in np.nonzero(v == 0.0))
-    polar = _lattice_max(f.spec, z1, z2) <= 1.0 + tol
-
-    pos = np.isfinite(v) & (v > 0.0)
-    if not pos.any():
-        out = np.where(polar, 0.0, np.inf)
-    else:
-        y1, y2 = (c[k] for k in np.nonzero(pos))
-        out = np.maximum(_lattice_max(f.spec, y1, y2, -1.0, v[pos], polar), 0.0)
+    zero = np.where(v == 0.0, 0.0, np.inf)
+    w = np.where(np.isfinite(v) & (v > 0.0), v, np.inf)
+    h = int(np.searchsorted(c, 0.0))  # c[h:] >= 0 > c[:h]
+    halves = ((1, slice(h, None)), (-1, slice(0, h)))
+    out = np.empty_like(v)
+    for s1, r in halves:
+        for s2, q in halves:
+            z1, z2 = (c[k] for k in np.nonzero(_maximal(zero, s1, s2)))
+            polar = _lattice_max(c[r], c[q], z1, z2) <= 1.0 + tol
+            keep = _maximal(w, s1, s2)  # empty only when no node is positive
+            if keep.any():
+                y1, y2 = (c[k] for k in np.nonzero(keep))
+                out[r, q] = np.maximum(_lattice_max(c[r], c[q], y1, y2, -1.0, v[keep], polar), 0.0)
+            else:
+                out[r, q] = np.where(polar, 0.0, np.inf)
     return GridFunction2D(f.spec, out, ClassTag.GEOMETRIC)
 
 

@@ -1342,6 +1342,40 @@ def random_geometric_grid(rng: random.Random) -> GridFunction2D:
     return GridFunction2D(spec, v)
 
 
+def random_asymmetric_grid(rng: random.Random) -> GridFunction2D:
+    """A valid geometric grid with N in {3, 5, ..., 33} that is in general
+    not centrally symmetric: a cone sqrt(y'My) + <b, y> with |b| below the
+    minimum of sqrt(u'Mu) over |u| = 1 (so it is >= 0 with f(0) = 0), a
+    function of y1 or of y2 alone (ties along rows or columns), or a cone
+    finite only at the origin and on one open quadrant (every positive node
+    in that quadrant).  Each may be squared, 0 near the origin, and the
+    first two +inf off a sublevel set."""
+    kind = rng.choice(("cone", "ridge", "quadrant"))
+    spec = GridSpec(rng.choice((0.5, 1.0, 2.0, 3.0, 4.0, 16.0)), rng.randrange(3, 34, 2))
+    c, o = spec.coords, spec.origin
+    P = np.stack(np.meshgrid(c, c, indexing="ij"), axis=-1)
+    if kind == "ridge":
+        t = P[..., rng.randrange(2)] / spec.R
+        r = rng.uniform(0.0, 3.0) * np.maximum(t, 0.0) + rng.uniform(0.1, 3.0) * np.maximum(-t, 0.0)
+    else:
+        M = random_pd_matrix(rng)
+        theta = rng.uniform(0.0, 2 * math.pi)
+        b = rng.uniform(0.0, 0.9) * math.sqrt(np.linalg.eigvalsh(M).min())
+        linear = b * (math.cos(theta) * P[..., 0] + math.sin(theta) * P[..., 1])
+        r = (np.sqrt(np.einsum("...i,ij,...j->...", P, M, P)) + linear) / spec.R
+    if rng.random() < 0.5:
+        r = r**2
+    v = rng.uniform(0.1, 10.0) * (np.maximum(r - rng.uniform(0.05, 0.5), 0.0) if rng.random() < 0.4 else r)
+    if kind == "quadrant":
+        i, j = np.ogrid[: spec.N, : spec.N]
+        inside = (rng.choice((1, -1)) * (i - o) > 0) & (rng.choice((1, -1)) * (j - o) > 0)
+        inside[o, o] = True
+        v = np.where(inside, v, np.inf)
+    elif rng.random() < 0.4:
+        v = np.where(r <= rng.uniform(0.3, 1.2) * r.max(), v, np.inf)
+    return GridFunction2D(spec, v)
+
+
 def _grid_nodes(f: GridFunction2D):
     c = f.spec.coords
     x1, x2 = np.meshgrid(c, c, indexing="ij")

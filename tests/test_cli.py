@@ -80,7 +80,7 @@ class TestTransform:
         assert code == 2
 
     def test_missing_grid_input_is_usage_error(self, capsys, tmp_path):
-        # CSV inputs bypass _read_text, so OSError must still exit cleanly
+        # CSV inputs bypass _read_json, so OSError must still exit cleanly
         code, _, err = run(
             capsys, "transform", "--op", "legendre",
             "--in", str(tmp_path / "absent.csv"), "--out", str(tmp_path / "o.csv"),

@@ -27,6 +27,7 @@ from dualitylab import (
     validate,
     write_grid_csv,
 )
+from dualitylab.grid import _maximal
 
 from helpers import dense_hat_inf2_grid, random_pd_matrix
 
@@ -201,6 +202,32 @@ class TestLattice:
         h = GridFunction2D.from_function(cone, R=2.0, N=17, tag=ClassTag.NONNEGATIVE)
         with pytest.raises(ClassTagError):
             sup2_grid(f, h)
+
+
+class TestMaximal:
+    @staticmethod
+    def brute(w, s1, s2):
+        n1, n2 = w.shape
+        return np.array([[np.isfinite(w[i, j]) and not any(
+            (k, l) != (i, j) and s1 * k >= s1 * i and s2 * l >= s2 * j and w[k, l] <= w[i, j]
+            for k in range(n1) for l in range(n2)) for j in range(n2)] for i in range(n1)])
+
+    def test_matches_brute_force_dominance(self):
+        rng = random.Random(83)
+        seen = {"single row": 0, "single column": 0, "ties": 0, "+inf": 0}
+        for _ in range(400):
+            shape = (rng.randint(1, 6), rng.randint(1, 6))
+            w = np.array([rng.choice((0.0, 0.5, 1.0, 2.0, np.inf)) for _ in range(shape[0] * shape[1])])
+            w = w.reshape(shape)
+            for s1 in (1, -1):
+                for s2 in (1, -1):
+                    assert np.array_equal(_maximal(w, s1, s2), self.brute(w, s1, s2)), (w, s1, s2)
+            fin = w[np.isfinite(w)]
+            seen["single row"] += shape[0] == 1
+            seen["single column"] += shape[1] == 1
+            seen["ties"] += len(set(fin)) < len(fin)
+            seen["+inf"] += len(fin) < w.size
+        assert min(seen.values()) >= 40, seen
 
 
 class TestRays:

@@ -44,6 +44,7 @@ from helpers import (
     numeric_dual,
     numeric_gauge,
     numeric_legendre,
+    random_asymmetric_grid,
     random_geometric,
     random_geometric_grid,
     random_nonnegative,
@@ -381,3 +382,36 @@ class TestGridDifferential:
                 fin = np.isfinite(a)
                 scale = np.abs(a[fin]).max(initial=0.0) + 1.0 + extra
                 assert np.abs(a[fin] - b[fin]).max(initial=0.0) <= 4 * eps * scale
+
+
+class TestAsymmetricGrids:
+    """`a_grid` prunes each quadrant of x nodes on its own, so the grids here
+    are not centrally symmetric: a pruning that swapped quadrants would not
+    agree with the brute force."""
+
+    GRIDS = 240
+    TILES = (1, 3, 8, 64)
+
+    def test_bit_identical_to_the_brute_forces(self, monkeypatch):
+        rng = random.Random(71)
+        seen = Counter()
+        for k in range(self.GRIDS):
+            f = random_asymmetric_grid(rng)
+            tile = self.TILES[k % len(self.TILES)]
+            monkeypatch.setattr(dualitylab.grid, "_TILE_ROWS", tile)
+            got, want = a_grid(f).values, reference_a_grid(f)
+            assert np.array_equal(got, want), (k, tile)
+            assert np.array_equal(np.signbit(got), np.signbit(want)), (k, tile)
+            assert np.array_equal(legendre_grid(f).values, reference_legendre_grid(f)), (k, tile)
+            v, o = f.values, f.spec.origin
+            pos = np.isfinite(v) & (v > 0)
+            quadrants = {(i > o, j > o) for i, j in np.argwhere(pos)}
+            seen["not centrally symmetric"] += not np.array_equal(v, v[::-1, ::-1])
+            seen["constant along rows or columns"] += bool(
+                np.all(v == v[:, :1]) or np.all(v == v[:1, :]))
+            seen["positive nodes in one open quadrant"] += (
+                len(quadrants) == 1 and not (pos[o].any() or pos[:, o].any()))
+            seen["zero set beyond the origin"] += int((v == 0).sum()) > 1
+            seen["+inf nodes"] += bool(np.isinf(v).any())
+        assert seen["not centrally symmetric"] >= 200, seen
+        assert len(seen) == 5 and min(seen.values()) >= 20, seen
