@@ -8,6 +8,9 @@ in this module is exact and equality of canonical representations is literal
 equality of the underlying functions.  Construction also keeps the chord
 slopes of the canonical knots, each divided out once; evaluation, the
 breakpoint walk and the transforms read them instead of dividing again.
+Construction, the hull and the breakpoint walk compare rationals as integer
+cross-products and build each new value as one ``Fraction(n, d)``, with one
+normalisation, rather than through a chain of Fraction operators.
 
 Two classes are tagged:
 
@@ -23,6 +26,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from .exceptions import ClassTagError, ConvexityError, DomainError
@@ -74,8 +78,33 @@ class ClassTag(enum.Enum):
     NONNEGATIVE = "nonnegative"
 
 
+# Integer kernels.  A Fraction is in lowest terms with a positive denominator,
+# so a == b iff their numerators and denominators match, and a < b iff
+# a.n * b.d < b.n * a.d; a value built from several is one Fraction(n, d),
+# normalised once, where each Fraction operator would reduce it again.
+
+
+def _lt(a: Fraction, b: Fraction) -> bool:
+    return a.numerator * b.denominator < b.numerator * a.denominator
+
+
+def _eq(a: Fraction, b: Fraction) -> bool:
+    return a.numerator == b.numerator and a.denominator == b.denominator
+
+
 def _slope(p: Tuple[Fraction, Fraction], q: Tuple[Fraction, Fraction]) -> Fraction:
-    return (q[1] - p[1]) / (q[0] - p[0])
+    """(v_q - v_p) / (x_q - x_p)."""
+    (px, pv), (qx, qv) = p, q
+    a, b, c, d = px.denominator, qx.denominator, pv.denominator, qv.denominator
+    return Fraction((qv.numerator * c - pv.numerator * d) * a * b,
+                    (qx.numerator * a - px.numerator * b) * c * d)
+
+
+def _affine(va: Fraction, s: Fraction, x: Fraction, xa: Fraction) -> Fraction:
+    """va + s * (x - xa)."""
+    h, d, e, g = va.denominator, s.denominator, x.denominator, xa.denominator
+    dx = x.numerator * g - xa.numerator * e  # (x - xa) * e * g
+    return Fraction(va.numerator * d * e * g + h * s.numerator * dx, h * d * e * g)
 
 
 @dataclass(frozen=True)
@@ -104,16 +133,16 @@ class PLConvex1D:
         pts = [(as_fraction(x), as_fraction(v)) for x, v in self.knots]
         if not pts:
             raise ConvexityError("at least one knot is required")
-        if pts[0][0] != 0:
+        if pts[0][0].numerator:
             raise ConvexityError("the first knot must sit at x = 0")
         for (xa, _), (xb, _) in zip(pts, pts[1:]):
-            if xb <= xa:
+            if not _lt(xa, xb):
                 raise ConvexityError("knot abscissae must be strictly increasing")
         for _, v in pts:
-            if v < 0:
+            if v.numerator < 0:
                 raise ConvexityError("knot values must be nonnegative")
         tail = as_extended(self.tail_slope)
-        if not is_inf(tail) and tail < 0:
+        if not is_inf(tail) and tail.numerator < 0:
             raise ConvexityError("tail slope must be nonnegative or +inf")
 
         # Merge collinear interior knots, then a last knot collinear with the
@@ -124,27 +153,27 @@ class PLConvex1D:
         slopes: list = []
         for p in pts[1:]:
             s = _slope(merged[-1], p)
-            while slopes and slopes[-1] == s:
+            while slopes and _eq(slopes[-1], s):
                 slopes.pop()
                 merged.pop()
             merged.append(p)
             slopes.append(s)
         if not is_inf(tail):
-            while slopes and slopes[-1] == tail:
+            while slopes and _eq(slopes[-1], tail):
                 slopes.pop()
                 merged.pop()
 
         for sa, sb in zip(slopes, slopes[1:]):
-            if sa >= sb:
+            if not _lt(sa, sb):
                 raise ConvexityError("chord slopes must be strictly increasing")
-        if slopes and not is_inf(tail) and tail <= slopes[-1]:
+        if slopes and not is_inf(tail) and not _lt(slopes[-1], tail):
             raise ConvexityError("tail slope must exceed the last chord slope")
 
         if self.tag is ClassTag.GEOMETRIC:
-            if merged[0][1] != 0:
+            if merged[0][1].numerator:
                 raise ConvexityError("geometric functions require f(0) = 0")
             first = slopes[0] if slopes else (tail if not is_inf(tail) else _F0)
-            if first < 0:
+            if first.numerator < 0:
                 raise ConvexityError("geometric functions are nondecreasing")
 
         object.__setattr__(self, "knots", tuple(merged))
@@ -164,12 +193,12 @@ class PLConvex1D:
             if is_inf(self.tail_slope):
                 return INF
             xk, vk = self.knots[-1]
-            return vk + self.tail_slope * (x - xk)
+            return _affine(vk, self.tail_slope, x, xk)
         i = bisect_right(xs, x) - 1
         xk, vk = self.knots[i]
         if x == xk:
             return vk
-        return vk + self.slopes[i] * (x - xk)
+        return _affine(vk, self.slopes[i], x, xk)
 
     @property
     def domain_end(self) -> Extended:
@@ -244,27 +273,27 @@ def sup2(f: PLConvex1D, g: PLConvex1D) -> PLConvex1D:
     else:
         walk = list(_breakpoints(f, g))
 
+    # the sign of f - g at each breakpoint, as an integer cross-product
+    signs = [fx.numerator * gx.denominator - gx.numerator * fx.denominator for _, fx, gx in walk]
     pts = []
     for i, (x, fx, gx) in enumerate(walk):
-        pts.append((x, max(fx, gx)))
-        if i + 1 < len(walk):
+        pts.append((x, fx if signs[i] >= 0 else gx))
+        if i + 1 < len(walk) and signs[i] * signs[i + 1] < 0:
             x1, fx1, gx1 = walk[i + 1]
-            d0, d1 = fx - gx, fx1 - gx1
-            if (d0 < 0 < d1) or (d1 < 0 < d0):
-                t = d0 / (d0 - d1)  # f is affine on [x, x1]
-                pts.append((x + (x1 - x) * t, fx + (fx1 - fx) * t))
+            d0 = fx - gx
+            t = d0 / (d0 - fx1 + gx1)  # f is affine on [x, x1]
+            pts.append((x + (x1 - x) * t, fx + (fx1 - fx) * t))
 
     if is_inf(end):
-        # Both tails are finite rays here; insert their crossing if it lies
-        # beyond the last breakpoint, then the steeper ray wins.
+        # Both tails are finite rays here; past the last breakpoint they
+        # cross once when f - g and its slope mf - mg have opposite signs,
+        # then the steeper ray wins.
         mf, mg = f.tail_slope, g.tail_slope
         x_last, fx, gx = walk[-1]
-        d_last = fx - gx
         ds = mf - mg
-        if ds != 0 and d_last != 0 and (d_last < 0) == (ds > 0):
-            dx = -d_last / ds  # f is on its tail ray past x_last
-            if dx > 0:
-                pts.append((x_last + dx, fx + mf * dx))
+        if signs[-1] * ds.numerator < 0:
+            dx = (gx - fx) / ds  # f is on its tail ray past x_last
+            pts.append((x_last + dx, fx + mf * dx))
         tail: Extended = max(mf, mg)
     else:
         tail = INF
@@ -277,17 +306,21 @@ def _lower_hull(pts: Sequence[Tuple[Fraction, Fraction]]) -> Tuple[list, list]:
 
     A vertex a before a new point p goes when its incoming edge is at least
     as steep as the chord from a to p; each test divides out that one chord,
-    which becomes the new edge once the pops stop."""
-    best: dict = {}
-    for x, v in pts:
-        if x not in best or v < best[x]:
-            best[x] = v
+    which becomes the new edge once the pops stop.  Of the points at one
+    abscissa the least is kept: one below the last vertex replaces it (it pops
+    all that vertex popped), and one on or above it is dropped."""
     hull: list = []
     edges: list = []
-    for p in sorted(best.items()):
+    for p in sorted(pts, key=itemgetter(0)):
+        if hull and _eq(hull[-1][0], p[0]):
+            if not _lt(p[1], hull[-1][1]):
+                continue
+            hull.pop()
+            if edges:
+                edges.pop()
         if hull:
             s = _slope(hull[-1], p)
-            while edges and edges[-1] >= s:
+            while edges and not _lt(edges[-1], s):
                 edges.pop()
                 hull.pop()
                 s = _slope(hull[-1], p)
@@ -306,7 +339,7 @@ def _hull_function(
     +inf ends the domain at the last vertex."""
     hull, edges = _lower_hull(pts)
     if not is_inf(tail):
-        while edges and edges[-1] >= tail:
+        while edges and not _lt(edges[-1], tail):
             edges.pop()
             hull.pop()
     return PLConvex1D(tuple(hull), tail, tag)
@@ -326,7 +359,7 @@ def _value_on(f: PLConvex1D, i: int, x: Fraction) -> Fraction:
     (or the tail slope) times the offset, with no division."""
     xa, va = f.knots[i - 1]
     s = f.slopes[i - 1] if i < len(f.knots) else f.tail_slope
-    return va + s * (x - xa)
+    return _affine(va, s, x, xa)
 
 
 def _breakpoints(f: PLConvex1D, g: PLConvex1D) -> Iterator[Tuple[Fraction, Fraction, Fraction]]:
@@ -343,13 +376,13 @@ def _breakpoints(f: PLConvex1D, g: PLConvex1D) -> Iterator[Tuple[Fraction, Fract
     yield fk[0][0], fk[0][1], gk[0][1]  # both lists start at x = 0
     i = j = 1
     while j < ng or (g_ray and i < nf):
-        if j == ng or (i < nf and fk[i][0] < gk[j][0]):
+        if j == ng or (i < nf and _lt(fk[i][0], gk[j][0])):
             x, fx = fk[i]
             gx = _value_on(g, j, x)
             i += 1
         else:
             x, gx = gk[j]
-            if i < nf and fk[i][0] == x:
+            if i < nf and _eq(fk[i][0], x):
                 fx = fk[i][1]
                 i += 1
             else:
@@ -456,16 +489,19 @@ def ratio_sup_abscissae(
     if f.tag is not ClassTag.GEOMETRIC:
         raise ClassTagError("ratio_sup_abscissae applies to geometric functions")
     rates = [as_fraction(a) for a in rates]
-    if any(a < b for a, b in zip(rates, rates[1:])):
+    if any(_lt(a, b) for a, b in zip(rates, rates[1:])):
         raise ValueError("rates must be in descending order")
     knots, m = f.knots, f.tail_slope
     i = len(knots) - 1
     out: List[Optional[Fraction]] = []
     for a in rates:
-        if not is_inf(m) and a >= m:
+        an, ad = a.numerator, a.denominator
+        if not is_inf(m) and not _lt(a, m):
             out.append(None)  # f(x)/x increases to the tail slope m <= a
             continue
-        while i > 0 and knots[i][1] > a * knots[i][0]:
+        # step left while f(x_i) > a * x_i, cross-multiplied
+        while i > 0 and (knots[i][1].numerator * ad * knots[i][0].denominator
+                         > an * knots[i][0].numerator * knots[i][1].denominator):
             i -= 1
         xa, va = knots[i]
         if i + 1 < len(knots):
@@ -475,6 +511,9 @@ def ratio_sup_abscissae(
             continue
         else:
             s = m
-        # f(x) - a*x = (s - a)*(x - xa) + (va - a*xa) has its root at or past xa
-        out.append(xa + (a * xa - va) / (s - a))
+        # f(x) - a*x = s*(x - xa) + va - a*x has its root (s*xa - va) / (s - a)
+        # at or past xa, cross-multiplied over the four denominators
+        xd, vd, sd = xa.denominator, va.denominator, s.denominator
+        out.append(Fraction(ad * (s.numerator * xa.numerator * vd - va.numerator * xd * sd),
+                            xd * vd * (s.numerator * ad - an * sd)))
     return out

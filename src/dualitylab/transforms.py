@@ -30,7 +30,9 @@ from .pl import (
     ClassTag,
     Extended,
     PLConvex1D,
+    _affine,
     _hull_function,
+    _lt,
     as_fraction,
     is_inf,
     ratio_sup_abscissae,
@@ -38,6 +40,7 @@ from .pl import (
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
+_HALF = Fraction(1, 2)
 
 
 def _require_geometric(f: PLConvex1D, op: str) -> None:
@@ -54,16 +57,17 @@ def legendre(f: PLConvex1D) -> PLConvex1D:
     """
     _require_geometric(f, "legendre")
     ys: List[Tuple[Fraction, Fraction]] = [(_F0, _F0)]
+    # the knot (s, xa*s - va) is minus the value at 0 of the piece's line
     for (xa, va), s in zip(f.knots, f.slopes):
-        if s > 0:
-            ys.append((s, xa * s - va))
+        if s.numerator > 0:
+            ys.append((s, -_affine(va, s, _F0, xa)))
     m = f.tail_slope
     xk, vk = f.knots[-1]
     if is_inf(m):
         tail: Extended = xk
     else:
-        if m > ys[-1][0]:
-            ys.append((m, xk * m - vk))
+        if _lt(ys[-1][0], m):
+            ys.append((m, -_affine(vk, m, _F0, xk)))
         tail = INF
     return PLConvex1D(tuple(ys), tail, ClassTag.GEOMETRIC)
 
@@ -75,7 +79,11 @@ def _gauge_hull(f: PLConvex1D) -> PLConvex1D:
     of the origin, the image of each knot with v > 0 and, for a finite tail
     slope m > 0, the tail's image (1/m, 0); its recession slope is 1/z0 for
     the zero set [0, z0] (+inf when z0 = 0, 0 for the zero function)."""
-    pts = [(_F0, _F0)] + [(x / v, _F1 / v) for x, v in f.knots if v > 0]
+    pts = [(_F0, _F0)]
+    for x, v in f.knots:
+        if v.numerator:  # (x/v, 1/v), each normalised once
+            pts.append((Fraction(x.numerator * v.denominator, x.denominator * v.numerator),
+                        Fraction(v.denominator, v.numerator)))
     m = f.tail_slope
     if not is_inf(m) and m > 0:
         pts.append((_F1 / m, _F0))
@@ -141,15 +149,16 @@ def gauge_transform(f: PLConvex1D) -> PLConvex1D:
 
     pts: List[Tuple[Fraction, Fraction]] = []
     for (ya, va), (yb, vb) in zip(g.knots, g.knots[1:]):
-        pts.append(((ya + yb) / 2, (va + vb) / 2))
+        pts.append((_affine(ya, _HALF, yb, ya), _affine(va, _HALF, vb, va)))  # the midpoint
         pts.append((yb, vb))
     if not is_inf(g.tail_slope):
         yk, vk = g.knots[-1]
         pts.append((yk + 1, vk + g.tail_slope))
-    xs = ratio_sup_abscissae(f, [_F1 / y for y, _ in pts])
+    xs = ratio_sup_abscissae(f, [Fraction(y.denominator, y.numerator) for y, _ in pts])
     for (y, v), x in zip(pts, xs):
         # J(y) = y / x, read as 0 for x = None and +inf for x = 0
-        if not (v == 0 if x is None else v * x == y):
+        if not (v == 0 if x is None else v.numerator * x.numerator * y.denominator
+                == y.numerator * v.denominator * x.denominator):
             raise ConsistencyError(
                 f"gauge transform mismatch at y={y}: hull {v}, "
                 f"variational formula {y} / {'inf' if x is None else x}"
@@ -174,8 +183,9 @@ def legendre_grid(f):
     Two 1-d passes, O(N^3) time: t(p1, q2) = max_p2 fl(q2*p2 - f(p1, p2)), then
     g(q1, q2) = max_p1 fl(q1*p1 + t(p1, q2)); +inf nodes enter as -inf terms.
     Each pass goes `grid._TILE_ROWS` rows at a time, so memory is O(N^2).
-    Rounding is monotone, so this is bit-identical to the brute force
-    max_p fl(fl(q1*p1) + fl(fl(q2*p2) - f(p)))."""
+    Rounding is monotone, so the values equal those of the brute force
+    max_p fl(fl(q1*p1) + fl(fl(q2*p2) - f(p))); a 0 may carry the other sign,
+    since a max over a tied +0.0 and -0.0 keeps whichever comes first."""
     import numpy as np
 
     from . import grid

@@ -673,6 +673,255 @@ def reference_sup2(f: PLConvex1D, g: PLConvex1D) -> PLConvex1D:
 
 
 # ---------------------------------------------------------------------------
+# reference Fraction-operator primitives: the constructor checks, hull,
+# piece evaluation, join, feasibility sweep and transforms that integer
+# cross-product kernels replaced, kept verbatim.  Each builds its results
+# through `_reference_operator_build`, which runs the former constructor
+# body, so no result passes through the code under test.
+
+
+def reference_operator_slope(p: Tuple[Fraction, Fraction], q: Tuple[Fraction, Fraction]) -> Fraction:
+    return (q[1] - p[1]) / (q[0] - p[0])
+
+
+def reference_operator_canonical(knots, tail_slope=INF, tag=ClassTag.GEOMETRIC):
+    """The former body of `PLConvex1D.__post_init__`.
+
+    Returns the canonical ``(knots, tail_slope, slopes)`` or raises the
+    ConvexityError the former constructor raised."""
+    pts = [(as_fraction(x), as_fraction(v)) for x, v in knots]
+    if not pts:
+        raise ConvexityError("at least one knot is required")
+    if pts[0][0] != 0:
+        raise ConvexityError("the first knot must sit at x = 0")
+    for (xa, _), (xb, _) in zip(pts, pts[1:]):
+        if xb <= xa:
+            raise ConvexityError("knot abscissae must be strictly increasing")
+    for _, v in pts:
+        if v < 0:
+            raise ConvexityError("knot values must be nonnegative")
+    tail = as_extended(tail_slope)
+    if not is_inf(tail) and tail < 0:
+        raise ConvexityError("tail slope must be nonnegative or +inf")
+
+    merged: list = [pts[0]]
+    slopes: list = []
+    for p in pts[1:]:
+        s = reference_operator_slope(merged[-1], p)
+        while slopes and slopes[-1] == s:
+            slopes.pop()
+            merged.pop()
+        merged.append(p)
+        slopes.append(s)
+    if not is_inf(tail):
+        while slopes and slopes[-1] == tail:
+            slopes.pop()
+            merged.pop()
+
+    for sa, sb in zip(slopes, slopes[1:]):
+        if sa >= sb:
+            raise ConvexityError("chord slopes must be strictly increasing")
+    if slopes and not is_inf(tail) and tail <= slopes[-1]:
+        raise ConvexityError("tail slope must exceed the last chord slope")
+
+    if tag is ClassTag.GEOMETRIC:
+        if merged[0][1] != 0:
+            raise ConvexityError("geometric functions require f(0) = 0")
+        first = slopes[0] if slopes else (tail if not is_inf(tail) else _F0)
+        if first < 0:
+            raise ConvexityError("geometric functions are nondecreasing")
+    return tuple(merged), tail, tuple(slopes)
+
+
+def _reference_operator_build(knots, tail_slope=INF, tag=ClassTag.GEOMETRIC) -> PLConvex1D:
+    """A PLConvex1D whose fields come from `reference_operator_canonical`,
+    set without running the constructor."""
+    merged, tail, slopes = reference_operator_canonical(knots, tail_slope, tag)
+    f = object.__new__(PLConvex1D)
+    for name, value in (("knots", merged), ("tail_slope", tail), ("tag", tag),
+                        ("xs", tuple(x for x, _ in merged)), ("slopes", slopes)):
+        object.__setattr__(f, name, value)
+    return f
+
+
+def reference_operator_lower_hull(pts: Sequence[Tuple[Fraction, Fraction]]) -> Tuple[list, list]:
+    best: dict = {}
+    for x, v in pts:
+        if x not in best or v < best[x]:
+            best[x] = v
+    hull: list = []
+    edges: list = []
+    for p in sorted(best.items()):
+        if hull:
+            s = reference_operator_slope(hull[-1], p)
+            while edges and edges[-1] >= s:
+                edges.pop()
+                hull.pop()
+                s = reference_operator_slope(hull[-1], p)
+            edges.append(s)
+        hull.append(p)
+    return hull, edges
+
+
+def reference_operator_hull_function(
+    pts: Sequence[Tuple[Fraction, Fraction]], tail: Extended, tag: ClassTag
+) -> PLConvex1D:
+    hull, edges = reference_operator_lower_hull(pts)
+    if not is_inf(tail):
+        while edges and edges[-1] >= tail:
+            edges.pop()
+            hull.pop()
+    return _reference_operator_build(tuple(hull), tail, tag)
+
+
+def reference_operator_value_on(f: PLConvex1D, i: int, x: Fraction) -> Fraction:
+    xa, va = f.knots[i - 1]
+    s = f.slopes[i - 1] if i < len(f.knots) else f.tail_slope
+    return va + s * (x - xa)
+
+
+def reference_operator_breakpoints(f: PLConvex1D, g: PLConvex1D):
+    fk, gk = f.knots, g.knots
+    nf, ng = len(fk), len(gk)
+    g_ray = not is_inf(g.tail_slope)
+    yield fk[0][0], fk[0][1], gk[0][1]  # both lists start at x = 0
+    i = j = 1
+    while j < ng or (g_ray and i < nf):
+        if j == ng or (i < nf and fk[i][0] < gk[j][0]):
+            x, fx = fk[i]
+            gx = reference_operator_value_on(g, j, x)
+            i += 1
+        else:
+            x, gx = gk[j]
+            if i < nf and fk[i][0] == x:
+                fx = fk[i][1]
+                i += 1
+            else:
+                fx = reference_operator_value_on(f, i, x)
+            j += 1
+        yield x, fx, gx
+
+
+def reference_operator_sup2(f: PLConvex1D, g: PLConvex1D) -> PLConvex1D:
+    tag = _require_same_tag(f, g)
+    end = min(f.domain_end, g.domain_end)
+    if f.domain_end < g.domain_end:
+        walk = [(x, fx, gx) for x, gx, fx in reference_operator_breakpoints(g, f)]
+    else:
+        walk = list(reference_operator_breakpoints(f, g))
+
+    pts = []
+    for i, (x, fx, gx) in enumerate(walk):
+        pts.append((x, max(fx, gx)))
+        if i + 1 < len(walk):
+            x1, fx1, gx1 = walk[i + 1]
+            d0, d1 = fx - gx, fx1 - gx1
+            if (d0 < 0 < d1) or (d1 < 0 < d0):
+                t = d0 / (d0 - d1)  # f is affine on [x, x1]
+                pts.append((x + (x1 - x) * t, fx + (fx1 - fx) * t))
+
+    if is_inf(end):
+        mf, mg = f.tail_slope, g.tail_slope
+        x_last, fx, gx = walk[-1]
+        d_last = fx - gx
+        ds = mf - mg
+        if ds != 0 and d_last != 0 and (d_last < 0) == (ds > 0):
+            dx = -d_last / ds  # f is on its tail ray past x_last
+            if dx > 0:
+                pts.append((x_last + dx, fx + mf * dx))
+        tail: Extended = max(mf, mg)
+    else:
+        tail = INF
+    return _reference_operator_build(tuple(pts), tail, tag)
+
+
+def reference_operator_ratio_sup_abscissae(
+    f: PLConvex1D, rates: Sequence[Scalar]
+) -> List[Optional[Fraction]]:
+    if f.tag is not ClassTag.GEOMETRIC:
+        raise ClassTagError("ratio_sup_abscissae applies to geometric functions")
+    rates = [as_fraction(a) for a in rates]
+    if any(a < b for a, b in zip(rates, rates[1:])):
+        raise ValueError("rates must be in descending order")
+    knots, m = f.knots, f.tail_slope
+    i = len(knots) - 1
+    out: List[Optional[Fraction]] = []
+    for a in rates:
+        if not is_inf(m) and a >= m:
+            out.append(None)  # f(x)/x increases to the tail slope m <= a
+            continue
+        while i > 0 and knots[i][1] > a * knots[i][0]:
+            i -= 1
+        xa, va = knots[i]
+        if i + 1 < len(knots):
+            s = f.slopes[i]
+        elif is_inf(m):
+            out.append(xa)  # bounded domain ending at a feasible knot
+            continue
+        else:
+            s = m
+        out.append(xa + (a * xa - va) / (s - a))
+    return out
+
+
+def reference_operator_legendre(f: PLConvex1D) -> PLConvex1D:
+    _require_geometric(f, "legendre")
+    ys: List[Tuple[Fraction, Fraction]] = [(_F0, _F0)]
+    for (xa, va), s in zip(f.knots, f.slopes):
+        if s > 0:
+            ys.append((s, xa * s - va))
+    m = f.tail_slope
+    xk, vk = f.knots[-1]
+    if is_inf(m):
+        tail: Extended = xk
+    else:
+        if m > ys[-1][0]:
+            ys.append((m, xk * m - vk))
+        tail = INF
+    return _reference_operator_build(tuple(ys), tail, ClassTag.GEOMETRIC)
+
+
+def reference_operator_gauge_hull(f: PLConvex1D) -> PLConvex1D:
+    pts = [(_F0, _F0)] + [(x / v, _F1 / v) for x, v in f.knots if v > 0]
+    m = f.tail_slope
+    if not is_inf(m) and m > 0:
+        pts.append((_F1 / m, _F0))
+    z0 = f.zero_end()
+    tail: Extended = INF if z0 == 0 else _F0 if is_inf(z0) else _F1 / z0
+    return reference_operator_hull_function(pts, tail, ClassTag.GEOMETRIC)
+
+
+def reference_operator_gauge_transform(f: PLConvex1D) -> PLConvex1D:
+    _require_geometric(f, "gauge_transform")
+    g = reference_operator_gauge_hull(f)
+    z0 = f.zero_end()
+    if z0 == 0:
+        s0 = f.first_slope
+        shape_ok = g.domain_end == (_F0 if is_inf(s0) else _F1 / s0)
+    else:
+        shape_ok = g.tail_slope == (_F0 if is_inf(z0) else _F1 / z0)
+    if not shape_ok:
+        raise ConsistencyError(f"gauge transform {g} does not fit the zero set [0, {z0}] of f")
+
+    pts: List[Tuple[Fraction, Fraction]] = []
+    for (ya, va), (yb, vb) in zip(g.knots, g.knots[1:]):
+        pts.append(((ya + yb) / 2, (va + vb) / 2))
+        pts.append((yb, vb))
+    if not is_inf(g.tail_slope):
+        yk, vk = g.knots[-1]
+        pts.append((yk + 1, vk + g.tail_slope))
+    xs = reference_operator_ratio_sup_abscissae(f, [_F1 / y for y, _ in pts])
+    for (y, v), x in zip(pts, xs):
+        # J(y) = y / x, read as 0 for x = None and +inf for x = 0
+        if not (v == 0 if x is None else v * x == y):
+            raise ConsistencyError(
+                f"gauge transform mismatch at y={y}: hull {v}, "
+                f"variational formula {y} / {'inf' if x is None else x}"
+            )
+    return g
+
+
+# ---------------------------------------------------------------------------
 # reference pairwise checkers and ratio extrema: the per-pair `leq` loops and
 # the Moebius scan that the ratio matrices and `pl.ratio_sup` replaced, and
 # the two former statements of the pinned-point rule

@@ -6,7 +6,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dualitylab import (
     INF,
@@ -24,8 +25,19 @@ from dualitylab import (
     scale,
     sup2,
 )
-from dualitylab.pl import _hull_function, _lower_hull, ratio_sup
-from dualitylab.transforms import _gauge_hull
+from dualitylab.pl import (
+    _affine,
+    _breakpoints,
+    _eq,
+    _hull_function,
+    _lower_hull,
+    _lt,
+    _slope,
+    _value_on,
+    ratio_sup,
+    ratio_sup_abscissae,
+)
+from dualitylab.transforms import _gauge_hull, gauge_transform, legendre
 
 from helpers import (
     geometric_functions,
@@ -37,6 +49,16 @@ from helpers import (
     reference_hull_function,
     reference_leq_witness,
     reference_lower_hull,
+    reference_operator_breakpoints,
+    reference_operator_canonical,
+    reference_operator_gauge_hull,
+    reference_operator_gauge_transform,
+    reference_operator_hull_function,
+    reference_operator_legendre,
+    reference_operator_lower_hull,
+    reference_operator_ratio_sup_abscissae,
+    reference_operator_sup2,
+    reference_operator_value_on,
     reference_ratio_sup,
     reference_sup2,
     sample_points,
@@ -558,3 +580,164 @@ class TestEdgeSlopeHull:
                 assert _gauge_hull(f) == reference_gauge_hull(f), f
                 seen["gauge"] += 1
         assert min(seen.values()) >= 300, seen
+
+
+# -- integer kernels ---------------------------------------------------------
+
+_SCALES = (Fraction(1, 2**60), Fraction(1), Fraction(2**60))
+
+
+def _scaled(rng, knots, tail, tag):
+    """The input with x scaled by sx and v by sv, each 2^-60, 1 or 2^60, as
+    in the certify corpus; scaling keeps every defect and collinear run.
+    Returns the input and whether it was scaled."""
+    sx, sv = rng.choice(_SCALES), rng.choice(_SCALES)
+    if sx == sv == 1:
+        return (knots, tail, tag), False
+    knots = tuple((as_fraction(x) * sx, as_fraction(v) * sv) for x, v in knots)
+    if not (isinstance(tail, str) or math.isinf(tail)):
+        tail = as_fraction(tail) * sv / sx
+    return (knots, tail, tag), True
+
+
+def _kernel_function(rng, tag=None):
+    """A seeded function of the given tag (any when None): a scaled
+    `_knot_list` input that builds, or a scaled random function."""
+    while True:
+        if rng.random() < 0.5:
+            (knots, tail, t), _ = _scaled(rng, *_knot_list(rng))
+            if tag in (None, t):
+                try:
+                    return PLConvex1D(knots, tail, t)
+                except ValueError:
+                    pass
+            continue
+        if tag is ClassTag.GEOMETRIC or (tag is None and rng.random() < 0.5):
+            f = random_geometric(rng)
+        else:
+            f = random_nonnegative(rng)
+        return scale(compose_dilate(f, rng.choice(_SCALES)), rng.choice(_SCALES))
+
+
+def _assert_same(got, want):
+    """Equal knots, slopes, tails and tags, every finite entry a Fraction."""
+    assert (got.knots, got.slopes, got.tail_slope, got.tag) == (
+        want.knots, want.slopes, want.tail_slope, want.tag), (got, want)
+    entries = [t for p in got.knots for t in p] + list(got.slopes)
+    if not math.isinf(got.tail_slope):
+        entries.append(got.tail_slope)
+    assert all(type(t) is Fraction for t in entries), got
+
+
+def _rates(rng, f):
+    """Descending rates for a feasibility sweep over f: its tail slope, chord
+    slopes and knot ratios v/x, and a few scaled ones; one list in ten is
+    out of order."""
+    rates = list(f.slopes) + [v / x for x, v in f.knots if x]
+    rates += [Fraction(rng.randint(0, 9), rng.randint(1, 9)) * rng.choice(_SCALES) for _ in range(3)]
+    if not math.isinf(f.tail_slope):
+        rates.append(f.tail_slope)
+    rates.sort(reverse=True)
+    if rng.random() < 0.1:
+        rng.shuffle(rates)
+    return rates
+
+
+class TestIntegerKernels:
+    """The integer cross-product kernels give every result, exception class
+    and message that the Fraction operators gave (`reference_operator_*`)."""
+
+    def test_constructor_matches_the_operator_checks(self):
+        rng = random.Random(61)
+        seen = Counter()
+        for _ in range(3000):
+            (knots, tail, tag), scaled = _scaled(rng, *_knot_list(rng))
+            got = _outcome(_new_canonical, knots, tail, tag)
+            want = _outcome(reference_operator_canonical, knots, tail, tag)
+            assert got == want, (knots, tail, tag)
+            if isinstance(got[1], str):  # an exception: (class, message)
+                seen[got[1]] += 1
+                continue
+            assert all(type(t) is Fraction for p in got[0] for t in p), got
+            assert all(type(t) is Fraction for t in got[2]), got
+            seen[tag] += 1
+            seen["scaled"] += scaled
+            seen["merged"] += len(got[0]) < len(knots)
+            seen["zero slope"] += 0 in got[2] or got[1] == 0
+        assert len(seen) == 13 and min(seen.values()) >= 40, seen
+
+    def test_operations_match_the_operator_forms(self):
+        rng = random.Random(67)
+        seen = Counter()
+        for _ in range(1200):
+            f = _kernel_function(rng)
+            if rng.random() < 0.3:
+                g = scale(f, rng.choice(_SCALES) * rng.randint(1, 3))
+            else:
+                g = _kernel_function(rng, f.tag)
+            join = sup2(f, g)
+            _assert_same(join, reference_operator_sup2(f, g))
+            seen["crossing"] += any(x not in f.xs and x not in g.xs for x in join.xs)
+            seen["bounded" if math.isinf(f.tail_slope) else "ray"] += 1
+            seen[f.tag] += 1
+            if f.domain_end >= g.domain_end:
+                assert list(_breakpoints(f, g)) == list(reference_operator_breakpoints(f, g))
+            for i in range(1, len(f.knots) + (not math.isinf(f.tail_slope))):
+                xa = f.knots[i - 1][0]
+                x = (xa + f.knots[i][0]) / 2 if i < len(f.knots) else xa + rng.choice(_SCALES)
+                got = _value_on(f, i, x)
+                assert type(got) is Fraction and got == reference_operator_value_on(f, i, x)
+
+            for pts in (list(f.knots + g.knots), _cloud(rng)):
+                rng.shuffle(pts)
+                assert _lower_hull(pts) == reference_operator_lower_hull(pts), pts
+                tail = rng.choice((INF, f.tail_slope, Fraction(rng.randint(0, 6), rng.randint(1, 3))))
+                got = _outcome(_hull_function, pts, tail, f.tag)
+                want = _outcome(reference_operator_hull_function, pts, tail, f.tag)
+                if isinstance(got, PLConvex1D):
+                    _assert_same(got, want)
+                else:
+                    assert got == want, (pts, tail)
+                    seen["hull raised"] += 1
+
+            if f.tag is ClassTag.GEOMETRIC:
+                _assert_same(legendre(f), reference_operator_legendre(f))
+                _assert_same(_gauge_hull(f), reference_operator_gauge_hull(f))
+                _assert_same(gauge_transform(f), reference_operator_gauge_transform(f))
+                rates = _rates(rng, f)
+                got = _outcome(ratio_sup_abscissae, f, rates)
+                assert got == _outcome(reference_operator_ratio_sup_abscissae, f, rates), (f, rates)
+                if isinstance(got, tuple):
+                    seen["rates out of order"] += 1
+                else:
+                    assert all(x is None or type(x) is Fraction for x in got)
+                    seen["rate with no bound"] += None in got
+                    seen["sweep"] += 1
+        assert len(seen) == 9 and min(seen.values()) >= 40, seen
+
+
+_INTS = st.one_of(st.integers(-3, 3), st.integers(-2**200, 2**200))
+_FRACTIONS = st.builds(Fraction, _INTS, _INTS.filter(bool))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_FRACTIONS, _FRACTIONS, st.integers(1, 2**70))
+def test_lt_and_eq_match_the_operators(a, b, k):
+    for b in (b, Fraction(a.numerator * k, a.denominator * k)):  # and an equal value built apart
+        assert _lt(a, b) is (a < b) and _lt(b, a) is (b < a)
+        assert _eq(a, b) is (a == b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_FRACTIONS, _FRACTIONS, _FRACTIONS, _FRACTIONS)
+def test_slope_matches_the_operators(px, pv, qx, qv):
+    assume(px != qx)
+    got = _slope((px, pv), (qx, qv))
+    assert type(got) is Fraction and got == (qv - pv) / (qx - px)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_FRACTIONS, _FRACTIONS, _FRACTIONS, _FRACTIONS)
+def test_affine_matches_the_operators(va, s, x, xa):
+    got = _affine(va, s, x, xa)
+    assert type(got) is Fraction and got == va + s * (x - xa)

@@ -387,7 +387,8 @@ class TestGridDifferential:
 class TestAsymmetricGrids:
     """`a_grid` prunes each quadrant of x nodes on its own, so the grids here
     are not centrally symmetric: a pruning that swapped quadrants would not
-    agree with the brute force."""
+    agree with the brute force.  `legendre_grid` gives the brute force's
+    values, and a zero among them may carry the other sign."""
 
     GRIDS = 240
     TILES = (1, 3, 8, 64)
@@ -402,7 +403,11 @@ class TestAsymmetricGrids:
             got, want = a_grid(f).values, reference_a_grid(f)
             assert np.array_equal(got, want), (k, tile)
             assert np.array_equal(np.signbit(got), np.signbit(want)), (k, tile)
-            assert np.array_equal(legendre_grid(f).values, reference_legendre_grid(f)), (k, tile)
+            got, want = legendre_grid(f).values, reference_legendre_grid(f)
+            assert np.array_equal(got, want), (k, tile)
+            flipped = np.signbit(got) != np.signbit(want)
+            assert np.all(got[flipped] == 0.0), (k, tile)  # only a zero may change sign
+            seen["legendre zero of the other sign"] += bool(flipped.any())
             v, o = f.values, f.spec.origin
             pos = np.isfinite(v) & (v > 0)
             quadrants = {(i > o, j > o) for i, j in np.argwhere(pos)}
@@ -414,4 +419,5 @@ class TestAsymmetricGrids:
             seen["zero set beyond the origin"] += int((v == 0).sum()) > 1
             seen["+inf nodes"] += bool(np.isinf(v).any())
         assert seen["not centrally symmetric"] >= 200, seen
+        assert seen.pop("legendre zero of the other sign") > 0, seen
         assert len(seen) == 5 and min(seen.values()) >= 20, seen
