@@ -14,8 +14,9 @@ comparable pair is its own join and meet, and the checker has nothing to
 decide on it that the preserving condition does not, so the geometric
 corpus designates no pairs; a corpus that needs the lattice rows designates
 a pair whose join or meet is a new member.  A `Corpus` computes the facts
-that depend on it alone once: its exact ratio matrix and the closure of its
-designations.
+that depend on it alone once: its exact ratio matrix, the ordered pairs
+f_i <= f_j read off it, the closure of its designations and the gauge
+images of its elements.
 
 The ratio matrix decides most geometric pairs by support and zero set
 alone.  If f <= c*g for a finite c, then dom f contains dom g and the zero
@@ -35,6 +36,7 @@ from .exceptions import CorpusError
 from .extremal import DeltaFunction, _delta_ratio, make_delta, make_indicator, make_linear
 from .grid import GridFunction2D
 from .pl import INF, ClassTag, PLConvex1D, hat_inf2, ratio_sup, sup2
+from .transforms import gauge_transform
 
 EXPONENT_GRID = (-16, -8, -4, -2, -1, 0, 1, 2, 4, 8, 16)
 
@@ -123,6 +125,13 @@ def _ratio_matrix(fs: Sequence) -> Tuple[Tuple[object, ...], ...]:
     return tuple(rows)
 
 
+def _leq_pairs(R: Sequence[Sequence[object]]) -> Tuple[Tuple[int, int], ...]:
+    """The ordered pairs (i, j) whose ratio entry R[i][j] is at most 1.  An
+    entry is a Fraction, the float +inf, or None on the diagonal."""
+    return tuple((i, j) for i, row in enumerate(R) for j, r in enumerate(row)
+                 if type(r) is Fraction and r.numerator <= r.denominator)
+
+
 @dataclass(frozen=True)
 class Corpus:
     """Indexed family of functions with labels and designated lattice pairs.
@@ -154,6 +163,17 @@ class Corpus:
         set are +inf, pairs where f_i vanishes on dom f_j are 0, and only
         the rest walk their breakpoints."""
         return _ratio_matrix(self.elements)
+
+    @cached_property
+    def leq_pairs(self) -> Tuple[Tuple[int, int], ...]:
+        """The ordered pairs with f_i <= f_j, read off `R`: the only pairs the
+        preserving and reversing conditions constrain."""
+        return _leq_pairs(self.R)
+
+    @cached_property
+    def gauge_images(self) -> Tuple[PLConvex1D, ...]:
+        """J f of each element, the reference base of a gauge-like fit."""
+        return tuple(gauge_transform(f) for f in self.elements)
 
     @cached_property
     def closed_lattice_pairs(self) -> Tuple[Tuple[int, int, int, int], ...]:

@@ -11,7 +11,10 @@ The checkers certify, pair by pair and exactly, the two-sided conditions
 
 at a constant C > 1, together with the inverse implications, lattice
 stability on designated join/meet pairs, and exact fixing of the order
-extremes.  Certified transforms are then classified (identity-like vs
+extremes.  Each part of a pair condition gets easier as C grows, so each
+has an exact threshold, computed once per transform: part a holds iff
+C >= Ta and part b iff C > Tb (`_PAIR_CONDITIONS`).  Only a condition that
+fails lists its violating pairs and searches their witnesses.  Certified transforms are then classified (identity-like vs
 gauge-like, or their order-reversing counterparts after composing with the
 geometric dual), their dilation exponent is recovered by dyadic doubling,
 and a two-sided sandwich c*ref <= Tf <= C*ref is fitted with an exact
@@ -29,7 +32,7 @@ from functools import cached_property
 from itertools import permutations
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .corpus import Corpus, _ratio_any, _ratio_matrix, delta_corpus, geometric_corpus
+from .corpus import Corpus, _leq_pairs, _ratio_any, _ratio_matrix, delta_corpus, geometric_corpus
 from .exceptions import (
     ClassificationError,
     ConsistencyError,
@@ -45,7 +48,10 @@ from .extremal import (
 )
 from .grid import GridFunction2D, is_ray_supported
 from .pl import (
+    INF,
+    Extended,
     PLConvex1D,
+    _lt,
     as_fraction,
     compose_dilate,
     hat_inf2,
@@ -152,6 +158,11 @@ class CorpusTransform:
         with no breakpoint walk."""
         return _ratio_matrix(self.images)
 
+    @cached_property
+    def thresholds(self) -> Dict[str, Tuple[Extended, Extended]]:
+        """(Ta, Tb) of each pair condition, by `_thresholds`."""
+        return {condition: _thresholds(self, condition) for condition in _PAIR_CONDITIONS}
+
 
 @dataclass(frozen=True)
 class StabilityReport:
@@ -219,7 +230,10 @@ def _witness(f, g, factor=1) -> object:
 
 # condition -> (hypothesis on the images, conclusion reversed, detail of
 # part a, detail of part b).  Part a is "hyp <= 1 implies con <= C", part b
-# "hyp <= 1/C implies con <= 1", each read off the pair's exact ratio.
+# "hyp <= 1/C implies con <= 1", each read off the pair's exact ratio.  Each
+# part gets easier as C grows, so it has one exact threshold: part a holds
+# iff C >= Ta, the largest con over the pairs with hyp <= 1, and part b iff
+# C > Tb, the largest 1/hyp over those pairs with con > 1 (+inf at hyp = 0).
 _PAIR_CONDITIONS = {
     "preserving": (False, False, "f <= g but not Tf <= C*Tg",
                    "f <= (1/C)*g but not Tf <= Tg"),
@@ -254,36 +268,67 @@ def _violations(
             yield Violation(f"{condition}-b", labels[i], labels[j], w, detail_b)
 
 
-def _sense(t: CorpusTransform, k: AlmostOrderConstant) -> Optional[str]:
-    """The first order sense whose conditions hold on every pair, or None.
+def _thresholds(t: CorpusTransform, condition: str) -> Tuple[Extended, Extended]:
+    """(Ta, Tb) of ``condition`` by integer cross-products, n/0 standing for +inf."""
+    on_images, flip, _, _ = _PAIR_CONDITIONS[condition]
+    hyp, con = (t.R_img, t.corpus.R) if on_images else (t.corpus.R, t.R_img)
+    pairs = _leq_pairs(hyp) if on_images else t.corpus.leq_pairs
+    an, ad, bn, bd = 0, 1, 0, 1  # Ta = an/ad, Tb = bn/bd
+    for i, j in pairs:
+        r = con[j][i] if flip else con[i][j]
+        rn, rd = (r.numerator, r.denominator) if type(r) is Fraction else (1, 0)
+        if rn * ad > an * rd:
+            an, ad = rn, rd
+        if rn > rd:
+            h = hyp[i][j]  # 1/h = h.d/h.n
+            if h.denominator * bd > bn * h.numerator:
+                bn, bd = h.denominator, h.numerator
+            if ad == bd == 0:
+                break
+    return (INF if ad == 0 else Fraction(an, ad)), (INF if bd == 0 else Fraction(bn, bd))
 
-    A failing sense stops at its first violation, so it pays for one witness.
-    """
+
+def _holds(t: CorpusTransform, k: AlmostOrderConstant, condition: str) -> bool:
+    """Whether no pair violates ``condition``: C >= Ta and C > Tb."""
+    ta, tb = t.thresholds[condition]
+    c = k.ctilde
+    return not (is_inf(ta) or is_inf(tb) or _lt(c, ta)) and _lt(tb, c)
+
+
+def _sense(t: CorpusTransform, k: AlmostOrderConstant) -> Optional[str]:
+    """The first order sense whose conditions hold on every pair, or None."""
     for sense in ("preserving", "reversing"):
-        if next(_violations(t, k, sense), None) is None:
+        if _holds(t, k, sense):
             return sense
     return None
+
+
+def _checked(
+    t: CorpusTransform, k: AlmostOrderConstant, condition: str
+) -> Tuple[Violation, ...]:
+    """No violations when ``condition`` holds; else every one, in pair order."""
+    return () if _holds(t, k, condition) else tuple(_violations(t, k, condition))
 
 
 def check_almost_preserving(
     t: CorpusTransform, k: AlmostOrderConstant
 ) -> Tuple[Violation, ...]:
     """Certify both preserving conditions on every ordered corpus pair."""
-    return tuple(_violations(t, k, "preserving"))
+    return _checked(t, k, "preserving")
 
 
 def check_almost_reversing(
     t: CorpusTransform, k: AlmostOrderConstant
 ) -> Tuple[Violation, ...]:
     """Certify both reversing conditions on every ordered corpus pair."""
-    return tuple(_violations(t, k, "reversing"))
+    return _checked(t, k, "reversing")
 
 
 def check_inverse_conditions(
     t: CorpusTransform, k: AlmostOrderConstant
 ) -> Tuple[Violation, ...]:
     """Certify the converse implications of the preserving conditions."""
-    return tuple(_violations(t, k, "inverse"))
+    return _checked(t, k, "inverse")
 
 
 # (condition, detail) of the rows T(sup) <= C^2 sup(Tf, Tg) and
@@ -376,10 +421,11 @@ _CLASSES = {
     ("reversing", "almost-linear"): TransformClass.REVERSING_LEGENDRE,
 }
 _RAY_KIND = {"indicator": "almost-linear", "almost-linear": "indicator"}
-# the reference base B of each exact class; `fit_sandwich` compares Tf with B f
-_REFERENCE_BASES: Dict[TransformClass, Callable] = {
-    TransformClass.IDENTITY: lambda f: f,
-    TransformClass.GAUGE: gauge_transform,
+# the corpus's images under the reference base B of each exact class;
+# `fit_sandwich` compares Tf with B f
+_REFERENCE_BASES: Dict[TransformClass, Callable[[Corpus], Tuple]] = {
+    TransformClass.IDENTITY: lambda corpus: corpus.elements,
+    TransformClass.GAUGE: lambda corpus: corpus.gauge_images,
 }
 
 
@@ -651,7 +697,8 @@ def fit_sandwich(t: CorpusTransform, report: StabilityReport) -> StabilityReport
 
     The reference of f is (Bf)(x/alpha) with B the class's reference base:
     B f = f for an identity-like transform, B f = J f, the gauge transform,
-    for a gauge-like one.  The dilation comes from the scaling-invariant
+    for a gauge-like one; the corpus builds its gauge images once
+    (`Corpus.gauge_images`).  The dilation comes from the scaling-invariant
     support ratios Tf.domain_end / Bf.domain_end over the elements whose
     base is a proper indicator, exactly when those ratios agree exactly.
     c and C are the exact global extrema of the image/reference ratio, and
@@ -665,7 +712,7 @@ def fit_sandwich(t: CorpusTransform, report: StabilityReport) -> StabilityReport
         raise ClassificationError(
             "sandwich fitting needs an identity-like or gauge-like classification")
     els, imgs, labels = t.corpus.elements, t.images, t.corpus.labels
-    bases = [base(f) for f in els]
+    bases = base(t.corpus)
     ratios = [Fraction(img.domain_end) / b.domain_end
               for b, img in zip(bases, imgs) if _proper_indicator(b)]
     if not ratios:
@@ -735,8 +782,8 @@ def _jittered(
     t = CorpusTransform(corpus, tuple(
         image(f, Fraction(math.exp(rng.uniform(-half, half)))) for f in corpus.elements
     ), provenance=provenance)
-    bad = next(_violations(t, k, sense), None)
-    if bad is not None:
+    if not _holds(t, k, sense):
+        bad = next(_violations(t, k, sense))
         raise ConsistencyError(
             f"fuzzed transform failed its own certification: {bad.condition} "
             f"on ({bad.f_label}, {bad.g_label}): {bad.detail}"

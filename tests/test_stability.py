@@ -257,12 +257,150 @@ class TestCheckerDifferential:
             )
             self._agree(CorpusTransform(corpus, imgs))
 
-    def test_ratio_matrices_are_computed_once(self):
+    def test_ratio_matrices_are_computed_once(self, monkeypatch):
+        calls = _counting(monkeypatch, dualitylab.stability, "_thresholds")
         t = fuzz_transform(3, K15, base="identity")
-        r_src, r_img = t.corpus.R, t.R_img
-        check_almost_reversing(t, K2)
+        r_src, r_img, pairs, thresholds = t.corpus.R, t.R_img, t.corpus.leq_pairs, t.thresholds
+        for k in (K15, K2):
+            for check in (check_almost_preserving, check_almost_reversing,
+                          check_inverse_conditions):
+                check(t, k)
         analyze(t, K15)
         assert t.corpus.R is r_src and t.R_img is r_img
+        assert t.corpus.leq_pairs is pairs and t.thresholds is thresholds
+        assert len(calls) == 3  # one per pair condition
+
+    def test_gauge_base_images_are_built_once_per_corpus(self, monkeypatch):
+        corpus = geometric_corpus((-4, -2, -1, 1, 2, 4))
+        ts = [fuzz_transform(n, K15, base="gauge", corpus=corpus) for n in (1, 2)]
+        calls = _counting(monkeypatch, dualitylab.corpus, "gauge_transform")
+        for t in ts:
+            rep = fit_sandwich(t, classify(t, K15))
+            assert rep.classification is TransformClass.GAUGE and rep.certified
+        assert len(calls) == len(corpus)
+
+
+def _swapped(t, i, j, copy=False):
+    """``t`` with the images of elements i and j exchanged, or with j's image
+    copied onto i."""
+    imgs = list(t.images)
+    imgs[i], imgs[j] = imgs[j], imgs[j if copy else i]
+    return CorpusTransform(t.corpus, tuple(imgs), t.provenance)
+
+
+def _powered(f, p):
+    """``f`` with the slope s of each piece and of the tail raised to s**p:
+    a -> a**p on rays, triangles and meets, indicators and extremes fixed."""
+    knots = [f.knots[0]]
+    for (x, _), (y, _), s in zip(f.knots, f.knots[1:], f.slopes):
+        knots.append((y, knots[-1][1] + s**p * (y - x)))
+    tail = f.tail_slope if f.tail_slope == INF else f.tail_slope**p
+    return PLConvex1D(tuple(knots), tail)
+
+
+def _coupling_transform(p):
+    """a -> a**p on a corpus of indicators, rays, and every triangle and meet
+    of the two, at exponents -1, 0 and 1 (26 elements)."""
+    exponents = (-1, 0, 1)
+    corpus = _with_triangles(geometric_corpus(exponents),
+                             [(j, k) for j in exponents for k in exponents])
+    return CorpusTransform(corpus, tuple(_powered(f, p) for f in corpus.elements),
+                           f"a -> a**{p}")
+
+
+class TestThresholds:
+    """Each pair condition decided by its exact thresholds Ta and Tb against
+    the pair scan `_violations` that lists its violations."""
+
+    CONDITIONS = ("preserving", "reversing", "inverse")
+    CHECKS = (check_almost_preserving, check_almost_reversing, check_inverse_conditions)
+    REFERENCES = (reference_check_almost_preserving, reference_check_almost_reversing,
+                  reference_check_inverse_conditions)
+    EPS = Fraction(1, 10**12)
+
+    @staticmethod
+    def _transforms():
+        """Seeded fuzzes of every base at every C over the 24- and 48-element
+        geometric corpora, pinned-point fuzzes and the coupling transform,
+        each as built, with two neighbouring images swapped, and with two
+        neighbouring rays' images swapped (a pair at a finite ratio) or made
+        equal (a pair at ratio exactly 1)."""
+        rng = random.Random(71)
+        built = []
+        for corpus in (geometric_corpus(), geometric_corpus(range(-33, 34, 3))):
+            for n in range(12):
+                base = ("identity", "gauge", "legendre", "a")[n % 4]
+                k = TestCheckerDifferential.KS[n % 3]
+                built.append(fuzz_transform(n, k, base=base, corpus=corpus))
+        for n, point_map in enumerate((lambda th: 2.0 * th + 1.0, lambda th: th * th)):
+            built.append(fuzz_delta_transform(n, K15, point_map))
+        built.append(_coupling_transform(2))
+        for t in built:
+            rays = [i for i, label in enumerate(t.corpus.labels)
+                    if label.startswith(("linear", "delta(theta=1.0"))]
+            i, r = rng.randrange(len(t) - 1), rng.choice(rays[:-1])
+            yield from (t, _swapped(t, i, i + 1), _swapped(t, r, r + 1),
+                        _swapped(t, r, r + 1, copy=True))
+
+    def test_thresholds_decide_like_the_scan(self):
+        holds, violations = dualitylab.stability._holds, dualitylab.stability._violations
+        seen = Counter()
+        for n, t in enumerate(self._transforms()):
+            for condition in self.CONDITIONS:
+                ta, tb = t.thresholds[condition]
+                seen["inf"] += INF in (ta, tb)
+                cs = {Fraction(11, 10), Fraction(3, 2), Fraction(2)}
+                for th in (ta, tb):
+                    if th != INF:
+                        cs.update(c for c in (th, th * (1 - self.EPS), th * (1 + self.EPS))
+                                  if c > 1)
+                for c in sorted(cs):
+                    k = AlmostOrderConstant(c)
+                    ok = holds(t, k, condition)
+                    assert ok == (next(violations(t, k, condition), None) is None), (
+                        n, condition, c)
+                    # at C = Ta part a holds, at C = Tb part b fails; count the
+                    # cases where that part alone decides the verdict
+                    seen["a binds"] += c == ta and tb < ta and ok
+                    seen["b binds"] += c == tb and ta <= tb and not ok
+        assert seen["inf"] and seen["a binds"] and seen["b binds"], seen
+
+    def test_failing_checks_list_the_scan(self):
+        violations = dualitylab.stability._violations
+        rng = random.Random(73)
+        corpus = geometric_corpus()
+        cases = [_coupling_transform(2)]
+        for n, base in enumerate(("identity", "gauge", "legendre", "a")):
+            t = fuzz_transform(n, K15, base=base, corpus=corpus)
+            cases.append(_swapped(t, *rng.sample(range(len(t)), 2)))
+        failed = Counter()
+        for t in cases:
+            for k in TestCheckerDifferential.KS:
+                for condition, check, reference in zip(
+                        self.CONDITIONS, self.CHECKS, self.REFERENCES):
+                    got = check(t, k)
+                    assert got == tuple(violations(t, k, condition)) == reference(t, k)
+                    failed[condition] += bool(got)
+                report = dump_json(report_to_obj(analyze(t, k)))
+                assert report == dump_json(report_to_obj(reference_analyze(t, k)))
+        assert min(failed.values()) >= 3, failed
+
+    def test_self_check_names_the_first_violation(self):
+        # a corpus holding indicators, their triangles with a ray and the
+        # meets: J and the Legendre transform take an indicator and its
+        # triangle, a pair at ratio 0, to a pair at ratio 1, so gauge and
+        # Legendre fuzzes fail part b of their own certification
+        exponents = (-4, -2, -1, 0, 1, 2, 4)
+        corpus = _with_triangles(geometric_corpus(exponents), ((1, -4), (-1, 4)))
+        raised = Counter()
+        for base in ("identity", "gauge", "legendre"):
+            for k in TestCheckerDifferential.KS:
+                for seed in range(4):
+                    args = (seed, k, base, 1, corpus)
+                    got = _outcome(fuzz_transform, *args)
+                    assert got == _outcome(reference_fuzz_transform, *args), args
+                    raised[base] += isinstance(got, tuple) and got[0] is ConsistencyError
+        assert raised["gauge"] == raised["legendre"] == 12 > raised["identity"], raised
 
 
 def _counting(monkeypatch, module, name):
