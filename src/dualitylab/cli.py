@@ -40,7 +40,8 @@ from .reporting import (
     report_to_obj,
 )
 from .specio import dumps_function, parse_function
-from .stability import AlmostOrderConstant, _nonnegative, analyze, fuzz_transform
+from .stability import (
+    _FUZZ_BASES, AlmostOrderConstant, _nonnegative, analyze, fuzz_transform, hyers_ulam_approx)
 from .transforms import (
     a_grid,
     gauge_grid,
@@ -147,8 +148,6 @@ def _cmd_fuzz(args) -> int:
 
 
 def _cmd_hyers_ulam(args) -> int:
-    from .stability import hyers_ulam_approx
-
     obj = _read_json(args.infile)
     if not isinstance(obj, dict) or "samples" not in obj:
         raise SpecFormatError('input needs a "samples" field')
@@ -219,8 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     pt.set_defaults(func=_cmd_check_ptilde)
 
     fz = sub.add_parser("fuzz", help="seeded jittered transform + certification")
-    fz.add_argument("--base", required=True,
-                    choices=("identity", "gauge", "legendre", "a"))
+    fz.add_argument("--base", required=True, choices=tuple(_FUZZ_BASES))
     fz.add_argument("--ctilde", required=True)
     fz.add_argument("--seed", required=True, type=int)
     fz.add_argument("--corpus", default="geometric",
@@ -256,7 +254,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:  # every package input error is a ValueError
+    # every package input error is a ValueError, or an OverflowError beyond the float range
+    except (ValueError, OSError, OverflowError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -15,8 +15,8 @@ decide on it that the preserving condition does not, so the geometric
 corpus designates no pairs; a corpus that needs the lattice rows designates
 a pair whose join or meet is a new member.  A `Corpus` computes the facts
 that depend on it alone once: its exact ratio matrix, the ordered pairs
-f_i <= f_j read off it, the closure of its designations and the gauge
-images of its elements.
+f_i <= f_j read off it, the closure of its designations and the images
+of its elements under each base transform.
 
 The ratio matrix decides most geometric pairs by support and zero set
 alone.  If f <= c*g for a finite c, then dom f contains dom g and the zero
@@ -36,7 +36,7 @@ from .exceptions import CorpusError
 from .extremal import DeltaFunction, _delta_ratio, make_delta, make_indicator, make_linear
 from .grid import GridFunction2D
 from .pl import INF, ClassTag, PLConvex1D, hat_inf2, ratio_sup, sup2
-from .transforms import gauge_transform
+from .transforms import gauge_transform, geometric_dual, legendre
 
 EXPONENT_GRID = (-16, -8, -4, -2, -1, 0, 1, 2, 4, 8, 16)
 
@@ -170,10 +170,14 @@ class Corpus:
         preserving and reversing conditions constrain."""
         return _leq_pairs(self.R)
 
-    @cached_property
-    def gauge_images(self) -> Tuple[PLConvex1D, ...]:
-        """J f of each element, the reference base of a gauge-like fit."""
-        return tuple(gauge_transform(f) for f in self.elements)
+    def base_images(self, base: str) -> Tuple[object, ...]:
+        """B f of each element for the fuzz base B named ``base`` ("identity",
+        "gauge" J, "legendre" L or "a" A), built when first read."""
+        built = self.__dict__.setdefault("_base_images", {"identity": self.elements})
+        if base not in built:
+            op = {"gauge": gauge_transform, "legendre": legendre, "a": geometric_dual}[base]
+            built[base] = tuple(map(op, self.elements))
+        return built[base]
 
     @cached_property
     def closed_lattice_pairs(self) -> Tuple[Tuple[int, int, int, int], ...]:

@@ -14,11 +14,11 @@ stability on designated join/meet pairs, and exact fixing of the order
 extremes.  Each part of a pair condition gets easier as C grows, so each
 has an exact threshold, computed once per transform: part a holds iff
 C >= Ta and part b iff C > Tb (`_PAIR_CONDITIONS`).  Only a condition that
-fails lists its violating pairs and searches their witnesses.  Certified transforms are then classified (identity-like vs
-gauge-like, or their order-reversing counterparts after composing with the
-geometric dual), their dilation exponent is recovered by dyadic doubling,
-and a two-sided sandwich c*ref <= Tf <= C*ref is fitted with an exact
-certificate.
+fails lists its violating pairs and searches their witnesses.  Certified
+transforms are then classified (identity-like vs gauge-like, or their
+order-reversing counterparts after composing with the geometric dual),
+their dilation exponent is recovered by dyadic doubling, and a two-sided
+sandwich c*ref <= Tf <= C*ref is fitted with an exact certificate.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import permutations
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .corpus import Corpus, _leq_pairs, _ratio_any, _ratio_matrix, delta_corpus, geometric_corpus
@@ -62,7 +61,7 @@ from .pl import (
     scale,
     sup2,
 )
-from .transforms import gauge_transform, geometric_dual, legendre
+from .transforms import geometric_dual
 
 __all__ = [
     "AlmostOrderConstant",
@@ -244,20 +243,24 @@ _PAIR_CONDITIONS = {
 }
 
 
+def _condition_pairs(t: CorpusTransform, condition: str) -> Tuple[Sequence, Sequence, Sequence]:
+    """(hyp, con, pairs) of ``condition``: its ratio matrices and, in row
+    order, the pairs (i, j) with hyp[i][j] <= 1, the only ones it constrains."""
+    if _PAIR_CONDITIONS[condition][0]:
+        return t.R_img, t.corpus.R, _leq_pairs(t.R_img)
+    return t.corpus.R, t.R_img, t.corpus.leq_pairs
+
+
 def _violations(
     t: CorpusTransform, k: AlmostOrderConstant, condition: str
 ) -> Iterator[Violation]:
     """The pairs violating ``condition``, each witness searched when reached."""
     on_images, flip, detail_a, detail_b = _PAIR_CONDITIONS[condition]
-    if on_images:
-        hyp, con, sides = t.R_img, t.corpus.R, t.corpus.elements
-    else:
-        hyp, con, sides = t.corpus.R, t.R_img, t.images
+    hyp, con, pairs = _condition_pairs(t, condition)
+    sides = t.corpus.elements if on_images else t.images
     labels = t.corpus.labels
-    for i, j in permutations(range(len(t)), 2):
+    for i, j in pairs:
         h = hyp[i][j]
-        if h > 1:
-            continue
         a, b = (j, i) if flip else (i, j)
         r = con[a][b]
         if r > k.ctilde:
@@ -270,9 +273,8 @@ def _violations(
 
 def _thresholds(t: CorpusTransform, condition: str) -> Tuple[Extended, Extended]:
     """(Ta, Tb) of ``condition`` by integer cross-products, n/0 standing for +inf."""
-    on_images, flip, _, _ = _PAIR_CONDITIONS[condition]
-    hyp, con = (t.R_img, t.corpus.R) if on_images else (t.corpus.R, t.R_img)
-    pairs = _leq_pairs(hyp) if on_images else t.corpus.leq_pairs
+    flip = _PAIR_CONDITIONS[condition][1]
+    hyp, con, pairs = _condition_pairs(t, condition)
     an, ad, bn, bd = 0, 1, 0, 1  # Ta = an/ad, Tb = bn/bd
     for i, j in pairs:
         r = con[j][i] if flip else con[i][j]
@@ -421,11 +423,11 @@ _CLASSES = {
     ("reversing", "almost-linear"): TransformClass.REVERSING_LEGENDRE,
 }
 _RAY_KIND = {"indicator": "almost-linear", "almost-linear": "indicator"}
-# the corpus's images under the reference base B of each exact class;
-# `fit_sandwich` compares Tf with B f
-_REFERENCE_BASES: Dict[TransformClass, Callable[[Corpus], Tuple]] = {
-    TransformClass.IDENTITY: lambda corpus: corpus.elements,
-    TransformClass.GAUGE: lambda corpus: corpus.gauge_images,
+# the reference base B of each exact class, by its `Corpus.base_images`
+# name; `fit_sandwich` compares Tf with B f
+_REFERENCE_BASES: Dict[TransformClass, str] = {
+    TransformClass.IDENTITY: "identity",
+    TransformClass.GAUGE: "gauge",
 }
 
 
@@ -453,35 +455,6 @@ def classify(
     ind, lin = _samples(t)  # a corpus error comes before any ratio matrix
     if sense is None:
         sense = _sense(t, k)
-    return _classify(t, k, sense, ind, lin)
-
-
-def _samples(t: CorpusTransform) -> Tuple[List[int], List[int]]:
-    """Indices of the corpus's proper indicators and positive rays.
-
-    A CorpusError unless the corpus and its images are all 1-d, with at
-    least two of each: checked before the order sense is decided, so before
-    any ratio matrix.
-    """
-    els = t.corpus.elements
-    if not all(isinstance(f, PLConvex1D) for f in els):
-        raise CorpusError("classification requires a corpus of 1-d functions")
-    if not all(isinstance(f, PLConvex1D) for f in t.images):
-        raise CorpusError("classification requires 1-d images")
-    ind = [i for i, f in enumerate(els) if _proper_indicator(f)]
-    lin = [i for i, f in enumerate(els) if _positive_linear(f)]
-    if len(ind) < 2 or len(lin) < 2:
-        raise CorpusError(
-            "classification needs at least two indicators and two rays"
-        )
-    return ind, lin
-
-
-def _classify(
-    t: CorpusTransform, k: AlmostOrderConstant, sense: Optional[str],
-    ind: List[int], lin: List[int],
-) -> StabilityReport:
-    """`classify` at a decided sense (None when neither holds), on `_samples`."""
     els = t.corpus.elements
     notes: Tuple[str, ...] = ()
 
@@ -527,6 +500,27 @@ def _classify(
                 f"ray image should be {expect} for this class, got {got}"))
     label = TransformClass.INCONSISTENT if violations else _CLASSES[sense, kind]
     return report(label, violations, phi, sorted(slopes))
+
+
+def _samples(t: CorpusTransform) -> Tuple[List[int], List[int]]:
+    """Indices of the corpus's proper indicators and positive rays.
+
+    A CorpusError unless the corpus and its images are all 1-d, with at
+    least two of each: checked before the order sense is decided, so before
+    any ratio matrix.
+    """
+    els = t.corpus.elements
+    if not all(isinstance(f, PLConvex1D) for f in els):
+        raise CorpusError("classification requires a corpus of 1-d functions")
+    if not all(isinstance(f, PLConvex1D) for f in t.images):
+        raise CorpusError("classification requires 1-d images")
+    ind = [i for i, f in enumerate(els) if _proper_indicator(f)]
+    lin = [i for i, f in enumerate(els) if _positive_linear(f)]
+    if len(ind) < 2 or len(lin) < 2:
+        raise CorpusError(
+            "classification needs at least two indicators and two rays"
+        )
+    return ind, lin
 
 
 # ---------------------------------------------------------------------------
@@ -697,10 +691,10 @@ def fit_sandwich(t: CorpusTransform, report: StabilityReport) -> StabilityReport
 
     The reference of f is (Bf)(x/alpha) with B the class's reference base:
     B f = f for an identity-like transform, B f = J f, the gauge transform,
-    for a gauge-like one; the corpus builds its gauge images once
-    (`Corpus.gauge_images`).  The dilation comes from the scaling-invariant
-    support ratios Tf.domain_end / Bf.domain_end over the elements whose
-    base is a proper indicator, exactly when those ratios agree exactly.
+    for a gauge-like one (`Corpus.base_images`, shared with the fuzz builder).
+    The dilation comes from the scaling-invariant support ratios
+    Tf.domain_end / Bf.domain_end over the elements whose base is a proper
+    indicator, exactly when those ratios agree exactly.
     c and C are the exact global extrema of the image/reference ratio, and
     c*ref <= Tf <= C*ref is re-verified exactly before the report is
     updated.  C/c beyond ctilde**10 flags the fit; within ctilde**7 is
@@ -712,7 +706,7 @@ def fit_sandwich(t: CorpusTransform, report: StabilityReport) -> StabilityReport
         raise ClassificationError(
             "sandwich fitting needs an identity-like or gauge-like classification")
     els, imgs, labels = t.corpus.elements, t.images, t.corpus.labels
-    bases = base(t.corpus)
+    bases = t.corpus.base_images(base)
     ratios = [Fraction(img.domain_end) / b.domain_end
               for b, img in zip(bases, imgs) if _proper_indicator(b)]
     if not ratios:
@@ -762,25 +756,23 @@ def fit_sandwich(t: CorpusTransform, report: StabilityReport) -> StabilityReport
 # fuzzed transforms
 
 
-_FUZZ_BASES: Dict[str, Tuple[Optional[Callable], str]] = {
-    "identity": (None, "preserving"),
-    "gauge": (gauge_transform, "preserving"),
-    "legendre": (legendre, "reversing"),
-    "a": (geometric_dual, "reversing"),
-}
+# the order sense of each fuzz base's images (`Corpus.base_images`)
+_FUZZ_BASES: Dict[str, str] = {"identity": "preserving", "gauge": "preserving",
+                               "legendre": "reversing", "a": "reversing"}
 
 
 def _jittered(
-    seed: int, k: AlmostOrderConstant, corpus: Corpus, image: Callable, sense: str, provenance: str
+    seed: int, k: AlmostOrderConstant, corpus: Corpus, sources: Sequence,
+    image: Callable, sense: str, provenance: str,
 ) -> CorpusTransform:
-    """The transform f -> image(f, kappa(f)) with seeded jitter kappa, once no
-    pair violates ``sense``; else a ConsistencyError naming the first failing
-    condition and pair (the jitter band [C**-0.5, C**0.5] can reach across a
-    corpus spaced finer than C)."""
+    """The transform f_i -> image(sources[i], kappa_i) with seeded jitter
+    kappa, once no pair violates ``sense``; else a ConsistencyError naming
+    the first failing condition and pair (the jitter band [C**-0.5, C**0.5]
+    can reach across a corpus spaced finer than C)."""
     rng = random.Random(seed)
     half = 0.5 * math.log(float(k.ctilde)) * (1.0 - _JITTER_MARGIN)
     t = CorpusTransform(corpus, tuple(
-        image(f, Fraction(math.exp(rng.uniform(-half, half)))) for f in corpus.elements
+        image(f, Fraction(math.exp(rng.uniform(-half, half)))) for f in sources
     ), provenance=provenance)
     if not _holds(t, k, sense):
         bad = next(_violations(t, k, sense))
@@ -808,7 +800,6 @@ def fuzz_transform(
     """
     if base not in _FUZZ_BASES:
         raise ValueError(f"unknown base transform {base!r}")
-    op, sense = _FUZZ_BASES[base]
     if corpus is None:
         corpus = geometric_corpus()
     if not all(isinstance(f, PLConvex1D) for f in corpus.elements):
@@ -817,11 +808,10 @@ def fuzz_transform(
     if alpha <= 0:
         raise ValueError("dilation must be positive")
 
-    def image(f: PLConvex1D, kappa: Fraction) -> PLConvex1D:
-        img = f if op is None else op(f)
+    def image(img: PLConvex1D, kappa: Fraction) -> PLConvex1D:
         return scale(img if alpha == 1 else compose_dilate(img, alpha), kappa)
 
-    return _jittered(seed, k, corpus, image, sense, (
+    return _jittered(seed, k, corpus, corpus.base_images(base), image, _FUZZ_BASES[base], (
         f"fuzz(base={base}, ctilde={float(k.ctilde)!r}, seed={seed}, "
         f"alpha={float(alpha)!r}, corpus={corpus.description})"
     ))
@@ -843,7 +833,7 @@ def fuzz_delta_transform(
     if not beta > 0:
         raise ValueError("value scaling must be positive")
     return _jittered(
-        seed, k, corpus,
+        seed, k, corpus, corpus.elements,
         lambda f, kappa: make_delta(point_map(f.theta), float(kappa) * beta * f.c),
         "preserving", (
             f"fuzz-delta(ctilde={float(k.ctilde)!r}, seed={seed}, "
@@ -1012,17 +1002,15 @@ def analyze(
     is built.
     """
     exponent_tolerance = _nonnegative(exponent_tolerance, "exponent_tolerance")
-    ind, lin = _samples(t)  # a corpus error comes before any ratio matrix
-    has_extremes = any(f.is_zero or f.is_point_indicator for f in t.corpus.elements)
-    sense = _sense(t, k)
+    report = classify(t, k)
+    sense = _sense(t, k)  # read off the thresholds `classify` cached
     violations: Tuple[Violation, ...] = ()
     if sense == "preserving":
         violations = check_inverse_conditions(t, k) + check_lattice_stability(t, k)
-        if has_extremes:
+        if any(f.is_zero or f.is_point_indicator for f in t.corpus.elements):
             violations = violations + check_extremes(t)
     elif sense is None:
         violations = check_almost_preserving(t, k) + check_almost_reversing(t, k)
-    report = _classify(t, k, sense, ind, lin)
     report = replace(report, violations=report.violations + violations)
     if report.classification is not TransformClass.INCONSISTENT:
         try:

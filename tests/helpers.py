@@ -73,7 +73,6 @@ from dualitylab.pl import (
     ratio_sup_abscissae,
 )
 from dualitylab.stability import (
-    _FUZZ_BASES,
     _JITTER_MARGIN,
     SANDWICH_FLAG_POWER,
     SANDWICH_REGIME_POWER,
@@ -1894,6 +1893,15 @@ def _reference_jitter_factors(seed: int, k: AlmostOrderConstant, n: int) -> List
     return [Fraction(math.exp(rng.uniform(-half, half))) for _ in range(n)]
 
 
+# base -> (transform, sense), kept here so the reference builds each image itself
+_REFERENCE_FUZZ_BASES = {
+    "identity": (None, "preserving"),
+    "gauge": (gauge_transform, "preserving"),
+    "legendre": (legendre, "reversing"),
+    "a": (geometric_dual, "reversing"),
+}
+
+
 def reference_fuzz_transform(
     seed: int,
     k: AlmostOrderConstant,
@@ -1909,9 +1917,9 @@ def reference_fuzz_transform(
     inequalities stay strict).  The matching condition checker re-verifies
     the construction before it is returned.
     """
-    if base not in _FUZZ_BASES:
+    if base not in _REFERENCE_FUZZ_BASES:
         raise ValueError(f"unknown base transform {base!r}")
-    op, sense = _FUZZ_BASES[base]
+    op, sense = _REFERENCE_FUZZ_BASES[base]
     if corpus is None:
         corpus = geometric_corpus()
     if not all(isinstance(f, PLConvex1D) for f in corpus.elements):

@@ -207,6 +207,28 @@ class TestCheck:
         assert code == 1
         assert "NOT certified" in out
 
+    @pytest.mark.parametrize("command", ["check", "fuzz"])
+    def test_out_of_float_range_input_is_an_input_error(self, capsys, tmp_path, command):
+        # the report prints each support end as a float, and 10**400 has none
+        from dualitylab import (
+            Corpus, CorpusTransform, corpus_to_obj, geometric_corpus, make_indicator,
+            transform_to_obj,
+        )
+
+        full = geometric_corpus((-1, 0, 1))
+        c = Corpus(full.elements + (make_indicator(10**400),), full.labels + ("huge",), "huge")
+        path = tmp_path / "in.json"
+        if command == "check":
+            path.write_text(json.dumps(transform_to_obj(CorpusTransform(c, c.elements))))
+            argv = ("check", "order", "--transform", str(path), "--ctilde", "1.5")
+        else:
+            path.write_text(json.dumps(corpus_to_obj(c)))
+            argv = ("fuzz", "--base", "gauge", "--ctilde", "1.5", "--seed", "1",
+                    "--corpus", str(path))
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: integer division result too large for a float\n"
+
     def test_ptilde_pass(self, capsys, tmp_path):
         spec = tmp_path / "f.json"
         spec.write_text('{"kind": "indicator", "z": 1}')

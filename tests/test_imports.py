@@ -120,9 +120,11 @@ def test_cli_import_leaves_numpy_and_scipy_out():
     assert proc.stdout == "[]\n"
 
 
-def test_traced_layers_exist():
+def test_traced_layers_exist(monkeypatch):
     """Every layer function the benchmark's traced run wraps still exists, and
-    the checkers reach `leq_witness` through the name the trace patches."""
+    the checkers reach `leq_witness`, `analyze` reaches `classify` and
+    `Corpus.base_images` reaches the transforms through the names the trace
+    patches: module attributes bound to the traced function."""
     path = Path(__file__).resolve().parents[1] / "bench" / "metrics.py"
     spec = importlib.util.spec_from_file_location("_bench_metrics", path)
     metrics = importlib.util.module_from_spec(spec)
@@ -131,6 +133,23 @@ def test_traced_layers_exist():
         assert callable(getattr(importlib.import_module(f"dualitylab.{module}"), fn)), (
             module, fn)
     assert dualitylab.stability.leq_witness is dualitylab.pl.leq_witness
+    seen = []
+    for module, traced, name in (
+        (dualitylab.stability, "stability", "classify"),
+        (dualitylab.corpus, "transforms", "gauge_transform"),
+        (dualitylab.corpus, "transforms", "legendre"),
+        (dualitylab.corpus, "transforms", "geometric_dual"),
+    ):
+        fn = getattr(module, name)
+        assert (traced, name) in {(m, f) for m, f, _ in metrics.TRACED}
+        assert fn is getattr(importlib.import_module(f"dualitylab.{traced}"), name)
+        monkeypatch.setattr(module, name, lambda *a, _fn=fn, _name=name, **kw: (
+            seen.append(_name) or _fn(*a, **kw)))
+    corpus = geometric_corpus((-1, 0, 1))
+    analyze(CorpusTransform(corpus, corpus.elements), AlmostOrderConstant(2))
+    for base in ("gauge", "legendre", "a"):
+        corpus.base_images(base)
+    assert sorted(set(seen)) == ["classify", "gauge_transform", "geometric_dual", "legendre"]
 
 
 def _bench_names():

@@ -9,8 +9,12 @@ from dualitylab import (
     AlmostOrderConstant,
     CorpusTransform,
     SpecFormatError,
+    StabilityReport,
+    TransformClass,
     analyze,
+    check_almost_preserving,
     corpus_to_obj,
+    delta_corpus,
     dump_json,
     emit_plots,
     fuzz_transform,
@@ -81,6 +85,15 @@ class TestReportOutput:
         rep = analyze(CorpusTransform(corpus, images), K15)
         text = render_report_text(report_to_obj(rep))
         assert "NOT certified" in text
+
+    def test_two_dimensional_witness_is_a_list(self):
+        corpus = delta_corpus(((0.0, 0.0), (1.0, 2.0)), (0.5, 1.0))
+        bad = check_almost_preserving(CorpusTransform(corpus, corpus.elements[::-1]), K15)
+        assert bad and all(isinstance(v.witness, tuple) for v in bad)
+        obj = report_to_obj(StabilityReport(TransformClass.INCONSISTENT, K15.ctilde, bad))
+        assert [v["witness"] for v in obj["violations"]] == [list(v.witness) for v in bad]
+        assert json.loads(dump_json(obj)) == obj
+        assert "NOT certified" in render_report_text(obj)
 
 
 class TestPlots:

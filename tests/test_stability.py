@@ -193,6 +193,11 @@ class TestOrderCheckers:
         images[i_zero] = make_indicator(5)
         bad = check_extremes(CorpusTransform(corpus, tuple(images)))
         assert [v.condition for v in bad] == ["extreme-zero"]
+        images[corpus.labels.index("point{0}")] = make_indicator(1)
+        bad = check_extremes(CorpusTransform(corpus, tuple(images)))
+        assert [v.condition for v in bad] == ["extreme-zero", "extreme-point"]
+        assert bad[1] == Violation("extreme-point", "point{0}", "", None,
+                                   "image of the indicator of {0} differs from it")
         no_ext = Corpus((make_indicator(1),), ("i",), "bare", ())
         with pytest.raises(CorpusError):
             check_extremes(identity_transform(no_ext))
@@ -272,12 +277,17 @@ class TestCheckerDifferential:
 
     def test_gauge_base_images_are_built_once_per_corpus(self, monkeypatch):
         corpus = geometric_corpus((-4, -2, -1, 1, 2, 4))
-        ts = [fuzz_transform(n, K15, base="gauge", corpus=corpus) for n in (1, 2)]
-        calls = _counting(monkeypatch, dualitylab.corpus, "gauge_transform")
-        for t in ts:
-            rep = fit_sandwich(t, classify(t, K15))
-            assert rep.classification is TransformClass.GAUGE and rep.certified
-        assert len(calls) == len(corpus)
+        ops = ("gauge_transform", "legendre", "geometric_dual")
+        calls = {op: _counting(monkeypatch, dualitylab.corpus, op) for op in ops}
+        for base in ("identity", "gauge", "legendre", "a"):
+            for n in (1, 2):
+                t = fuzz_transform(n, K15, base=base, corpus=corpus)
+                if base in ("identity", "gauge"):
+                    rep = fit_sandwich(t, classify(t, K15))
+                    assert rep.classification.value == base and rep.certified
+        # two fuzzes and two fits of each base build its images once
+        assert {op: len(c) for op, c in calls.items()} == dict.fromkeys(ops, len(corpus))
+        assert corpus.base_images("identity") is corpus.elements
 
 
 def _swapped(t, i, j, copy=False):
@@ -520,6 +530,12 @@ class TestRatioMatrixRanks:
         assert dualitylab.corpus._grid_ratio(disc, l1) == (INF, (-2.0, -2.0))
         assert dualitylab.corpus._grid_ratio(l1, disc) == (INF, (-2.0, 0.0))
         assert Corpus((disc, l1), ("disc", "l1"), "grids").R == ((None, INF), (INF, None))
+
+    def test_grids_on_two_lattices_are_rejected(self):
+        fine = GridFunction2D.from_function(lambda x, y: abs(x) + abs(y), R=2.0, N=9)
+        coarse = GridFunction2D.from_function(lambda x, y: abs(x) + abs(y), R=2.0, N=5)
+        with pytest.raises(CorpusError, match="^grid elements must share one lattice$"):
+            Corpus((fine, coarse), ("fine", "coarse"), "two lattices").R
 
     def test_pinned_walk_counts(self, monkeypatch):
         corpus = self.CORPORA[1]
@@ -900,8 +916,9 @@ class TestReferenceBaseDifferential:
             got = self._outcome(analyze, t, k)
             with monkeypatch.context() as m:
                 # the reference reads the indicator and ray indices itself
-                m.setattr(dualitylab.stability, "_classify",
-                          lambda t, k, sense, *_: reference_classify_at(t, k, sense))
+                m.setattr(dualitylab.stability, "classify", lambda t, k, sense=None: (
+                    reference_classify_at(
+                        t, k, dualitylab.stability._sense(t, k) if sense is None else sense)))
                 m.setattr(dualitylab.stability, "fit_sandwich", reference_fit_sandwich)
                 assert got == self._outcome(analyze, t, k), n
         # a corpus without indicators leaves no support ratio to fit
@@ -1034,6 +1051,13 @@ class TestHyersUlam:
 
 
 class TestFitSandwich:
+    def test_report_constants_must_be_ordered(self):
+        assert StabilityReport(TransformClass.GAUGE, Fraction(3, 2), sandwich_lower=1.0,
+                               sandwich_upper=1.0).certified
+        with pytest.raises(ValueError, match="^sandwich constants must satisfy lower <= upper$"):
+            StabilityReport(TransformClass.GAUGE, Fraction(3, 2), sandwich_lower=2.0,
+                            sandwich_upper=1.0)
+
     @pytest.mark.parametrize("power, within, flagged", [(7, False, False), (10, False, True)])
     def test_spread_just_past_a_power_of_eleven_tenths(self, power, within, flagged):
         # the float 1.1 exceeds 11/10, so a float C would pass both spreads
