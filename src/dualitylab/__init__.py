@@ -27,15 +27,12 @@ from .extremal import (
     WitnessPair,
     almost_linear_bounds,
     cover_witness_search,
-    delta_leq,
     make_delta,
     make_indicator,
     make_linear,
     make_triangle,
-    make_triangle_value,
     monotone_envelope,
     quasi_linear_sandwich,
-    scale_delta,
     witness_is_valid,
 )
 from .grid import (

@@ -22,7 +22,8 @@ The ratio matrix decides most geometric pairs by support and zero set
 alone.  If f <= c*g for a finite c, then dom f contains dom g and the zero
 set [0, z_f] of f contains that of g; so the ratio sup f/g is +inf when
 dom f < dom g or z_f < z_g, and exactly 0 when f vanishes on all of dom g.
-Only the pairs these rules leave open walk their breakpoints.
+Only the pairs these rules leave open walk their breakpoints; any other pair
+takes the one comparison that `_ratio_any` maps its element kind to.
 """
 
 from __future__ import annotations
@@ -75,14 +76,19 @@ def _grid_ratio(f: GridFunction2D, g: GridFunction2D) -> Tuple[object, object]:
 
 
 def _ratio_any(f, g) -> Tuple[object, object]:
-    """Exact sup of f/g (see `pl.ratio_sup`) and a point where it is reached."""
-    if isinstance(f, PLConvex1D) and isinstance(g, PLConvex1D):
-        return ratio_sup(f, g)
-    if isinstance(f, DeltaFunction) and isinstance(g, DeltaFunction):
-        return _delta_ratio(f, g)
-    if isinstance(f, GridFunction2D) and isinstance(g, GridFunction2D):
-        return _grid_ratio(f, g)
-    raise CorpusError(f"cannot compare {type(f).__name__} with {type(g).__name__}")
+    """Exact sup of f/g (see `pl.ratio_sup`) and a point where it is reached,
+    by the comparison of their common element kind."""
+    ratio = {PLConvex1D: ratio_sup, DeltaFunction: _delta_ratio,
+             GridFunction2D: _grid_ratio}.get(type(f))
+    if ratio is None or type(g) is not type(f):
+        raise CorpusError(f"cannot compare {type(f).__name__} with {type(g).__name__}")
+    return ratio(f, g)
+
+
+def _require_kind(fs: Sequence, kind: type, message: str) -> None:
+    """A CorpusError with ``message`` unless every element of ``fs`` is a ``kind``."""
+    if not all(isinstance(f, kind) for f in fs):
+        raise CorpusError(message)
 
 
 def _ratio_matrix(fs: Sequence) -> Tuple[Tuple[object, ...], ...]:
@@ -187,14 +193,11 @@ class Corpus:
         way."""
         els, labels = self.elements, self.labels
         for i, j, s, m in self.lattice_pairs:
-            if not (
-                all(isinstance(els[n], PLConvex1D) for n in (i, j, s, m))
-                and sup2(els[i], els[j]) == els[s] and hat_inf2(els[i], els[j]) == els[m]
-            ):
-                raise CorpusError(
-                    f"designated lattice pair ({labels[i]}, {labels[j]}) is not "
-                    "closed in the corpus, or not 1-d"
-                )
+            message = (f"designated lattice pair ({labels[i]}, {labels[j]}) is not "
+                       "closed in the corpus, or not 1-d")
+            _require_kind([els[n] for n in (i, j, s, m)], PLConvex1D, message)
+            if sup2(els[i], els[j]) != els[s] or hat_inf2(els[i], els[j]) != els[m]:
+                raise CorpusError(message)
         return self.lattice_pairs
 
 

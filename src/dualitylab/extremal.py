@@ -83,18 +83,6 @@ def make_triangle(z: Scalar, a: Scalar) -> PLConvex1D:
     return PLConvex1D(((_F0, _F0), (z, a * z)), INF)
 
 
-def make_triangle_value(z: Scalar, c: Scalar) -> PLConvex1D:
-    """Triangle with base [0, z] reaching value c at z (slope c/z).
-
-    Same family as `make_triangle` under the alternative endpoint-value
-    parameterization; the two differ by a factor of z.
-    """
-    z, c = as_fraction(z), as_fraction(c)
-    if z <= 0 or c <= 0:
-        raise ValueError("triangle needs z > 0 and c > 0")
-    return make_triangle(z, c / z)
-
-
 Theta = Union[float, Tuple[float, ...]]
 
 
@@ -104,6 +92,7 @@ class DeltaFunction:
 
     theta: Theta
     c: float
+    extreme = None  # `check_extremes` fixes only the 1-d extremes
 
     def __post_init__(self):
         t = self.theta
@@ -132,20 +121,6 @@ def _delta_ratio(d: DeltaFunction, e: DeltaFunction) -> Tuple[Extended, Theta]:
     if d.theta != e.theta or (e.c == 0 and d.c > 0):
         return INF, e.theta
     return (Fraction(d.c) / Fraction(e.c) if e.c else _F0), e.theta
-
-
-def delta_leq(d: DeltaFunction, e: DeltaFunction, factor: Scalar = 1) -> bool:
-    """Pointwise d <= factor * e, decided exactly (floats are binary rationals)."""
-    factor = as_fraction(factor)
-    if factor <= 0:
-        raise ValueError("factor must be positive")
-    return _delta_ratio(d, e)[0] <= factor
-
-
-def scale_delta(d: DeltaFunction, lam: float) -> DeltaFunction:
-    if lam <= 0:
-        raise ValueError("scale factor must be positive")
-    return DeltaFunction(d.theta, lam * d.c)
 
 
 # -- irreducibility witness ---------------------------------------------------

@@ -68,6 +68,7 @@ class GridFunction2D:
     """Immutable sampled function on a GridSpec lattice."""
 
     __slots__ = ("spec", "values", "tag")
+    extreme = None  # `check_extremes` fixes only the 1-d extremes
 
     def __init__(self, spec: GridSpec, values, tag: ClassTag = ClassTag.GEOMETRIC):
         import numpy as np

@@ -241,6 +241,11 @@ class PLConvex1D:
         return len(self.knots) == 1 and self.knots[0][1] == 0 and is_inf(self.tail_slope)
 
     @property
+    def extreme(self) -> Optional[str]:
+        """The order extreme f is: "zero", "point" (the indicator of {0}) or None."""
+        return "zero" if self.is_zero else "point" if self.is_point_indicator else None
+
+    @property
     def is_indicator(self) -> bool:
         """True iff the function takes no value in (0, inf)."""
         if any(v != 0 for _, v in self.knots):

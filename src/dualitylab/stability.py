@@ -31,7 +31,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .corpus import Corpus, _leq_pairs, _ratio_any, _ratio_matrix, delta_corpus, geometric_corpus
+from .corpus import (
+    Corpus, _leq_pairs, _ratio_any, _ratio_matrix, _require_kind, delta_corpus, geometric_corpus)
 from .exceptions import (
     ClassificationError,
     ConsistencyError,
@@ -377,12 +378,11 @@ def check_extremes(t: CorpusTransform) -> Tuple[Violation, ...]:
     out: List[Violation] = []
     seen = False
     for f, img, label in zip(t.corpus.elements, t.images, t.corpus.labels):
-        if isinstance(f, PLConvex1D) and (f.is_zero or f.is_point_indicator):
+        if f.extreme:
             seen = True
             if img != f:
-                name, what = (("zero", "the zero function") if f.is_zero
-                              else ("point", "the indicator of {0}"))
-                out.append(Violation(f"extreme-{name}", label, "", None,
+                what = "the zero function" if f.extreme == "zero" else "the indicator of {0}"
+                out.append(Violation(f"extreme-{f.extreme}", label, "", None,
                                      f"image of {what} differs from it"))
     if not seen:
         raise CorpusError("corpus lacks the order extremes")
@@ -409,9 +409,14 @@ def _image_kind(img: PLConvex1D, k: AlmostOrderConstant) -> str:
     return "other"
 
 
-def _datum(img: PLConvex1D, kind: str) -> float:
-    """The datum a sample reads off an image of ``kind``: support end or slope."""
-    return float(img.domain_end if kind == "indicator" else img.first_slope)
+def _datum(f: PLConvex1D, kind: str, name: str) -> float:
+    """The datum a sample reads off ``f`` of ``kind``: support end or slope (a
+    CorpusError naming ``name`` and the field if it is beyond the float range)."""
+    field, v = ("support end", f.domain_end) if kind == "indicator" else ("slope", f.first_slope)
+    try:
+        return float(v)
+    except OverflowError:
+        raise CorpusError(f"{field} of {name} is beyond the float range") from None
 
 
 # (sense, the common kind of the indicator images) -> class, and the kind
@@ -487,13 +492,15 @@ def classify(
             "indicator images mix both structural kinds")])
 
     kind, expect = kinds[0], _RAY_KIND[kinds[0]]
-    phi = sorted((float(els[i].domain_end), _datum(imgs[i], kind)) for i in ind)
+    phi = sorted((_datum(els[i], "indicator", labels[i]),
+                  _datum(imgs[i], kind, "the image of " + labels[i])) for i in ind)
     violations: List[Violation] = []
     slopes: List[Tuple[float, float]] = []
     for i in lin:
         got = _image_kind(imgs[i], k)
         if got == expect:
-            slopes.append((float(els[i].first_slope), _datum(imgs[i], got)))
+            slopes.append((_datum(els[i], "almost-linear", labels[i]),
+                           _datum(imgs[i], got, "the image of " + labels[i])))
         else:
             violations.append(Violation(
                 "classification", labels[i], "", None,
@@ -510,10 +517,8 @@ def _samples(t: CorpusTransform) -> Tuple[List[int], List[int]]:
     any ratio matrix.
     """
     els = t.corpus.elements
-    if not all(isinstance(f, PLConvex1D) for f in els):
-        raise CorpusError("classification requires a corpus of 1-d functions")
-    if not all(isinstance(f, PLConvex1D) for f in t.images):
-        raise CorpusError("classification requires 1-d images")
+    _require_kind(els, PLConvex1D, "classification requires a corpus of 1-d functions")
+    _require_kind(t.images, PLConvex1D, "classification requires 1-d images")
     ind = [i for i, f in enumerate(els) if _proper_indicator(f)]
     lin = [i for i, f in enumerate(els) if _positive_linear(f)]
     if len(ind) < 2 or len(lin) < 2:
@@ -717,7 +722,7 @@ def fit_sandwich(t: CorpusTransform, report: StabilityReport) -> StabilityReport
     extrema: List[Tuple[Fraction, Fraction]] = []
     violations: List[Violation] = []
     for f, img, ref, label in zip(els, imgs, refs, labels):
-        if f.is_zero or f.is_point_indicator:
+        if f.extreme:
             if img != ref:
                 violations.append(Violation(
                     "sandwich", label, "", None,
@@ -802,8 +807,7 @@ def fuzz_transform(
         raise ValueError(f"unknown base transform {base!r}")
     if corpus is None:
         corpus = geometric_corpus()
-    if not all(isinstance(f, PLConvex1D) for f in corpus.elements):
-        raise CorpusError("fuzzing needs a corpus of 1-d functions")
+    _require_kind(corpus.elements, PLConvex1D, "fuzzing needs a corpus of 1-d functions")
     alpha = as_fraction(alpha)
     if alpha <= 0:
         raise ValueError("dilation must be positive")
@@ -828,8 +832,8 @@ def fuzz_delta_transform(
     kappa as in `fuzz_transform`; ConsistencyError unless certified almost preserving."""
     if corpus is None:
         corpus = delta_corpus()
-    if not all(isinstance(f, DeltaFunction) for f in corpus.elements):
-        raise CorpusError("delta fuzzing needs a corpus of pinned-point functions")
+    _require_kind(corpus.elements, DeltaFunction,
+                  "delta fuzzing needs a corpus of pinned-point functions")
     if not beta > 0:
         raise ValueError("value scaling must be positive")
     return _jittered(
@@ -862,8 +866,7 @@ def check_delta_structure(
     """
     import numpy as np
     els, imgs, labels = t.corpus.elements, t.images, t.corpus.labels
-    if not all(isinstance(f, DeltaFunction) for f in els):
-        raise CorpusError("delta-structure checks need a pinned-point corpus")
+    _require_kind(els, DeltaFunction, "delta-structure checks need a pinned-point corpus")
     violations: List[Violation] = []
     for img, label in zip(imgs, labels):
         if not isinstance(img, DeltaFunction):
@@ -948,8 +951,7 @@ def verify_ray_mapping(t: CorpusTransform) -> RayMappingReport:
     """Fit a linear direction map to a transform of ray-supported grids."""
     import numpy as np
     els, imgs, labels = t.corpus.elements, t.images, t.corpus.labels
-    if not all(isinstance(f, GridFunction2D) for f in els):
-        raise CorpusError("ray-mapping checks need a corpus of sampled grids")
+    _require_kind(els, GridFunction2D, "ray-mapping checks need a corpus of sampled grids")
     pairs: List[Tuple[Tuple[int, int], Tuple[int, int]]] = []
     violations: List[Violation] = []
     for f, img, label in zip(els, imgs, labels):
@@ -1007,7 +1009,7 @@ def analyze(
     violations: Tuple[Violation, ...] = ()
     if sense == "preserving":
         violations = check_inverse_conditions(t, k) + check_lattice_stability(t, k)
-        if any(f.is_zero or f.is_point_indicator for f in t.corpus.elements):
+        if any(f.extreme for f in t.corpus.elements):
             violations = violations + check_extremes(t)
     elif sense is None:
         violations = check_almost_preserving(t, k) + check_almost_reversing(t, k)

@@ -209,7 +209,8 @@ class TestCheck:
 
     @pytest.mark.parametrize("command", ["check", "fuzz"])
     def test_out_of_float_range_input_is_an_input_error(self, capsys, tmp_path, command):
-        # the report prints each support end as a float, and 10**400 has none
+        # the report prints each support end as a float, and 10**400 has none;
+        # the error names the element and the field
         from dualitylab import (
             Corpus, CorpusTransform, corpus_to_obj, geometric_corpus, make_indicator,
             transform_to_obj,
@@ -227,7 +228,7 @@ class TestCheck:
                     "--corpus", str(path))
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
-        assert err == "error: integer division result too large for a float\n"
+        assert err == "error: support end of huge is beyond the float range\n"
 
     def test_ptilde_pass(self, capsys, tmp_path):
         spec = tmp_path / "f.json"

@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import pytest
 
-import dualitylab.corpus
 import dualitylab.extremal
 from dualitylab import (
     INF,
@@ -17,21 +16,20 @@ from dualitylab import (
     PLConvex1D,
     WitnessPair,
     almost_linear_bounds,
+    as_fraction,
     cover_witness_search,
-    delta_leq,
     is_inf,
     leq,
     make_delta,
     make_indicator,
     make_linear,
     make_triangle,
-    make_triangle_value,
     monotone_envelope,
     quasi_linear_sandwich,
-    scale_delta,
     sup2,
     witness_is_valid,
 )
+from dualitylab.corpus import _ratio_any
 
 from helpers import (
     random_cover_case,
@@ -74,7 +72,6 @@ class TestConstructors:
     def test_triangle_two_parameterizations(self):
         t = make_triangle(2, 3)
         assert t(2) == 6 and t(1) == 3 and t(Fraction(5, 2)) == INF
-        assert make_triangle_value(2, 6) == t
         for bad in ((0, 1), (1, 0), (-1, 1)):
             with pytest.raises(ValueError):
                 make_triangle(*bad)
@@ -104,26 +101,21 @@ class TestDelta:
 
     def test_order(self):
         d = make_delta(1.0, 2.0)
-        assert delta_leq(d, make_delta(1.0, 3.0))
-        assert not delta_leq(d, make_delta(1.0, 1.0))
-        assert delta_leq(d, make_delta(1.0, 1.0), factor=2.0)
+        assert _ratio_any(d, make_delta(1.0, 3.0))[0] <= 1
+        assert not _ratio_any(d, make_delta(1.0, 1.0))[0] <= 1
+        assert _ratio_any(d, make_delta(1.0, 1.0))[0] <= 2
         # different pins never compare, whatever the factor
-        assert not delta_leq(d, make_delta(2.0, 100.0), factor=100.0)
+        assert not _ratio_any(d, make_delta(2.0, 100.0))[0] <= 100
 
     @pytest.mark.parametrize("factor", [0, 0.0, -1, Fraction(-1, 2), "-3"])
     def test_nonpositive_factor_rejected(self, factor):
         # the same check as `leq`, which raises for these factors too
         with pytest.raises(ValueError, match="factor must be positive"):
             leq(make_linear(1), make_linear(2), factor)
-        for d, e in ((make_delta(1.0, 2.0), make_delta(1.0, 3.0)),
-                     (make_delta(1.0, 0.0), make_delta(1.0, 0.0)),
-                     (make_delta(1.0, 2.0), make_delta(2.0, 3.0))):
-            with pytest.raises(ValueError, match="factor must be positive"):
-                delta_leq(d, e, factor)
 
     def test_matches_the_former_rules(self):
-        # one pinned rule serves `delta_leq` and the corpus ratio; both agree
-        # with their former separate statements on every positive factor
+        # the corpus ratio's pinned rule agrees with the former separate
+        # statements of the ratio and of the order, on every positive factor
         rng = random.Random(7)
         pins = (0.0, 1.0, -2.5, (1.0, 2.0), (1.0, -2.0))
         values = (0.0, 0.0, 0.5, 1.0, 3.0, 5e-324, 1e300)
@@ -134,12 +126,12 @@ class TestDelta:
             d = make_delta(theta, rng.choice(values + (rng.uniform(0, 10),)))
             e = make_delta(theta if rng.random() < 0.8 else rng.choice(pins),
                            rng.choice(values + (rng.uniform(0, 10),)))
-            ratio = dualitylab.corpus._ratio_any(d, e)
+            ratio = _ratio_any(d, e)
             assert ratio == reference_delta_ratio(d, e)
             for factor in factors + (rng.uniform(0.01, 10), ratio[0]):
                 if is_inf(factor) or factor == 0:
                     continue
-                got = delta_leq(d, e, factor)
+                got = ratio[0] <= as_fraction(factor)
                 assert got == reference_delta_leq(d, e, factor)
                 seen[d.theta == e.theta, d.c == 0, e.c == 0, got] += 1
         # (same pin, d.c == 0, e.c == 0, d <= factor * e): distinct pins
@@ -149,12 +141,6 @@ class TestDelta:
             (True, True, True, True), (True, True, False, True),
             (True, False, True, False), (True, False, False, True),
             (True, False, False, False)}
-
-    def test_scale(self):
-        d = scale_delta(make_delta(1.0, 2.0), 0.5)
-        assert d == make_delta(1.0, 1.0)
-        with pytest.raises(ValueError):
-            scale_delta(d, 0)
 
 
 class TestWitnessSearch:

@@ -3,9 +3,10 @@
 Each command runs twice in a fresh interpreter: once as is, and once with
 ``numpy`` and ``scipy`` blocked in ``sys.modules``, so that importing either
 raises ImportError.  Both runs must give the same exit code, stdout and
-written files.  The last two tests check that every layer function the
-benchmark traces still imports under its traced name, and that every
-dualitylab name the bench scripts import or read still resolves.
+written files.  Two tests check that every layer function the benchmark
+traces still imports under its traced name, and that every dualitylab name
+the bench scripts import or read still resolves.  The last one pins the
+functions that branch on an element's kind.
 """
 
 import ast
@@ -199,3 +200,52 @@ def test_bench_names_exist():
         for attr in attrs.split("."):
             assert hasattr(obj, attr), f"{module}.{attrs}"
             obj = getattr(obj, attr)
+
+
+_KINDS = {"PLConvex1D", "DeltaFunction", "GridFunction2D"}
+
+
+class _KindChecks(ast.NodeVisitor):
+    """The enclosing scope of each ``isinstance(x, K)`` and ``type(x) is K``
+    (or ``is not``) with K an element kind, as "module.Class.function"."""
+
+    def __init__(self, module: str):
+        self.scope, self.found = [module], set()
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_ClassDef = visit_FunctionDef
+
+    def _check(self, node, kinds):
+        elts = [e for k in kinds for e in (k.elts if isinstance(k, ast.Tuple) else [k])]
+        if {getattr(e, "id", getattr(e, "attr", None)) for e in elts} & _KINDS:
+            self.found.add(".".join(self.scope))
+        self.generic_visit(node)
+
+    def visit_Call(self, node):
+        is_isinstance = isinstance(node.func, ast.Name) and node.func.id == "isinstance"
+        self._check(node, node.args[1:] if is_isinstance else [])
+
+    def visit_Compare(self, node):
+        typed = any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
+        self._check(node, [node.left, *node.comparators] if typed else [])
+
+
+def test_element_kind_checks_stay_at_the_entry_points():
+    """Only entry points that must reject a kind, the rank and witness fast
+    paths of 1-d functions, the per-image reports and the JSON format test
+    an element's kind; the checkers reach every kind through `_ratio_any`'s
+    map and `extreme`.  A new kind branch elsewhere fails here."""
+    found = set()
+    for path in sorted(Path(dualitylab.__file__).parent.glob("*.py")):
+        visitor = _KindChecks(path.stem)
+        visitor.visit(ast.parse(path.read_text(), filename=str(path)))
+        found |= visitor.found
+    assert found == {
+        "cli._cmd_transform", "cli._cmd_check_ptilde", "corpus._ratio_matrix",
+        "specio.function_to_obj", "stability._witness",
+        "stability.check_delta_structure", "stability.verify_ray_mapping",
+    }

@@ -201,6 +201,8 @@ class TestOrderCheckers:
         no_ext = Corpus((make_indicator(1),), ("i",), "bare", ())
         with pytest.raises(CorpusError):
             check_extremes(identity_transform(no_ext))
+        with pytest.raises(CorpusError, match="^corpus lacks the order extremes$"):
+            check_extremes(identity_transform(delta_corpus()))
 
 
 class TestCheckerDifferential:
@@ -790,6 +792,33 @@ class TestSenseDecision:
         assert seen["lattice-sup-lower"] >= 3 and seen["lattice-inf-upper"] >= 3, seen
 
 
+class TestElementKinds:
+    """Each element kind's comparison and extreme, as `_ratio_any` and the
+    checkers read them."""
+
+    GRID = GridFunction2D.from_function(lambda x, y: abs(x) + abs(y), R=2.0, N=5)
+
+    def test_corpus_of_two_kinds_is_rejected(self):
+        corpus = Corpus((make_linear(1), make_delta(0.0, 1.0)), ("ray", "pin"), "mixed")
+        with pytest.raises(CorpusError, match="^cannot compare PLConvex1D with DeltaFunction$"):
+            corpus.R
+
+    def test_grid_image_among_pl_images_is_rejected(self):
+        corpus = geometric_corpus((-1, 0, 1))
+        t = CorpusTransform(corpus, (corpus.elements[0], self.GRID) + corpus.elements[2:])
+        with pytest.raises(CorpusError, match="^cannot compare PLConvex1D with GridFunction2D$"):
+            t.R_img
+
+    @pytest.mark.parametrize("f, extreme", [
+        (make_indicator(INF), "zero"), (make_linear(0), "zero"),
+        (make_indicator(0), "point"), (make_linear(INF), "point"),
+        (make_linear(2), None), (make_indicator(1), None),
+        (make_delta(0.0, 0.0), None), (GRID, None),
+    ], ids=("zero", "flat-ray", "point", "steep-ray", "ray", "indicator", "pin", "grid"))
+    def test_extreme(self, f, extreme):
+        assert f.extreme == extreme
+
+
 class TestClassify:
     def test_identity_class(self):
         rep = classify(identity_transform(), K15)
@@ -851,6 +880,26 @@ class TestClassify:
     def test_bad_sense_rejected(self):
         with pytest.raises(ValueError):
             classify(identity_transform(), K15, sense="sideways")
+
+    @pytest.mark.parametrize("case, message", [
+        ("huge", "support end of huge"),
+        ("steep", "slope of steep"),
+        ("dilated", "support end of the image of indicator[0,2^-1]"),
+        ("gauge", "slope of the image of indicator[0,2^-1]"),
+    ])
+    def test_datum_beyond_the_float_range_is_named(self, case, message):
+        corpus = geometric_corpus((-1, 0, 1))
+        big = Fraction(10**400)
+        if case in ("huge", "steep"):
+            f = make_indicator(big) if case == "huge" else make_linear(big)
+            corpus = Corpus(corpus.elements + (f,), corpus.labels + (case,), case)
+            images = corpus.elements
+        elif case == "dilated":
+            images = tuple(compose_dilate(f, big) for f in corpus.elements)
+        else:
+            images = tuple(compose_dilate(gauge_transform(f), 1 / big) for f in corpus.elements)
+        with pytest.raises(CorpusError, match=f"^{re.escape(message)} is beyond the float range$"):
+            classify(CorpusTransform(corpus, images), K15)
 
 
 class TestReferenceBaseDifferential:
