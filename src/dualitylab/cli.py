@@ -41,7 +41,7 @@ from .reporting import (
 )
 from .specio import dumps_function, parse_function
 from .stability import (
-    _FUZZ_BASES, AlmostOrderConstant, _nonnegative, analyze, fuzz_transform, hyers_ulam_approx)
+    _BASES, AlmostOrderConstant, _nonnegative, analyze, fuzz_transform, hyers_ulam_approx)
 from .transforms import (
     a_grid,
     gauge_grid,
@@ -218,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     pt.set_defaults(func=_cmd_check_ptilde)
 
     fz = sub.add_parser("fuzz", help="seeded jittered transform + certification")
-    fz.add_argument("--base", required=True, choices=tuple(_FUZZ_BASES))
+    fz.add_argument("--base", required=True, choices=tuple(_BASES))
     fz.add_argument("--ctilde", required=True)
     fz.add_argument("--seed", required=True, type=int)
     fz.add_argument("--corpus", default="geometric",

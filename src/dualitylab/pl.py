@@ -172,9 +172,6 @@ class PLConvex1D:
         if self.tag is ClassTag.GEOMETRIC:
             if merged[0][1].numerator:
                 raise ConvexityError("geometric functions require f(0) = 0")
-            first = slopes[0] if slopes else (tail if not is_inf(tail) else _F0)
-            if first.numerator < 0:
-                raise ConvexityError("geometric functions are nondecreasing")
 
         object.__setattr__(self, "knots", tuple(merged))
         object.__setattr__(self, "tail_slope", tail)

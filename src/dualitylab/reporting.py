@@ -18,17 +18,6 @@ from .exceptions import SpecFormatError
 from .specio import function_to_obj, parse_function
 from .stability import CorpusTransform, StabilityReport
 
-__all__ = [
-    "corpus_to_obj",
-    "parse_corpus",
-    "transform_to_obj",
-    "parse_corpus_transform",
-    "report_to_obj",
-    "render_report_text",
-    "dump_json",
-    "emit_plots",
-]
-
 
 def _jsonable_witness(w):
     if isinstance(w, tuple):

@@ -64,30 +64,6 @@ from .pl import (
 )
 from .transforms import geometric_dual
 
-__all__ = [
-    "AlmostOrderConstant",
-    "TransformClass",
-    "Violation",
-    "CorpusTransform",
-    "StabilityReport",
-    "DeltaStructureReport",
-    "RayMappingReport",
-    "check_almost_preserving",
-    "check_almost_reversing",
-    "check_inverse_conditions",
-    "check_lattice_stability",
-    "check_extremes",
-    "classify",
-    "estimate_exponent",
-    "hyers_ulam_approx",
-    "fit_sandwich",
-    "fuzz_transform",
-    "fuzz_delta_transform",
-    "check_delta_structure",
-    "verify_ray_mapping",
-    "analyze",
-]
-
 SANDWICH_FLAG_POWER = 10
 SANDWICH_REGIME_POWER = 7
 _JITTER_MARGIN = 1e-9
@@ -411,29 +387,35 @@ def _image_kind(img: PLConvex1D, k: AlmostOrderConstant) -> str:
 
 def _datum(f: PLConvex1D, kind: str, name: str) -> float:
     """The datum a sample reads off ``f`` of ``kind``: support end or slope (a
-    CorpusError naming ``name`` and the field if it is beyond the float range)."""
+    CorpusError naming ``name`` and the field if it is outside the float range)."""
     field, v = ("support end", f.domain_end) if kind == "indicator" else ("slope", f.first_slope)
+    return _positive_float(v, f"{field} of {name}", CorpusError)
+
+
+def _positive_float(v: Fraction, what: str, error: type) -> float:
+    """float(v) of a positive ``v``; ``error`` naming ``what`` if it overflows or is 0."""
     try:
-        return float(v)
+        x = float(v)
     except OverflowError:
-        raise CorpusError(f"{field} of {name} is beyond the float range") from None
+        raise error(f"{what} is beyond the float range") from None
+    if not x:
+        raise error(f"{what} is below the float range")
+    return x
 
 
-# (sense, the common kind of the indicator images) -> class, and the kind
-# the ray images must take then; `classify` states the rule.
-_CLASSES = {
-    ("preserving", "indicator"): TransformClass.IDENTITY,
-    ("preserving", "almost-linear"): TransformClass.GAUGE,
-    ("reversing", "indicator"): TransformClass.REVERSING_GEOMETRIC_DUAL,
-    ("reversing", "almost-linear"): TransformClass.REVERSING_LEGENDRE,
+# The paper's four exact transforms by `Corpus.base_images` name: the class each
+# yields, its order sense and the kind of its indicator images (composed with A
+# when reversing).  `classify`, `fit_sandwich` and the fuzz builder read them here.
+_BASES = {
+    "identity": (TransformClass.IDENTITY, "preserving", "indicator"),
+    "gauge": (TransformClass.GAUGE, "preserving", "almost-linear"),
+    "legendre": (TransformClass.REVERSING_LEGENDRE, "reversing", "almost-linear"),
+    "a": (TransformClass.REVERSING_GEOMETRIC_DUAL, "reversing", "indicator"),
 }
+_CLASSES = {(sense, kind): cls for cls, sense, kind in _BASES.values()}
+_REFERENCE_BASES = {cls: b for b, (cls, sense, _) in _BASES.items() if sense == "preserving"}
+# the kind the ray images must take, given that of the indicator images
 _RAY_KIND = {"indicator": "almost-linear", "almost-linear": "indicator"}
-# the reference base B of each exact class, by its `Corpus.base_images`
-# name; `fit_sandwich` compares Tf with B f
-_REFERENCE_BASES: Dict[TransformClass, str] = {
-    TransformClass.IDENTITY: "identity",
-    TransformClass.GAUGE: "gauge",
-}
 
 
 def classify(
@@ -761,11 +743,6 @@ def fit_sandwich(t: CorpusTransform, report: StabilityReport) -> StabilityReport
 # fuzzed transforms
 
 
-# the order sense of each fuzz base's images (`Corpus.base_images`)
-_FUZZ_BASES: Dict[str, str] = {"identity": "preserving", "gauge": "preserving",
-                               "legendre": "reversing", "a": "reversing"}
-
-
 def _jittered(
     seed: int, k: AlmostOrderConstant, corpus: Corpus, sources: Sequence,
     image: Callable, sense: str, provenance: str,
@@ -803,7 +780,7 @@ def fuzz_transform(
     inequalities stay strict).  The matching condition checker re-verifies
     the construction before it is returned, or raises ConsistencyError.
     """
-    if base not in _FUZZ_BASES:
+    if base not in _BASES:
         raise ValueError(f"unknown base transform {base!r}")
     if corpus is None:
         corpus = geometric_corpus()
@@ -811,13 +788,14 @@ def fuzz_transform(
     alpha = as_fraction(alpha)
     if alpha <= 0:
         raise ValueError("dilation must be positive")
+    alpha_float = _positive_float(alpha, "dilation", ValueError)
 
     def image(img: PLConvex1D, kappa: Fraction) -> PLConvex1D:
         return scale(img if alpha == 1 else compose_dilate(img, alpha), kappa)
 
-    return _jittered(seed, k, corpus, corpus.base_images(base), image, _FUZZ_BASES[base], (
+    return _jittered(seed, k, corpus, corpus.base_images(base), image, _BASES[base][1], (
         f"fuzz(base={base}, ctilde={float(k.ctilde)!r}, seed={seed}, "
-        f"alpha={float(alpha)!r}, corpus={corpus.description})"
+        f"alpha={alpha_float!r}, corpus={corpus.description})"
     ))
 
 
@@ -1024,6 +1002,6 @@ def analyze(
                 f"exponent not estimated: {exc}",))
         else:
             report = replace(report, gamma=gamma, exponent_deviation=deviation)
-    if report.classification in (TransformClass.IDENTITY, TransformClass.GAUGE):
+    if report.classification in _REFERENCE_BASES:
         report = fit_sandwich(t, report)
     return report

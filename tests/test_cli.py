@@ -230,6 +230,21 @@ class TestCheck:
         assert (code, out) == (2, "")
         assert err == "error: support end of huge is beyond the float range\n"
 
+    def test_below_float_range_input_is_an_input_error(self, capsys, tmp_path):
+        # a positive 10**-400 has no float either: a float rounds it to 0
+        from dualitylab import (
+            Corpus, CorpusTransform, geometric_corpus, make_linear, transform_to_obj)
+
+        full = geometric_corpus((-1, 0, 1))
+        c = Corpus(full.elements + (make_linear(Fraction(1, 10**400)),),
+                   full.labels + ("shallow",), "shallow")
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(transform_to_obj(CorpusTransform(c, c.elements))))
+        code, out, err = run(capsys, "check", "order", "--transform", str(path),
+                             "--ctilde", "1.5")
+        assert (code, out) == (2, "")
+        assert err == "error: slope of shallow is below the float range\n"
+
     def test_ptilde_pass(self, capsys, tmp_path):
         spec = tmp_path / "f.json"
         spec.write_text('{"kind": "indicator", "z": 1}')

@@ -249,3 +249,17 @@ def test_element_kind_checks_stay_at_the_entry_points():
         "specio.function_to_obj", "stability._witness",
         "stability.check_delta_structure", "stability.verify_ray_mapping",
     }
+
+
+def test_no_module_lists_its_own_public_names():
+    """`dualitylab/__init__.py` is the one list of public names: no module
+    under the package assigns ``__all__``, so a name is never listed twice."""
+    found = []
+    for path in sorted(Path(dualitylab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign))
+                       else [])
+            found += [f"{path.stem}:{node.lineno}" for t in targets
+                      if isinstance(t, ast.Name) and t.id == "__all__"]
+    assert found == []

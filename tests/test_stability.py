@@ -886,20 +886,30 @@ class TestClassify:
         ("steep", "slope of steep"),
         ("dilated", "support end of the image of indicator[0,2^-1]"),
         ("gauge", "slope of the image of indicator[0,2^-1]"),
+        ("tiny", "support end of tiny"),
+        ("shallow", "slope of shallow"),
+        ("shrunk", "support end of the image of indicator[0,2^-1]"),
     ])
     def test_datum_beyond_the_float_range_is_named(self, case, message):
+        # a positive datum that a float rounds to 0 is named like one that overflows
         corpus = geometric_corpus((-1, 0, 1))
         big = Fraction(10**400)
-        if case in ("huge", "steep"):
-            f = make_indicator(big) if case == "huge" else make_linear(big)
+        if case in ("huge", "steep", "tiny", "shallow"):
+            f = {"huge": make_indicator(big), "steep": make_linear(big),
+                 "tiny": make_indicator(1 / big), "shallow": make_linear(1 / big)}[case]
             corpus = Corpus(corpus.elements + (f,), corpus.labels + (case,), case)
             images = corpus.elements
-        elif case == "dilated":
-            images = tuple(compose_dilate(f, big) for f in corpus.elements)
+        elif case in ("dilated", "shrunk"):
+            alpha = big if case == "dilated" else 1 / big
+            images = tuple(compose_dilate(f, alpha) for f in corpus.elements)
         else:
             images = tuple(compose_dilate(gauge_transform(f), 1 / big) for f in corpus.elements)
-        with pytest.raises(CorpusError, match=f"^{re.escape(message)} is beyond the float range$"):
+        bound = "below" if case in ("tiny", "shallow", "shrunk") else "beyond"
+        with pytest.raises(CorpusError,
+                           match=f"^{re.escape(message)} is {bound} the float range$"):
             classify(CorpusTransform(corpus, images), K15)
+        with pytest.raises(CorpusError, match=f"^{re.escape(message)} is {bound} "):
+            analyze(CorpusTransform(corpus, images), K15)
 
 
 class TestReferenceBaseDifferential:
@@ -1195,6 +1205,28 @@ class TestFuzz:
     def test_unknown_base(self):
         with pytest.raises(ValueError):
             fuzz_transform(1, K2, base="mystery")
+
+    @pytest.mark.parametrize("scaling, message", [
+        ({"alpha": 0}, "dilation must be positive"),
+        ({"alpha": -1}, "dilation must be positive"),
+        ({"alpha": "-1/2"}, "dilation must be positive"),
+        ({"alpha": 10**400}, "dilation is beyond the float range"),
+        ({"alpha": Fraction(1, 10**400)}, "dilation is below the float range"),
+        ({"beta": 0}, "value scaling must be positive"),
+        ({"beta": -1.0}, "value scaling must be positive"),
+        ({"beta": math.nan}, "value scaling must be positive"),
+    ], ids=["alpha=0", "alpha=-1", "alpha=-1/2", "alpha=10^400", "alpha=10^-400",
+            "beta=0", "beta=-1.0", "beta=nan"])
+    def test_bad_scaling_rejected(self, scaling, message):
+        if "alpha" in scaling:
+            corpus = geometric_corpus((-1, 0, 1))
+            build = lambda: fuzz_transform(1, K2, "gauge", corpus=corpus, **scaling)
+        else:
+            corpus = delta_corpus()
+            build = lambda: fuzz_delta_transform(1, K2, lambda th: th, corpus=corpus, **scaling)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
+        assert "_base_images" not in corpus.__dict__  # rejected before any base image
 
     def test_jitter_respects_band(self):
         t = fuzz_transform(7, K15, base="identity")
