@@ -22,8 +22,9 @@ The ratio matrix decides most geometric pairs by support and zero set
 alone.  If f <= c*g for a finite c, then dom f contains dom g and the zero
 set [0, z_f] of f contains that of g; so the ratio sup f/g is +inf when
 dom f < dom g or z_f < z_g, and exactly 0 when f vanishes on all of dom g.
-Only the pairs these rules leave open walk their breakpoints; any other pair
-takes the one comparison that `_ratio_any` maps its element kind to.
+Only the pairs these rules leave open go to `ratio_sup`, which settles a pair
+of rays by its slope quotient and walks the breakpoints of the rest; any other
+pair takes the one comparison that `_ratio_any` maps its element kind to.
 """
 
 from __future__ import annotations
@@ -101,7 +102,8 @@ def _ratio_matrix(fs: Sequence) -> Tuple[Tuple[object, ...], ...]:
     where f_j = 0), and exactly 0 when z_i >= d_j (f_i = 0 on all of
     dom f_j); `ratio_sup` gives the same value on these pairs.  The ends are
     ranked once, by one sort of their distinct values, so each of these
-    pairs costs integer compares; only the rest walk with `ratio_sup`.
+    pairs costs integer compares; only the rest go to `ratio_sup`, where a
+    ray pair is its slope quotient and any other pair walks.
     Any other pair goes through `_ratio_any`.
     """
     ends = [
@@ -167,7 +169,7 @@ class Corpus:
 
         Built by `_ratio_matrix`: geometric pairs split by support or zero
         set are +inf, pairs where f_i vanishes on dom f_j are 0, and only
-        the rest walk their breakpoints."""
+        the rest go to `ratio_sup` (a ray pair is its slope quotient)."""
         return _ratio_matrix(self.elements)
 
     @cached_property

@@ -38,6 +38,7 @@ Scalar = Union[int, float, Fraction, str]
 Extended = Union[Fraction, float]
 
 _F0 = Fraction(0)
+_F1 = Fraction(1)
 
 
 def as_fraction(x: Scalar) -> Fraction:
@@ -310,10 +311,14 @@ def _lower_hull(pts: Sequence[Tuple[Fraction, Fraction]]) -> Tuple[list, list]:
     as steep as the chord from a to p; each test divides out that one chord,
     which becomes the new edge once the pops stop.  Of the points at one
     abscissa the least is kept: one below the last vertex replaces it (it pops
-    all that vertex popped), and one on or above it is dropped."""
+    all that vertex popped), and one on or above it is dropped.  The points
+    may come in any order; a list already ascending in x, as `hat_inf2` and
+    the gauge hull pass it, is walked as it is, with no sort."""
+    if any(_lt(q[0], p[0]) for p, q in zip(pts, pts[1:])):
+        pts = sorted(pts, key=itemgetter(0))
     hull: list = []
     edges: list = []
-    for p in sorted(pts, key=itemgetter(0)):
+    for p in pts:
         if hull and _eq(hull[-1][0], p[0]):
             if not _lt(p[1], hull[-1][1]):
                 continue
@@ -350,9 +355,20 @@ def _hull_function(
 def hat_inf2(f: PLConvex1D, g: PLConvex1D) -> PLConvex1D:
     """Largest convex lsc minorant of min(f, g) (the lattice meet).  Exact.
 
-    The hull function of both knot sets, recession slope min(tail_f, tail_g)."""
+    The hull function of both knot sets, merged in ascending x, recession
+    slope min(tail_f, tail_g)."""
     tag = _require_same_tag(f, g)
-    return _hull_function(f.knots + g.knots, min(f.tail_slope, g.tail_slope), tag)
+    a, b = f.knots, g.knots
+    pts = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        if _lt(b[j][0], a[i][0]):
+            pts.append(b[j])
+            j += 1
+        else:
+            pts.append(a[i])
+            i += 1
+    return _hull_function(pts + list(a[i:] or b[j:]), min(f.tail_slope, g.tail_slope), tag)
 
 
 def _value_on(f: PLConvex1D, i: int, x: Fraction) -> Fraction:
@@ -431,11 +447,17 @@ def ratio_sup(f: PLConvex1D, g: PLConvex1D) -> Tuple[Extended, Optional[Fraction
     exactly when the sup is at most c, and reads its witness off the
     abscissa.  On each common affine piece f/g is a Moebius function of x,
     hence monotone, so the sup sits at a merged breakpoint or is the tail
-    limit; the abscissa is None when only the tail limit reaches it.  One
-    `_breakpoints` walk, O(k_f + k_g), finds it; ratios are compared as
-    integer cross-products and one Fraction is built at the end, so the
-    result is still exact.
+    limit; the abscissa is None when only the tail limit reaches it.  Two
+    rays a*x and b*x with b > 0 are settled by their slope quotient a/b,
+    reached at x = 1 (at 0 when a = 0), with no walk.  Any other pair takes
+    one `_breakpoints` walk, O(k_f + k_g); ratios are compared as integer
+    cross-products and one Fraction is built at the end, so the result is
+    still exact.
     """
+    mf, mg = f.tail_slope, g.tail_slope
+    if f.is_linear and g.is_linear and mg:
+        return (Fraction(mf.numerator * mg.denominator, mf.denominator * mg.numerator),
+                _F1 if mf else _F0)
     df, dg = f.domain_end, g.domain_end
     if df < dg:
         # f jumps to +inf strictly inside the region where g is finite
@@ -453,7 +475,6 @@ def ratio_sup(f: PLConvex1D, g: PLConvex1D) -> Tuple[Extended, Optional[Fraction
     if is_inf(dg):
         # past the last breakpoint x both are affine and f/g tends to mf/mg;
         # when g(x) = 0 = f(x) the ratio is that constant all along the tail
-        mf, mg = f.tail_slope, g.tail_slope
         ln, ld = mf.numerator * mg.denominator, mf.denominator * mg.numerator
         if ln * bd > bn * ld:  # ld = 0 only for mg = 0 < mf: the limit is +inf
             return (Fraction(ln, ld) if ld else INF), (x + 1 if gx == 0 else None)
@@ -470,10 +491,12 @@ def scale(f: PLConvex1D, lam: Scalar) -> PLConvex1D:
 
 
 def compose_dilate(f: PLConvex1D, alpha: Scalar) -> PLConvex1D:
-    """Dilation ``x -> f(x / alpha)`` for alpha > 0.  Exact."""
+    """Dilation ``x -> f(x / alpha)`` for alpha > 0.  Exact; ``f`` itself at alpha = 1."""
     alpha = as_fraction(alpha)
     if alpha <= 0:
         raise ValueError("dilation factor must be positive")
+    if alpha == 1:
+        return f
     tail = INF if is_inf(f.tail_slope) else f.tail_slope / alpha
     return PLConvex1D(tuple((alpha * x, v) for x, v in f.knots), tail, f.tag)
 

@@ -791,7 +791,7 @@ def fuzz_transform(
     alpha_float = _positive_float(alpha, "dilation", ValueError)
 
     def image(img: PLConvex1D, kappa: Fraction) -> PLConvex1D:
-        return scale(img if alpha == 1 else compose_dilate(img, alpha), kappa)
+        return scale(compose_dilate(img, alpha), kappa)
 
     return _jittered(seed, k, corpus, corpus.base_images(base), image, _BASES[base][1], (
         f"fuzz(base={base}, ctilde={float(k.ctilde)!r}, seed={seed}, "

@@ -78,15 +78,17 @@ def _gauge_hull(f: PLConvex1D) -> PLConvex1D:
     J is induced by the point map (x, v) -> (x/v, 1/v): J f is the lower hull
     of the origin, the image of each knot with v > 0 and, for a finite tail
     slope m > 0, the tail's image (1/m, 0); its recession slope is 1/z0 for
-    the zero set [0, z0] (+inf when z0 = 0, 0 for the zero function)."""
+    the zero set [0, z0] (+inf when z0 = 0, 0 for the zero function).  The
+    points are listed in ascending x, so the hull sorts nothing: f(x)/x
+    rises along the knots towards m, so x/v falls and stays at least 1/m."""
     pts = [(_F0, _F0)]
-    for x, v in f.knots:
-        if v.numerator:  # (x/v, 1/v), each normalised once
-            pts.append((Fraction(x.numerator * v.denominator, x.denominator * v.numerator),
-                        Fraction(v.denominator, v.numerator)))
     m = f.tail_slope
     if not is_inf(m) and m > 0:
         pts.append((_F1 / m, _F0))
+    for x, v in reversed(f.knots):
+        if v.numerator:  # (x/v, 1/v), each normalised once
+            pts.append((Fraction(x.numerator * v.denominator, x.denominator * v.numerator),
+                        Fraction(v.denominator, v.numerator)))
     z0 = f.zero_end()
     tail: Extended = INF if z0 == 0 else _F0 if is_inf(z0) else _F1 / z0
     return _hull_function(pts, tail, ClassTag.GEOMETRIC)

@@ -363,6 +363,49 @@ class TestOrder:
                     "witness", "tail", "holds"):
             assert seen[key] >= 50, seen
 
+    def test_ray_pairs_match_the_candidate_scans(self):
+        """Two rays a*x and b*x with b > 0 are settled by the slope quotient
+        a/b: `ratio_sup` and `leq_witness` give the former scans' values,
+        abscissae and types.  A zero-slope denominator, an offset start and
+        a bounded domain keep the walk and are checked alongside: the same
+        sup and the same decision."""
+        rng = random.Random(79)
+        edge = (Fraction(10**400 + 1), Fraction(1, 10**400), Fraction(2**53 + 1, 3), Fraction(0))
+        seen = Counter()
+        for _ in range(4000):
+            tag = rng.choice(tuple(ClassTag))
+            pair = []
+            for _ in range(2):
+                a = rng.choice(edge) if rng.random() < 0.4 else Fraction(
+                    rng.randint(0, 40), rng.randint(1, 40))
+                roll = rng.random()
+                if roll < 0.1 and tag is ClassTag.NONNEGATIVE:
+                    pair.append(PLConvex1D(((0, rng.randint(1, 3)),), a, tag))
+                elif roll < 0.15:
+                    pair.append(PLConvex1D(((0, 0),), INF, tag))
+                else:
+                    pair.append(PLConvex1D(((0, 0),), a, tag))
+            f, g = pair
+            got, want = ratio_sup(f, g), reference_ratio_sup(f, g)
+            assert got == want, (f, g)
+            assert [type(v) for v in got] == [type(v) for v in want], (f, g)
+            closed = f.is_linear and g.is_linear and g.tail_slope > 0
+            seen["closed form" if closed else "walk"] += 1
+            seen[tag, got[0] == 0] += closed
+            seen["huge"] += closed and max(f.tail_slope, g.tail_slope) > 2**53
+            r = got[0]
+            factors = [1, Fraction(3, 2), Fraction(1, 3)]
+            if 0 < r < INF:  # at the sup, and just below it
+                factors += [r, r * (1 - Fraction(1, 10**6))]
+            for factor in factors:
+                w, want_w = leq_witness(f, g, factor), reference_leq_witness(f, g, factor)
+                if closed:  # both are 1, where a*x first exceeds factor*b*x
+                    assert w == want_w and type(w) is type(want_w), (f, g, factor)
+                    seen["witness"] += w is not None
+                else:  # the walk's witness is where f/g peaks, not the first violation
+                    assert (w is None) == (want_w is None), (f, g, factor)
+        assert min(seen.values()) >= 50 and len(seen) == 8, seen
+
 
 class TestScaling:
     def test_scale_values(self):
@@ -377,6 +420,10 @@ class TestScaling:
         g = compose_dilate(f, 2)  # g(x) = f(x/2)
         assert g(2) == 2 and g(4) == 6
         assert g.domain_end == INF
+
+    def test_unit_dilation_is_the_function_itself(self):
+        f = PLConvex1D(((0, 0), (1, 2)), 4)
+        assert compose_dilate(f, 1) is f and compose_dilate(f, Fraction(2, 2)) is f
 
     def test_dilate_indicator_moves_support(self):
         ind = PLConvex1D(((0, 0), (1, 0)), INF)
@@ -549,8 +596,9 @@ def _cloud(rng):
 class TestEdgeSlopeHull:
     def test_matches_the_cross_product_hull(self):
         """The hull popped by edge slopes equals the cross-product hull; its
-        edges are its chord slopes; the meet, the gauge hull and the hull
-        function equal their former constructions."""
+        edges are its chord slopes, also when the points come in ascending
+        x; the meet, the gauge hull and the hull function equal their former
+        constructions."""
         rng = random.Random(59)
         seen = Counter()
         for n in range(3000):
@@ -558,6 +606,9 @@ class TestEdgeSlopeHull:
             hull, edges = _lower_hull(pts)
             assert hull == reference_lower_hull(pts), pts
             assert tuple(edges) == _chords(hull)
+            for up in (1, -1):  # an ascending cloud is not sorted again; ties either way
+                run = sorted(pts, key=lambda p: (p[0], up * p[1]))
+                assert _lower_hull(run) == (hull, edges), run
             hx = [x for x, _ in hull]
             seen["collinear dropped"] += any(  # a point on an edge, not a vertex
                 x not in hx and x < hx[-1] and hull[bisect(hx, x) - 1][1]

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import dualitylab.corpus
+import dualitylab.pl
 import dualitylab.stability
 from dualitylab import (
     INF,
@@ -79,6 +80,7 @@ from helpers import (
     reference_hyers_ulam_approx,
     reference_ratio_extrema,
     reference_ratio_matrix,
+    reference_ratio_sup,
 )
 
 K15 = AlmostOrderConstant(Fraction(3, 2))
@@ -522,6 +524,49 @@ class TestRatioMatrixRanks:
                         old = fuzz_transform(seed, k, base=base, corpus=old_corpus)
                         want = dump_json(report_to_obj(analyze(old, k)))
                     assert got == want, (k, base, seed)
+
+    @pytest.mark.parametrize("corpus", CORPORA, ids=("n24", "n48"))
+    def test_analyze_reports_match_the_walk(self, monkeypatch, corpus):
+        """The ray closed form in `ratio_sup` against the candidate scan:
+        with `reference_ratio_sup` in every module that reads `ratio_sup`,
+        each report is byte-identical, failing ones and their witnesses too
+        (two images swapped at random, two neighbouring rays swapped, one
+        ray's image copied onto its neighbour)."""
+        rays = [i for i, label in enumerate(corpus.labels) if label.startswith("linear")]
+
+        def reports(corpus):
+            rng = random.Random(83)
+            out = []
+            for k in TestCheckerDifferential.KS:
+                for base in ("identity", "gauge", "legendre", "a"):
+                    for seed in range(3):
+                        t = fuzz_transform(seed, k, base=base, corpus=corpus)
+                        r = rng.choice(rays[:-1])
+                        for case in (t, _swapped(t, *rng.sample(range(len(t)), 2)),
+                                     _swapped(t, r, r + 1), _swapped(t, r, r + 1, copy=True)):
+                            out.append(dump_json(report_to_obj(analyze(case, k))))
+            return out
+
+        got = reports(corpus)
+        with monkeypatch.context() as m:
+            for module in (dualitylab.pl, dualitylab.corpus, dualitylab.stability):
+                m.setattr(module, "ratio_sup", reference_ratio_sup)
+            want = reports(Corpus(corpus.elements, corpus.labels, corpus.description,
+                                  corpus.lattice_pairs))
+        assert got == want
+        assert sum('"certified": false' in r for r in got) >= len(got) // 2
+
+    def test_fuzz_ratio_matrix_walks_no_breakpoints(self, monkeypatch):
+        # the rank rules leave only ray pairs open in R_img, and those are
+        # settled by their slope quotient
+        corpus = self.CORPORA[1]
+        corpus.R
+        walks = _counting(monkeypatch, dualitylab.pl, "_breakpoints")
+        for base in ("identity", "gauge", "legendre", "a"):
+            corpus.base_images(base)
+            del walks[:]
+            fuzz_transform(1, K15, base=base, corpus=corpus)  # builds R_img
+            assert walks == [], base
 
     def test_grid_pair_split_by_support(self):
         # a disc indicator is +inf off the disc, where |x| + |y| is finite,
