@@ -173,7 +173,9 @@ def sup2_grid(f: GridFunction2D, g: GridFunction2D) -> GridFunction2D:
     return out
 
 
-_TILE_ROWS = 8  # lattice nodes per tile of `_lattice_max` and `legendre_grid`
+_TILE_ROWS = 8  # lattice rows per tile of `legendre_grid`
+_TILE_ENTRIES = 1 << 15  # (node, point) entries per tile of `_lattice_max` and `_dual_max`
+_CELL = 32  # least points per cell of `_dual_max` (at most twice as many)
 
 
 def _maximal(w: np.ndarray, s1: int, s2: int) -> np.ndarray:
@@ -199,41 +201,160 @@ def _lattice_max(
     x2: np.ndarray,
     y1: np.ndarray,
     y2: np.ndarray,
-    offset=None,
-    divisor: Optional[np.ndarray] = None,
+    offset: Optional[np.ndarray] = None,
     mask: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """len(x1) x len(x2) array: at each node (x1[i], x2[j]), the max over m
-    of fl(fl(<x, y_m> + offset[m]) / divisor[m]) with
-    <x, y_m> = fl(fl(x1*y1[m]) + fl(x2*y2[m])) (a missing offset or divisor
-    is skipped); +inf where ``mask`` is False.
+    of fl(<x, y_m> + offset[m]) with <x, y_m> = fl(fl(x1*y1[m]) +
+    fl(x2*y2[m])) (a missing offset is skipped); +inf where ``mask`` is
+    False.
 
-    The nodes go a few at a time, so memory is O(len(x2) * M) for M >= 1
-    points; every entry is formed elementwise, so the bits do not depend on
-    the tiling.  A masked row is only evaluated between its first and last
-    unmasked node.
+    A tile holds at most `_TILE_ENTRIES` entries (at least one node): whole
+    rows of nodes when they fit, else part of one row.  So memory is
+    O(len(x2) * M) for M >= 1 points, and every entry is formed elementwise,
+    so the bits do not depend on the tiling.  The nodes of a tile are only
+    evaluated between its first and last unmasked column.
     """
     import numpy as np
-    out = np.full((len(x1), len(x2)), np.inf)
+    n1, n2 = len(x1), len(x2)
+    out = np.full((n1, n2), np.inf)
     p2 = np.multiply.outer(x2, y2)
-    buf = np.empty((_TILE_ROWS, len(y1)))
-    rows = np.ones(out.shape, dtype=bool) if mask is None else mask
-    for i, row in enumerate(rows):
-        cols = np.flatnonzero(row)
+    span = max(1, _TILE_ENTRIES // len(y1))  # nodes per tile
+    rows = max(1, span // n2)
+    live = np.ones(out.shape, dtype=bool) if mask is None else mask
+    for i in range(0, n1, rows):
+        cols = np.flatnonzero(live[i : i + rows].any(axis=0))
         if cols.size == 0:
             continue
-        p1 = x1[i] * y1
-        for a in range(cols[0], cols[-1] + 1, _TILE_ROWS):
-            b = min(a + _TILE_ROWS, cols[-1] + 1)
-            tile = buf[: b - a]
-            np.add(p2[a:b], p1, out=tile)
+        p1 = np.multiply.outer(x1[i : i + rows], y1)[:, None]
+        for a in range(cols[0], cols[-1] + 1, span):
+            b = min(a + span, cols[-1] + 1)
+            tile = p2[a:b] + p1
             if offset is not None:
                 tile += offset
-            if divisor is not None:
-                tile /= divisor
-            out[i, a:b] = tile.max(axis=1)
-    out[~rows] = np.inf
+            out[i : i + rows, a:b] = tile.max(axis=2)
+    out[~live] = np.inf
     return out
+
+
+def _cells(k1: np.ndarray, k2: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """An order of the points (k1[m], k2[m]) and the starts of 2^L cells of
+    consecutive points in it, each of `_CELL` to 2 * `_CELL` points (one
+    cell when there are fewer): a median split, L times, of every cell along
+    the coordinate over which it spreads wider."""
+    import numpy as np
+    k = len(k1)
+    pos, order = np.arange(k), np.arange(k)
+    levels = max(0, (k // _CELL).bit_length() - 1)
+    for level in range(levels):
+        n = 1 << level
+        cell = pos * n // k
+        starts = -(-np.arange(n) * k // n)
+        c1, c2 = k1[order], k2[order]
+        wide = (np.maximum.reduceat(c1, starts) - np.minimum.reduceat(c1, starts)
+                >= np.maximum.reduceat(c2, starts) - np.minimum.reduceat(c2, starts))
+        order = order[np.lexsort((np.where(wide[cell], c1, c2), cell))]
+    n = 1 << levels
+    return order, -(-np.arange(n) * k // n)
+
+
+def _cell_bounds(
+    x1: np.ndarray,
+    x2: np.ndarray,
+    y1: np.ndarray,
+    y2: np.ndarray,
+    f: np.ndarray,
+    s1: int,
+    s2: int,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Cells of the points y_m and upper bounds of their quotients
+    fl(fl(<x, y_m> - 1) / f[m]) at the nodes x = (x1[i], x2[i]), all with
+    s1*x1 >= 0 and s2*x2 >= 0: the order of the points, the starts of the
+    cells in it (by `_cells` on (|x1|max * y1/f, |x2|max * y2/f)), and
+    (A1, A2, c) such that fl(fl(x1*A1) + fl(x2*A2)) + c bounds every
+    quotient of a cell at every such x, or is NaN.
+
+    The exact quotient is x1*y1/f + x2*y2/f - 1/f.  So A1 = s1 * max(s1 *
+    y1/f) over the cell, A2 alike, and c = tau - min 1/f, with tau =
+    64 * 2^-53 * (|x1|max * |y1/f|max + |x2|max * |y2/f|max + max 1/f) +
+    (|x1|max + |x2|max + 4) * 2^-1074: its first term covers the roundings
+    of the quotient and of the bound, the second those below the normal
+    range.  A cell with a non-finite y/f or 1/f gets NaN, and every cell
+    does when the products x*y may overflow.
+    """
+    import numpy as np
+    w1, w2 = np.abs(x1).max(initial=0.0), np.abs(x2).max(initial=0.0)
+    with np.errstate(all="ignore"):
+        a1, a2, b = y1 / f, y2 / f, 1.0 / f
+        fin = np.isfinite(a1) & np.isfinite(a2) & np.isfinite(b)
+        order, starts = _cells(np.where(fin, w1 * a1, 0.0), np.where(fin, w2 * a2, 0.0))
+        a1, a2, b, fin = a1[order], a2[order], b[order], fin[order]
+        tau = (64 * 2.0**-53 * (w1 * np.abs(a1[fin]).max(initial=0.0)
+                                + w2 * np.abs(a2[fin]).max(initial=0.0)
+                                + b[fin].max(initial=0.0))
+               + (w1 + w2 + 4) * 2.0**-1074)
+        c = tau - np.minimum.reduceat(b, starts)
+        if not np.isfinite(w1 * np.abs(y1).max() + w2 * np.abs(y2).max()):
+            c[:] = np.nan
+        c[~np.logical_and.reduceat(fin, starts)] = np.nan
+        A1 = s1 * np.maximum.reduceat(s1 * a1, starts)
+        A2 = s2 * np.maximum.reduceat(s2 * a2, starts)
+    return order, starts, A1, A2, c
+
+
+def _dual_max(
+    x1: np.ndarray,
+    x2: np.ndarray,
+    y1: np.ndarray,
+    y2: np.ndarray,
+    f: np.ndarray,
+    s1: int,
+    s2: int,
+) -> np.ndarray:
+    """At each node x = (x1[i], x2[i]) with s1*x1 >= 0 and s2*x2 >= 0, the
+    floored max(0, max over m of fl(fl(<x, y_m> - 1) / f[m])), <x, y_m> =
+    fl(fl(x1*y1[m]) + fl(x2*y2[m])), for M >= 1 points y_m and f > 0.
+
+    An exact branch and bound over the cells of `_cell_bounds`: the first
+    point of every cell gives a lower bound L of the max at x, and only the
+    cells whose bound U at x is not <= max(L, 0) are scanned there (a NaN
+    bound is never <= L).  Every quotient skipped is at most the result,
+    whose zero is always +0.0, so the bits are those of the full scan.
+    O(len(x1) * M) at worst.
+    """
+    import numpy as np
+    n = len(x1)
+    order, starts, A1, A2, c = _cell_bounds(x1, x2, y1, y2, f, s1, s2)
+    y1, y2, f = y1[order], y2[order], f[order]
+    best = np.empty(n)
+    live = np.empty((len(starts), n), dtype=bool)
+    step = max(1, _TILE_ENTRIES // len(starts))
+    for i in range(0, n, step):
+        u1, u2 = x1[i : i + step], x2[i : i + step]
+        best[i : i + step] = _quotients(u1, u2, y1[starts], y2[starts], f[starts]).max(axis=0)
+        with np.errstate(all="ignore"):
+            bound = np.multiply.outer(A1, u1) + np.multiply.outer(A2, u2) + c[:, None]
+            np.logical_not(bound <= np.maximum(best[i : i + step], 0.0), out=live[:, i : i + step])
+    ends = np.append(starts[1:], len(y1))
+    for k in np.flatnonzero(live.any(axis=1)):
+        a, e = starts[k], ends[k]
+        xs = np.flatnonzero(live[k])
+        step = max(1, _TILE_ENTRIES // (e - a))
+        for j in range(0, len(xs), step):
+            t = xs[j : j + step]
+            q = _quotients(x1[t], x2[t], y1[a:e], y2[a:e], f[a:e]).max(axis=0)
+            best[t] = np.maximum(best[t], q)
+    return np.maximum(best, 0.0)
+
+
+def _quotients(x1, x2, y1, y2, f) -> np.ndarray:
+    """len(y1) x len(x1) array of fl(fl(fl(x1*y1) + fl(x2*y2)) - 1) / f."""
+    import numpy as np
+    t = np.multiply.outer(y1, x1)
+    t += np.multiply.outer(y2, x2)
+    t -= 1.0
+    t /= f[:, None]
+    return t
 
 
 def _envelope_from_cloud(

@@ -12,13 +12,14 @@ The checkers certify, pair by pair and exactly, the two-sided conditions
 at a constant C > 1, together with the inverse implications, lattice
 stability on designated join/meet pairs, and exact fixing of the order
 extremes.  Each part of a pair condition gets easier as C grows, so each
-has an exact threshold, computed once per transform: part a holds iff
-C >= Ta and part b iff C > Tb (`_PAIR_CONDITIONS`).  Only a condition that
-fails lists its violating pairs and searches their witnesses.  Certified
-transforms are then classified (identity-like vs gauge-like, or their
-order-reversing counterparts after composing with the geometric dual),
-their dilation exponent is recovered by dyadic doubling, and a two-sided
-sandwich c*ref <= Tf <= C*ref is fitted with an exact certificate.
+has an exact threshold, computed once per transform when first read: part
+a holds iff C >= Ta and part b iff C > Tb (`_PAIR_CONDITIONS`).  Only a
+condition that fails lists its violating pairs and searches their
+witnesses.  Certified transforms are then classified (identity-like vs
+gauge-like, or their order-reversing counterparts after composing with the
+geometric dual), their dilation exponent is recovered by dyadic doubling,
+and a two-sided sandwich c*ref <= Tf <= C*ref is fitted with an exact
+certificate.
 """
 
 from __future__ import annotations
@@ -135,9 +136,14 @@ class CorpusTransform:
         return _ratio_matrix(self.images)
 
     @cached_property
+    def _rows(self) -> Dict[str, Tuple[Extended, Extended]]:
+        """The (Ta, Tb) rows computed so far, by `_row`."""
+        return {}
+
+    @cached_property
     def thresholds(self) -> Dict[str, Tuple[Extended, Extended]]:
-        """(Ta, Tb) of each pair condition, by `_thresholds`."""
-        return {condition: _thresholds(self, condition) for condition in _PAIR_CONDITIONS}
+        """(Ta, Tb) of every pair condition, by `_row`."""
+        return {condition: _row(self, condition) for condition in _PAIR_CONDITIONS}
 
 
 @dataclass(frozen=True)
@@ -267,9 +273,18 @@ def _thresholds(t: CorpusTransform, condition: str) -> Tuple[Extended, Extended]
     return (INF if ad == 0 else Fraction(an, ad)), (INF if bd == 0 else Fraction(bn, bd))
 
 
+def _row(t: CorpusTransform, condition: str) -> Tuple[Extended, Extended]:
+    """(Ta, Tb) of ``condition``, computed once per transform when first read,
+    so a reversing transform never builds the inverse row."""
+    rows = t._rows
+    if condition not in rows:
+        rows[condition] = _thresholds(t, condition)
+    return rows[condition]
+
+
 def _holds(t: CorpusTransform, k: AlmostOrderConstant, condition: str) -> bool:
     """Whether no pair violates ``condition``: C >= Ta and C > Tb."""
-    ta, tb = t.thresholds[condition]
+    ta, tb = _row(t, condition)
     c = k.ctilde
     return not (is_inf(ta) or is_inf(tb) or _lt(c, ta)) and _lt(tb, c)
 

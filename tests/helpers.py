@@ -63,6 +63,7 @@ from dualitylab import (
     witness_is_valid,
 )
 from dualitylab.corpus import _ratio_any
+from dualitylab.grid import _maximal
 from dualitylab.pl import (
     Extended,
     _require_same_tag,
@@ -1590,16 +1591,17 @@ def random_geometric_grid(rng: random.Random) -> GridFunction2D:
     return GridFunction2D(spec, v)
 
 
-def random_asymmetric_grid(rng: random.Random) -> GridFunction2D:
-    """A valid geometric grid with N in {3, 5, ..., 33} that is in general
-    not centrally symmetric: a cone sqrt(y'My) + <b, y> with |b| below the
-    minimum of sqrt(u'Mu) over |u| = 1 (so it is >= 0 with f(0) = 0), a
-    function of y1 or of y2 alone (ties along rows or columns), or a cone
-    finite only at the origin and on one open quadrant (every positive node
-    in that quadrant).  Each may be squared, 0 near the origin, and the
-    first two +inf off a sublevel set."""
+def random_asymmetric_grid(rng: random.Random, n: Optional[int] = None) -> GridFunction2D:
+    """A valid geometric grid with N = ``n`` (by default one of 3, 5, ...,
+    33) that is in general not centrally symmetric: a cone sqrt(y'My) +
+    <b, y> with |b| below the minimum of sqrt(u'Mu) over |u| = 1 (so it is
+    >= 0 with f(0) = 0), a function of y1 or of y2 alone (ties along rows or
+    columns), or a cone finite only at the origin and on one open quadrant
+    (every positive node in that quadrant).  Each may be squared, 0 near the
+    origin, and the first two +inf off a sublevel set."""
     kind = rng.choice(("cone", "ridge", "quadrant"))
-    spec = GridSpec(rng.choice((0.5, 1.0, 2.0, 3.0, 4.0, 16.0)), rng.randrange(3, 34, 2))
+    R = rng.choice((0.5, 1.0, 2.0, 3.0, 4.0, 16.0))
+    spec = GridSpec(R, rng.randrange(3, 34, 2) if n is None else n)
     c, o = spec.coords, spec.origin
     P = np.stack(np.meshgrid(c, c, indexing="ij"), axis=-1)
     if kind == "ridge":
@@ -1699,6 +1701,79 @@ def matmul_a_grid(f, block: int = 256):
     else:
         out[polar] = 0.0
     return GridFunction2D(f.spec, out.reshape(f.spec.N, f.spec.N), ClassTag.GEOMETRIC)
+
+
+_TILED_ROWS = 8
+
+
+def _tiled_lattice_max(x1, x2, y1, y2, offset=None, divisor=None, mask=None):
+    """The former `grid._lattice_max`, verbatim but for its tile constant:
+    8 columns of one row of nodes per tile."""
+    out = np.full((len(x1), len(x2)), np.inf)
+    p2 = np.multiply.outer(x2, y2)
+    buf = np.empty((_TILED_ROWS, len(y1)))
+    rows = np.ones(out.shape, dtype=bool) if mask is None else mask
+    for i, row in enumerate(rows):
+        cols = np.flatnonzero(row)
+        if cols.size == 0:
+            continue
+        p1 = x1[i] * y1
+        for a in range(cols[0], cols[-1] + 1, _TILED_ROWS):
+            b = min(a + _TILED_ROWS, cols[-1] + 1)
+            tile = buf[: b - a]
+            np.add(p2[a:b], p1, out=tile)
+            if offset is not None:
+                tile += offset
+            if divisor is not None:
+                tile /= divisor
+            out[i, a:b] = tile.max(axis=1)
+    out[~rows] = np.inf
+    return out
+
+
+def tiled_a_grid(f: GridFunction2D) -> np.ndarray:
+    """The former `a_grid`, verbatim but for the input check: every node
+    that `grid._maximal` keeps in a quadrant is scanned, in the tiles of
+    `_tiled_lattice_max`."""
+    c, v = f.spec.coords, f.values
+    tol = 1e-9 * (f.spec.R**2 + 1.0)
+    zero = np.where(v == 0.0, 0.0, np.inf)
+    w = np.where(np.isfinite(v) & (v > 0.0), v, np.inf)
+    h = int(np.searchsorted(c, 0.0))  # c[h:] >= 0 > c[:h]
+    halves = ((1, slice(h, None)), (-1, slice(0, h)))
+    out = np.empty_like(v)
+    for s1, r in halves:
+        for s2, q in halves:
+            z1, z2 = (c[k] for k in np.nonzero(_maximal(zero, s1, s2)))
+            polar = _tiled_lattice_max(c[r], c[q], z1, z2) <= 1.0 + tol
+            keep = _maximal(w, s1, s2)  # empty only when no node is positive
+            if keep.any():
+                y1, y2 = (c[k] for k in np.nonzero(keep))
+                out[r, q] = np.maximum(
+                    _tiled_lattice_max(c[r], c[q], y1, y2, -1.0, v[keep], polar), 0.0)
+            else:
+                out[r, q] = np.where(polar, 0.0, np.inf)
+    return out
+
+
+def bench_like_grids(rng: random.Random, n: int) -> Tuple[GridFunction2D, GridFunction2D]:
+    """A quadratic 1/2 p'Ap on [-4, 4]^2 and a cone sqrt(p'Mp) on
+    [-16, 16]^2 at resolution n, drawn as the `grid` benchmark draws them:
+    A and M symmetric positive definite with eigenvalues in [1/2, 2], so
+    three draws from ``random.Random(seed)`` give the three cases of that
+    seed's benchmark run at n = 129."""
+    def form(R):
+        theta = rng.uniform(0.0, math.pi)
+        cs, sn = math.cos(theta), math.sin(theta)
+        rot = np.array([[cs, -sn], [sn, cs]])
+        A = rot @ np.diag([rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)]) @ rot.T
+        spec = GridSpec(R, n)
+        P = np.stack(np.meshgrid(spec.coords, spec.coords, indexing="ij"), axis=-1)
+        return spec, np.einsum("...i,ij,...j->...", P, A, P)
+
+    quad_spec, quad = form(4.0)
+    cone_spec, cone = form(16.0)
+    return GridFunction2D(quad_spec, 0.5 * quad), GridFunction2D(cone_spec, np.sqrt(cone))
 
 
 def dense_hat_inf2_grid(f: GridFunction2D, g: GridFunction2D, matmul: bool = False) -> np.ndarray:

@@ -27,6 +27,7 @@ from dualitylab import (
     validate,
     write_grid_csv,
 )
+import dualitylab.grid
 from dualitylab.grid import _maximal
 
 from helpers import dense_hat_inf2_grid, random_pd_matrix
@@ -158,6 +159,20 @@ class TestLattice:
         fin = np.isfinite(old)
         scale = np.abs(old[fin]).max() + 1.0
         assert np.abs(h.values[fin] - old[fin]).max() <= 4 * np.finfo(float).eps * scale
+
+    def test_inf_hat_bits_do_not_depend_on_the_tiling(self, monkeypatch):
+        # a tile of one node, of a few nodes, and of whole rows of nodes
+        rng = random.Random(5)
+        spec = GridSpec(4.0, 33)
+        P = np.stack(np.meshgrid(spec.coords, spec.coords, indexing="ij"), axis=-1)
+        for _ in range(2):
+            A, M = random_pd_matrix(rng), random_pd_matrix(rng)
+            f = GridFunction2D(spec, 0.5 * np.einsum("...i,ij,...j->...", P, A, P))
+            g = GridFunction2D(spec, np.sqrt(np.einsum("...i,ij,...j->...", P, M, P)))
+            want = dense_hat_inf2_grid(f, g)
+            for entries in (1, 7, 1 << 20):
+                monkeypatch.setattr(dualitylab.grid, "_TILE_ENTRIES", entries)
+                assert np.array_equal(hat_inf2_grid(f, g).values, want), entries
 
     def test_inf_hat_of_a_point_cloud(self):
         def pin(x, y):

@@ -279,6 +279,22 @@ class TestCheckerDifferential:
         assert t.corpus.leq_pairs is pairs and t.thresholds is thresholds
         assert len(calls) == 3  # one per pair condition
 
+    def test_threshold_rows_are_computed_when_read(self, monkeypatch):
+        # the fuzz certifies its own sense; a reversing analyze then reads the
+        # preserving row (which fails) but never the inverse row
+        read = []
+        thresholds = dualitylab.stability._thresholds
+        monkeypatch.setattr(dualitylab.stability, "_thresholds",
+                            lambda t, condition: read.append(condition) or thresholds(t, condition))
+        for base, sense, rows in (("legendre", "reversing", ["reversing", "preserving"]),
+                                  ("a", "reversing", ["reversing", "preserving"]),
+                                  ("identity", "preserving", ["preserving", "inverse"])):
+            read.clear()
+            t = fuzz_transform(5, K15, base=base)
+            assert read == [sense], base
+            assert analyze(t, K15).certified, base
+            assert read == rows and list(t._rows) == rows, base
+
     def test_gauge_base_images_are_built_once_per_corpus(self, monkeypatch):
         corpus = geometric_corpus((-4, -2, -1, 1, 2, 4))
         ops = ("gauge_transform", "legendre", "geometric_dual")

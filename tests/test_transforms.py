@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -14,6 +16,7 @@ from dualitylab import (
     ClassTagError,
     ConsistencyError,
     GridFunction2D,
+    GridSpec,
     GridValidationError,
     PLConvex1D,
     a_grid,
@@ -37,6 +40,7 @@ from dualitylab.pl import ratio_sup_abscissae
 
 from helpers import (
     assert_close,
+    bench_like_grids,
     dense_numeric_dual,
     geometric_functions,
     matmul_a_grid,
@@ -48,6 +52,7 @@ from helpers import (
     random_geometric,
     random_geometric_grid,
     random_nonnegative,
+    random_pd_matrix,
     reference_a_grid,
     reference_gauge_transform,
     reference_geometric_dual,
@@ -55,6 +60,7 @@ from helpers import (
     reference_legendre_grid,
     sample_points,
     single_rate_scan,
+    tiled_a_grid,
 )
 
 fractions_st = st.fractions(min_value=0, max_value=64, max_denominator=64)
@@ -421,3 +427,152 @@ class TestAsymmetricGrids:
         assert seen["not centrally symmetric"] >= 200, seen
         assert seen.pop("legendre zero of the other sign") > 0, seen
         assert len(seen) == 5 and min(seen.values()) >= 20, seen
+
+
+class TestBoundedDualScan:
+    """`grid._dual_max` scans a cell of positive nodes at a node x only when
+    an upper bound of the cell's quotients exceeds a lower bound of the max.
+    `a_grid` must keep the values and the signs of the former tiled scan and
+    of the brute force, at every cell size (10**9: one cell per quadrant) and
+    tile size, and on inputs whose quotients or bounds leave the float range."""
+
+    @staticmethod
+    def _same(got, want, what):
+        assert np.array_equal(got, want), what
+        assert np.array_equal(np.signbit(got), np.signbit(want)), what
+
+    @pytest.mark.parametrize("n", (65, 129))
+    def test_matches_the_tiled_scan(self, n, monkeypatch):
+        # the bench's seeded quadratics and cones (the three cases of seed 1
+        # at n = 129, of seeds 1 and 2 at n = 65) and asymmetric grids; cell
+        # sizes on the first quadratic and cone, tile sizes on the rest
+        rng = random.Random(n)
+        grids = [g for seed in (1, 2) for _ in range(3)
+                 for g in bench_like_grids(random.Random(seed), n)][:6 if n == 129 else 12]
+        grids += [random_asymmetric_grid(rng, n) for _ in range(2 if n == 129 else 8)]
+        for k, f in enumerate(grids):
+            want = tiled_a_grid(f)
+            self._same(a_grid(f).values, want, k)
+            if k < 2:
+                for cell in ((3, 10**9) if n == 129 else (1, 3, 10**9)):
+                    monkeypatch.setattr(dualitylab.grid, "_CELL", cell)
+                    self._same(a_grid(f).values, want, (k, cell))
+                monkeypatch.undo()
+            elif n == 65:
+                monkeypatch.setattr(dualitylab.grid, "_TILE_ENTRIES", (1, 100, 1 << 20)[k % 3])
+                self._same(a_grid(f).values, want, (k, "tiles"))
+                monkeypatch.undo()
+
+    def test_bounds_cover_every_quotient(self, monkeypatch):
+        # with one to three points a cell's bound is nearly tight, so a
+        # margin short of the roundings lets some quotient exceed it
+        rng = random.Random(97)
+        for k in range(60):
+            f = (random_geometric_grid, random_asymmetric_grid)[k % 2](rng)
+            scale = (1.0, 1e-300, 1e300, 3.0)[k % 4]
+            c, v = f.spec.coords, scale * f.values
+            monkeypatch.setattr(dualitylab.grid, "_CELL", (1, 2, 3)[k % 3])
+            w = np.where(np.isfinite(v) & (v > 0.0), v, np.inf)
+            h = int(np.searchsorted(c, 0.0))
+            for (s1, r), (s2, q) in itertools.product(((1, slice(h, None)), (-1, slice(0, h))),
+                                                      repeat=2):
+                keep = dualitylab.grid._maximal(w, s1, s2)
+                if not (keep.any() and c[r].size and c[q].size):
+                    continue
+                x1, x2 = (a.ravel() for a in np.meshgrid(c[r], c[q], indexing="ij"))
+                y1, y2 = (c[i] for i in np.nonzero(keep))
+                order, starts, A1, A2, cc = dualitylab.grid._cell_bounds(
+                    x1, x2, y1, y2, v[keep], s1, s2)
+                cell = np.repeat(np.arange(len(starts)), np.diff(np.append(starts, len(order))))
+                y1, y2, fy = y1[order], y2[order], v[keep][order]
+                quotient = (np.multiply.outer(y1, x1) + np.multiply.outer(y2, x2) - 1.0) / fy[:, None]
+                bound = (np.multiply.outer(A1, x1) + np.multiply.outer(A2, x2) + cc[:, None])[cell]
+                assert not (quotient > bound).any(), (k, s1, s2)
+
+    def test_extreme_values(self, monkeypatch):
+        # f from 1e-320 to 1e300: y/f and 1/f overflow at the small scales
+        # (such cells are always scanned), and so do most quotients
+        rng = random.Random(83)
+        seen = Counter()
+        scales = (1e-320, 1e-310, 1e-300, 1e-150, 1.0, 1e150, 1e300)
+        for k, (s, power, R) in enumerate(itertools.product(scales, (1, 2, 4), (1e-3, 16.0))):
+            spec = GridSpec(R, (9, 17, 33)[k % 3])
+            P = np.stack(np.meshgrid(spec.coords, spec.coords, indexing="ij"), axis=-1)
+            r = np.sqrt(np.einsum("...i,ij,...j->...", P, random_pd_matrix(rng), P))
+            f = GridFunction2D(spec, s * r**power)
+            monkeypatch.setattr(dualitylab.grid, "_CELL", (1, 3, 8)[k % 3])
+            with np.errstate(over="ignore"):
+                got, want = a_grid(f).values, reference_a_grid(f)
+                pos = f.values > 0
+                slopes = f.spec.coords[np.nonzero(pos)[0]] / f.values[pos]
+            self._same(got, want, (k, s))
+            seen["y/f beyond the float range"] += bool(np.isinf(slopes).any())
+            seen["1/f beyond the float range"] += bool((f.values[pos] < 2.0**-1024).any())
+            seen["infinite result"] += bool(np.isinf(got).any())
+            seen["tiny positive result"] += bool(((got > 0) & (got < 1e-100)).any())
+        assert len(seen) == 4 and min(seen.values()) >= 3, seen
+
+    @pytest.mark.parametrize("R", (16.0, 16 / 3, 0.3))
+    @pytest.mark.parametrize("n", (17, 33))
+    def test_tied_quotients(self, n, R, monkeypatch):
+        # l1 and max-norm cones: for x on a diagonal every node of a level
+        # line in a quadrant gives the same exact quotient, which rounding
+        # splits into near ties unless the lattice is dyadic
+        c = GridSpec(R, n).coords
+        y1, y2 = np.meshgrid(c, c, indexing="ij")
+        for k, v in enumerate((np.abs(y1) + np.abs(y2), np.maximum(np.abs(y1), np.abs(y2)),
+                               3 * np.abs(y1) + np.abs(y2))):
+            f = GridFunction2D(GridSpec(R, n), v)
+            for cell in (1, 2, 3, 32):
+                monkeypatch.setattr(dualitylab.grid, "_CELL", cell)
+                self._same(a_grid(f).values, reference_a_grid(f), (k, cell))
+
+    def test_zero_set_beyond_the_origin(self, monkeypatch):
+        # 0 on an ellipse around the origin, so the polar test masks nodes
+        rng = random.Random(89)
+        masked = 0
+        for k in range(24):
+            spec = GridSpec(rng.choice((1.0, 4.0, 16.0)), rng.choice((17, 25, 33)))
+            P = np.stack(np.meshgrid(spec.coords, spec.coords, indexing="ij"), axis=-1)
+            r = np.sqrt(np.einsum("...i,ij,...j->...", P, random_pd_matrix(rng), P)) / spec.R
+            v = rng.uniform(0.1, 10.0) * np.maximum(r - rng.uniform(0.1, 0.6), 0.0) ** rng.choice((1, 2))
+            if k % 3 == 0:
+                v = np.where(r <= rng.uniform(0.8, 1.2), v, np.inf)
+            f = GridFunction2D(spec, v)
+            monkeypatch.setattr(dualitylab.grid, "_CELL", (1, 3, 8)[k % 3])
+            got = a_grid(f).values
+            self._same(got, reference_a_grid(f), k)
+            masked += int(np.isinf(got).sum())
+        assert masked > 0
+
+    def test_most_quotients_are_skipped(self, monkeypatch):
+        # on the bench's cones and quadratics at N = 129 about 15% of the
+        # (x, y) quotients over the undominated nodes are formed
+        formed, full = [0], [0]
+        quotients, dual_max = dualitylab.grid._quotients, dualitylab.grid._dual_max
+
+        def counted_quotients(x1, x2, y1, y2, f):
+            formed[0] += len(x1) * len(y1)
+            return quotients(x1, x2, y1, y2, f)
+
+        def counted_dual_max(x1, x2, y1, *rest):
+            full[0] += len(x1) * len(y1)
+            return dual_max(x1, x2, y1, *rest)
+
+        monkeypatch.setattr(dualitylab.grid, "_quotients", counted_quotients)
+        monkeypatch.setattr(dualitylab.grid, "_dual_max", counted_dual_max)
+        for f in bench_like_grids(random.Random(1), 129):
+            a_grid(f)
+        assert 0 < formed[0] <= 0.25 * full[0], (formed, full)
+
+    def test_bounded_memory(self):
+        # the former tiled scan peaked at 3.0 to 4.0 MB on the bench's grids
+        for f in bench_like_grids(random.Random(1), 129):
+            a_grid(f)
+            tracemalloc.start()
+            try:
+                a_grid(f)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 4 * 2**20, peak
