@@ -14,7 +14,8 @@ Subcommands:
 Exit codes: 0 success/certified, 1 violations found (artifacts are still
 written), 2 usage or input errors.  The environment variable DUALITYLAB_TOL
 supplies the default for --tolerance and for --eps where not given; a NaN,
-infinite or negative eps or tolerance is an input error.
+infinite or negative eps or tolerance is an input error.  Each command
+imports the modules it reads inside itself, so a process loads no more.
 """
 
 from __future__ import annotations
@@ -23,38 +24,18 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from .corpus import geometric_corpus
 from .exceptions import ConsistencyError, HypothesisViolationError, SpecFormatError
-from .extremal import cover_witness_search
-from .grid import read_grid_csv, write_grid_csv
-from .pl import PLConvex1D
-from .reporting import (
-    _write,
-    dump_json,
-    emit_plots,
-    parse_corpus,
-    parse_corpus_transform,
-    render_report_text,
-    report_to_obj,
-)
-from .specio import dumps_function, parse_function
-from .stability import (
-    _BASES, AlmostOrderConstant, _nonnegative, analyze, fuzz_transform, hyers_ulam_approx)
-from .transforms import (
-    a_grid,
-    gauge_grid,
-    gauge_transform,
-    geometric_dual,
-    legendre,
-    legendre_grid,
-)
+
+if TYPE_CHECKING:
+    from .stability import AlmostOrderConstant
 
 TOLERANCE_ENV = "DUALITYLAB_TOL"
 
 
 def _env_tolerance() -> Optional[float]:
+    from .stability import _nonnegative
     raw = os.environ.get(TOLERANCE_ENV)
     return None if raw is None else _nonnegative(raw, TOLERANCE_ENV)
 
@@ -70,6 +51,7 @@ def _read_json(path: str) -> dict:
 
 
 def _positive_ctilde(raw: str) -> AlmostOrderConstant:
+    from .stability import AlmostOrderConstant
     try:
         k = AlmostOrderConstant(raw)
         float(k.ctilde)  # reports print C as a float
@@ -79,14 +61,19 @@ def _positive_ctilde(raw: str) -> AlmostOrderConstant:
 
 
 def _cmd_transform(args) -> int:
+    from .transforms import (
+        a_grid, gauge_grid, gauge_transform, geometric_dual, legendre, legendre_grid)
     grid_mode = args.infile.lower().endswith(".csv")
     if grid_mode:
         if not args.out:
             raise SpecFormatError("grid transforms need --out for the CSV result")
+        from .grid import read_grid_csv, write_grid_csv
         f = read_grid_csv(args.infile)
         op = {"legendre": legendre_grid, "a": a_grid, "j": gauge_grid}[args.op]
         write_grid_csv(op(f), args.out)
         return 0
+    from .pl import PLConvex1D
+    from .specio import _write, dumps_function, parse_function
     f = parse_function(_read_json(args.infile))
     if not isinstance(f, PLConvex1D):
         raise SpecFormatError("transforms apply to 1-d function specs")
@@ -100,6 +87,8 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_check_order(args) -> int:
+    from .reporting import parse_corpus_transform, render_report_text, report_to_obj
+    from .stability import analyze
     t = parse_corpus_transform(_read_json(args.transform))
     obj = report_to_obj(analyze(t, _positive_ctilde(args.ctilde)))
     sys.stdout.write(render_report_text(obj))
@@ -107,6 +96,9 @@ def _cmd_check_order(args) -> int:
 
 
 def _cmd_check_ptilde(args) -> int:
+    from .extremal import cover_witness_search
+    from .pl import PLConvex1D
+    from .specio import dumps_function, parse_function
     f = parse_function(_read_json(args.infile))
     if not isinstance(f, PLConvex1D):
         raise SpecFormatError("the witness search applies to 1-d function specs")
@@ -123,11 +115,16 @@ def _cmd_check_ptilde(args) -> int:
 
 def _load_corpus(spec: str):
     if spec == "geometric":
+        from .corpus import geometric_corpus
         return geometric_corpus()
+    from .reporting import parse_corpus
     return parse_corpus(_read_json(spec))
 
 
 def _cmd_fuzz(args) -> int:
+    from .reporting import dump_json, emit_plots, render_report_text, report_to_obj
+    from .specio import _write
+    from .stability import _nonnegative, analyze, fuzz_transform
     k = _positive_ctilde(args.ctilde)
     corpus = _load_corpus(args.corpus)
     tol = (_env_tolerance() if args.tolerance is None
@@ -148,6 +145,10 @@ def _cmd_fuzz(args) -> int:
 
 
 def _cmd_hyers_ulam(args) -> int:
+    from .lemmas import hyers_ulam_approx
+    from .reporting import dump_json
+    from .specio import _write
+    from .stability import _nonnegative
     obj = _read_json(args.infile)
     if not isinstance(obj, dict) or "samples" not in obj:
         raise SpecFormatError('input needs a "samples" field')
@@ -177,6 +178,7 @@ def _cmd_hyers_ulam(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from .reporting import emit_plots, render_report_text
     obj = _read_json(args.infile)
     if not isinstance(obj, dict) or obj.get("kind") != "stability-report":
         raise SpecFormatError("input is not a stability report")
@@ -190,6 +192,20 @@ def _cmd_report(args) -> int:
     for path in written:
         sys.stdout.write(f"wrote {path}\n")
     return 0 if obj.get("certified") else 1
+
+
+class _BaseNames:
+    """The names of `stability._BASES`, the choices of ``fuzz --base``, read
+    only when argparse checks or lists one: building the parser for any
+    other command imports no `stability`."""
+
+    def __contains__(self, name) -> bool:
+        from .stability import _BASES
+        return name in _BASES
+
+    def __iter__(self):
+        from .stability import _BASES
+        return iter(_BASES)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -218,7 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     pt.set_defaults(func=_cmd_check_ptilde)
 
     fz = sub.add_parser("fuzz", help="seeded jittered transform + certification")
-    fz.add_argument("--base", required=True, choices=tuple(_BASES))
+    # set after add_argument, which lists an argument's choices at once
+    fz.add_argument("--base", required=True).choices = _BaseNames()
     fz.add_argument("--ctilde", required=True)
     fz.add_argument("--seed", required=True, type=int)
     fz.add_argument("--corpus", default="geometric",

@@ -32,13 +32,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 from .exceptions import CorpusError
 from .extremal import DeltaFunction, _delta_ratio, make_delta, make_indicator, make_linear
-from .grid import GridFunction2D
 from .pl import INF, ClassTag, PLConvex1D, hat_inf2, ratio_sup, sup2
 from .transforms import gauge_transform, geometric_dual, legendre
+
+if TYPE_CHECKING:
+    from .grid import GridFunction2D
 
 EXPONENT_GRID = (-16, -8, -4, -2, -1, 0, 1, 2, 4, 8, 16)
 
@@ -78,9 +80,12 @@ def _grid_ratio(f: GridFunction2D, g: GridFunction2D) -> Tuple[object, object]:
 
 def _ratio_any(f, g) -> Tuple[object, object]:
     """Exact sup of f/g (see `pl.ratio_sup`) and a point where it is reached,
-    by the comparison of their common element kind."""
-    ratio = {PLConvex1D: ratio_sup, DeltaFunction: _delta_ratio,
-             GridFunction2D: _grid_ratio}.get(type(f))
+    by the comparison of their common element kind.  `grid` is imported only
+    for a kind outside the 1-d ones: no grid element exists before it is."""
+    ratio = {PLConvex1D: ratio_sup, DeltaFunction: _delta_ratio}.get(type(f))
+    if ratio is None:
+        from .grid import GridFunction2D
+        ratio = {GridFunction2D: _grid_ratio}.get(type(f))
     if ratio is None or type(g) is not type(f):
         raise CorpusError(f"cannot compare {type(f).__name__} with {type(g).__name__}")
     return ratio(f, g)

@@ -56,8 +56,12 @@ class GridSpec:
 
     @property
     def coords(self) -> np.ndarray:
+        """``linspace(-R, R, N)`` with its middle node exactly 0.0, which
+        linspace can miss by an ulp (-4.4e-16 at R = 4, N = 99)."""
         import numpy as np
-        return np.linspace(-self.R, self.R, self.N)
+        c = np.linspace(-self.R, self.R, self.N)
+        c[self.origin] = 0.0
+        return c
 
     @property
     def origin(self) -> int:

@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .corpus import Corpus
 from .exceptions import SpecFormatError
-from .specio import function_to_obj, parse_function
+from .specio import _write, function_to_obj, parse_function
 from .stability import CorpusTransform, StabilityReport
 
 
@@ -225,11 +225,6 @@ def _svg_scatter_lines(
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def _write(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
 
 
 def _csv_rows(header: Sequence[str], rows: Sequence[Sequence[float]]) -> str:

@@ -137,3 +137,10 @@ def loads_function(text: str) -> FunctionLike:
 
 def dumps_function(f: FunctionLike) -> str:
     return json.dumps(function_to_obj(f), sort_keys=True)
+
+
+def _write(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, newlines untranslated (CLI outputs
+    and report artifacts)."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)

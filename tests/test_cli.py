@@ -163,16 +163,17 @@ class TestCheck:
     def test_order_rejects_pinned_point_corpus_before_any_matrix(
         self, capsys, tmp_path, monkeypatch
     ):
-        import dualitylab.cli as cli
+        import dualitylab.reporting as reporting
         from dualitylab import CorpusTransform, delta_corpus, transform_to_obj
 
         c = delta_corpus()
         path = tmp_path / "t.json"
         path.write_text(json.dumps(transform_to_obj(CorpusTransform(c, c.elements))))
         parsed = []
-        parse = cli.parse_corpus_transform
+        parse = reporting.parse_corpus_transform
         monkeypatch.setattr(
-            cli, "parse_corpus_transform", lambda obj: parsed.append(parse(obj)) or parsed[-1])
+            reporting, "parse_corpus_transform",
+            lambda obj: parsed.append(parse(obj)) or parsed[-1])
         code, out, err = run(
             capsys, "check", "order", "--transform", str(path), "--ctilde", "1.5"
         )
@@ -333,6 +334,16 @@ class TestFuzz:
             "phi.csv", "phi.svg", "sandwich.csv", "sandwich.svg",
             "slope.csv", "slope.svg",
         ]
+
+    def test_base_choices_are_the_table_of_bases(self, capsys):
+        from dualitylab.stability import _BASES
+        code, out, err = run(capsys, "fuzz", "--base", "bogus", "--ctilde", "2", "--seed", "1")
+        choices = ", ".join(map(repr, _BASES))
+        assert code == 2 and out == ""
+        assert err.endswith(
+            f"error: argument --base: invalid choice: 'bogus' (choose from {choices})\n")
+        code, out, _ = run(capsys, "fuzz", "--help")
+        assert code == 0 and "{" + ",".join(_BASES) + "}" in out
 
     def test_byte_identical_reruns(self, capsys, tmp_path):
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"

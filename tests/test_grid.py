@@ -44,6 +44,20 @@ class TestGridSpec:
         assert s.origin == 2
         assert list(s.coords) == [-4.0, -2.0, 0.0, 2.0, 4.0]
 
+    def test_origin_node_is_exactly_zero(self):
+        """linspace misses 0 by an ulp at R = 4, N = 99; only that node moves."""
+        c, raw = GridSpec(4.0, 99).coords, np.linspace(-4.0, 4.0, 99)
+        assert raw[49] == -4.440892098500626e-16
+        assert c[49] == 0.0 and math.copysign(1.0, c[49]) == 1.0
+        assert np.array_equal(np.delete(c, 49), np.delete(raw, 49))
+        f = GridFunction2D.from_function(cone, R=4.0, N=99)
+        assert f.values[49, 49] == 0.0
+
+    @pytest.mark.parametrize("R, N", [(4.0, 129), (16.0, 129), (4.0, 65)])
+    def test_bench_lattices_keep_their_bits(self, R, N):
+        c = GridSpec(R, N).coords
+        assert c.tobytes() == np.linspace(-R, R, N).tobytes()
+
     @pytest.mark.parametrize("bad", [(0.0, 5), (-1.0, 5), (math.inf, 5), (1.0, 4), (1.0, 1)])
     def test_rejects(self, bad):
         with pytest.raises(ValueError):

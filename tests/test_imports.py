@@ -3,10 +3,12 @@
 Each command runs twice in a fresh interpreter: once as is, and once with
 ``numpy`` and ``scipy`` blocked in ``sys.modules``, so that importing either
 raises ImportError.  Both runs must give the same exit code, stdout and
-written files.  Two tests check that every layer function the benchmark
-traces still imports under its traced name, and that every dualitylab name
-the bench scripts import or read still resolves.  The last one pins the
-functions that branch on an element's kind.
+written files.  Fresh interpreters also show which modules each command
+executes, that a bare ``import dualitylab`` executes none, and that every
+public name resolves however it is imported.  Two tests check that every
+layer function the benchmark traces still imports under its traced name,
+and that every dualitylab name the bench scripts import or read still
+resolves.  The last one pins the functions that branch on an element's kind.
 """
 
 import ast
@@ -121,15 +123,144 @@ def test_cli_import_leaves_numpy_and_scipy_out():
     assert proc.stdout == "[]\n"
 
 
+# Run a command in a fresh interpreter, then write to stderr the dualitylab
+# modules whose code ran (one not yet read is still a lazy module) and numpy.
+_LOADS = """
+import json, sys, types
+from dualitylab.cli import main
+main(sys.argv[1:])
+sys.stderr.write(json.dumps(sorted(
+    n.removeprefix("dualitylab.") for n, m in sys.modules.items()
+    if n == "numpy" or n.startswith("dualitylab.") and type(m) is types.ModuleType)))
+"""
+
+# command -> the modules it must not execute
+_NOT_LOADED = {
+    "transform-j": {"stability", "corpus", "reporting", "grid", "numpy"},
+    "fuzz-a": {"grid"},
+    "fuzz-artifacts": {"grid"},
+    "check-order": {"grid"},
+    "check-order-fuzz": {"grid"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NOT_LOADED))
+def test_command_loads_only_what_it_reads(tmp_path, inputs, name):
+    _, argv = COMMANDS[name]
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADS, *(a.format(d=inputs) for a in argv)],
+        cwd=tmp_path, env=subprocess_env(), capture_output=True, text=True, check=True)
+    loaded = set(json.loads(proc.stderr))
+    assert {"cli", "pl", "transforms"} <= loaded and not loaded & _NOT_LOADED[name], loaded
+
+
+@pytest.mark.parametrize("name", ["transform-j", "fuzz-a", "check-order"])
+def test_module_entry_point_writes_no_stderr(tmp_path, inputs, name):
+    """`python -m dualitylab.cli`, as the benchmark runs it, gives `main`'s exit
+    code and stdout and no runpy warning: the package leaves `cli` out of
+    ``sys.modules``."""
+    code, argv = COMMANDS[name]
+    argv = [a.format(d=inputs) for a in argv]
+    proc = subprocess.run([sys.executable, "-m", "dualitylab.cli", *argv], cwd=tmp_path,
+                          env=subprocess_env(), capture_output=True, text=True)
+    plain = _run(tmp_path / "plain", "plain", argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, plain[1], "")
+
+
+def _bench_metrics():
+    path = Path(__file__).resolve().parents[1] / "bench" / "metrics.py"
+    spec = importlib.util.spec_from_file_location("_bench_metrics", path)
+    metrics = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(metrics)
+    return metrics
+
+
+def test_bare_import_runs_no_submodule():
+    """``import dualitylab`` executes no submodule, yet every module the
+    benchmark's tracer reads out of ``sys.modules`` is there."""
+    probe = ("import json, sys, types, dualitylab; print(json.dumps([sorted("
+             "n for n, m in sys.modules.items() if n.startswith('dualitylab.') "
+             "and type(m) is types.ModuleType), sorted(sys.modules)]))")
+    proc = subprocess.run([sys.executable, "-c", probe], env=subprocess_env(),
+                          capture_output=True, text=True, check=True)
+    ran, registered = json.loads(proc.stdout)
+    assert ran == []
+    assert {f"dualitylab.{m}" for m, _, _ in _bench_metrics().TRACED} <= set(registered)
+
+
+# the package's public names, as exported before they resolved lazily
+_PUBLIC_NAMES = """
+    Corpus delta_corpus geometric_corpus ClassificationError ClassTagError
+    ConsistencyError ConvexityError CorpusError DomainError DualityLabError
+    GridValidationError HypothesisViolationError LatticeMismatchError
+    SpecFormatError DeltaFunction WitnessPair almost_linear_bounds
+    cover_witness_search make_delta make_indicator make_linear make_triangle
+    monotone_envelope quasi_linear_sandwich witness_is_valid GridFunction2D
+    GridSpec ensure_valid hat_inf2_grid is_ray_supported ray_restrict
+    read_grid_csv sup2_grid validate write_grid_csv INF ClassTag PLConvex1D
+    as_extended as_fraction compose_dilate hat_inf2 is_inf leq leq_witness
+    scale sup2 corpus_to_obj dump_json emit_plots parse_corpus
+    parse_corpus_transform render_report_text report_to_obj transform_to_obj
+    dumps_function function_to_obj loads_function parse_function scalar_token
+    AlmostOrderConstant CorpusTransform DeltaStructureReport RayMappingReport
+    StabilityReport TransformClass Violation analyze check_almost_preserving
+    check_almost_reversing check_delta_structure check_extremes
+    check_inverse_conditions check_lattice_stability classify
+    estimate_exponent fit_sandwich fuzz_delta_transform fuzz_transform
+    hyers_ulam_approx verify_ray_mapping a_grid gauge_grid gauge_transform
+    gauge_value geometric_dual legendre legendre_grid __version__
+""".split()
+
+# mode -> the names that a fresh interpreter fails to resolve that way
+_NAMES_PROBE = """
+import sys
+import dualitylab
+mode, names = sys.argv[1], sys.argv[2:]
+if mode == "attr":
+    missing = [n for n in names if not hasattr(dualitylab, n)]
+elif mode == "from":
+    missing = []
+    for n in names:
+        try:
+            exec(f"from dualitylab import {n}", {})
+        except ImportError:
+            missing.append(n)
+elif mode == "dir":
+    missing = sorted(set(names) - set(dir(dualitylab)))
+else:
+    ns = {}
+    exec("from dualitylab import *", ns)
+    missing = sorted(set(names) - set(ns))
+print(missing)
+"""
+
+
+@pytest.mark.parametrize("mode", ["attr", "from", "dir", "star"])
+def test_public_names_resolve(mode):
+    assert len(set(_PUBLIC_NAMES)) == 89
+    proc = subprocess.run([sys.executable, "-c", _NAMES_PROBE, mode, *_PUBLIC_NAMES],
+                          env=subprocess_env(), capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"
+
+
+def test_public_names_are_their_modules_attributes():
+    """Each name of the table is an attribute of the module it lists: a
+    submodule attribute read first, as in the bench's ``dl.pl.leq_witness``,
+    and the package's name read after it are one object."""
+    probe = ("import dualitylab as dl; print(sorted(n for m, ns in dl._PUBLIC.items() "
+             "for n in ns.split() if getattr(getattr(dl, m), n) is not getattr(dl, n)))")
+    proc = subprocess.run([sys.executable, "-c", probe], env=subprocess_env(),
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"
+    assert set(dualitylab.__all__) == set(_PUBLIC_NAMES)
+
+
 def test_traced_layers_exist(monkeypatch):
     """Every layer function the benchmark's traced run wraps still exists, and
     the checkers reach `leq_witness`, `analyze` reaches `classify` and
     `Corpus.base_images` reaches the transforms through the names the trace
     patches: module attributes bound to the traced function."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "metrics.py"
-    spec = importlib.util.spec_from_file_location("_bench_metrics", path)
-    metrics = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(metrics)
+    metrics = _bench_metrics()
     for module, fn, _ in metrics.TRACED:
         assert callable(getattr(importlib.import_module(f"dualitylab.{module}"), fn)), (
             module, fn)
@@ -247,7 +378,7 @@ def test_element_kind_checks_stay_at_the_entry_points():
     assert found == {
         "cli._cmd_transform", "cli._cmd_check_ptilde", "corpus._ratio_matrix",
         "specio.function_to_obj", "stability._witness",
-        "stability.check_delta_structure", "stability.verify_ray_mapping",
+        "lemmas.check_delta_structure", "lemmas.verify_ray_mapping",
     }
 
 
